@@ -35,7 +35,7 @@ from .gin import (
     gin_of_curve,
     is_strongly_stable,
 )
-from .groebner import Polynomial4, generic_change, gin_oracle, groebner_basis
+from .groebner import gin_oracle
 from .tuples import (
     ClassificationReport,
     ReductionStep,

@@ -19,7 +19,7 @@ from . import __version__
 from . import verify
 from .exceptions import TetracurvesError
 from .gin import ek_betti, gin_of_curve
-from .groebner import DEFAULT_PRIMES, gin_oracle
+from .groebner import DEFAULT_PRIMES, check_primes, gin_oracle
 from .koszul import cached_betti_oracle
 from .monomials import hilbert_data, ideal_of_tuple
 from .resolution import betti_table, classify, enumerate_linear_in_class
@@ -79,8 +79,8 @@ def _primes_from(args) -> tuple[int, int]:
         return DEFAULT_PRIMES
     if len(given) == 1:
         fallback = next(p for p in DEFAULT_PRIMES if p != given[0])
-        return (given[0], fallback)
-    return (given[0], given[1])
+        return check_primes((given[0], fallback))
+    return check_primes((given[0], given[1]))
 
 
 def _betti_payload(table) -> dict:
@@ -147,7 +147,7 @@ def _run_gin(args) -> tuple[dict, int]:
     code = 0
     if args.oracle_check:
         oracle = gin_oracle(
-            ideal_of_tuple(t), seeds=(args.seed, args.seed + 1), primes=_primes_from(args)
+            ideal_of_tuple(t), seeds=(args.seed, args.seed + 1), primes=args.primes
         )
         result["oracle_generators"] = oracle.generator_strings()
         if built is not None:
@@ -173,7 +173,7 @@ def _run_enumerate(args) -> tuple[dict, int]:
 def _run_verify(args) -> tuple[dict, int]:
     names = verify.SUITE_NAMES if args.suite == "all" else (args.suite,)
     results = verify.run_suites(
-        names, bound=args.bound, seed=args.seed, primes=_primes_from(args)
+        names, bound=args.bound, seed=args.seed, primes=args.primes
     )
     payload = {"suites": [r.as_dict() for r in results]}
     return payload, 0 if all(r.passed for r in results) else 1
@@ -244,6 +244,10 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     if args.command in ("classify", "reduce", "betti", "gin", "hilbert", "enumerate-linear"):
         _parse_tuple(args.tuple, parser)
+    try:
+        args.primes = _primes_from(args)
+    except ValueError as exc:
+        parser.error(str(exc))
 
     started = time.perf_counter()
     try:
@@ -261,7 +265,7 @@ def main(argv: list[str] | None = None) -> int:
         if hasattr(args, key) and getattr(args, key) is not None:
             provenance[key] = getattr(args, key)
     if getattr(args, "prime", None):
-        provenance["primes"] = list(_primes_from(args))
+        provenance["primes"] = list(args.primes)
 
     if args.format == "json":
         report = {

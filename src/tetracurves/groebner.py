@@ -1,260 +1,143 @@
 """Numerical generic-initial-ideal oracle over prime fields.
 
-The gin of an ideal is approximated by applying a random invertible change
-of coordinates over F_p (a large prime standing in for characteristic
-zero), running Buchberger's algorithm in degree-reverse-lexicographic
-order with a > b > c > d, and reading off the initial ideal of the reduced
-basis.  Runs over two seeds and two primes must agree and the result must
-be Borel-fixed, otherwise the computation reports failure instead of
-guessing.
+The gin of an ideal is approximated by a random invertible change of
+coordinates over F_p, with p a prime between 2^14 and 2^31 standing in for
+characteristic zero, followed by the degree-reverse-lexicographic initial
+ideal (a > b > c > d) computed by linear algebra: degree by degree, the
+Macaulay matrix of I_d is row-reduced mod p and its pivot columns are the
+leading monomials (Lazard 1983).  The revlex gin is generated in degrees at
+most reg(I) (Bayer-Stillman 1987), so elimination stops at the regularity
+reported by the Koszul Betti oracle, and the Hilbert function one degree
+higher must match the input's.  Runs over two seeds and two primes must
+agree and the result must be Borel-fixed, otherwise the computation reports
+failure instead of guessing.
 """
 
 from __future__ import annotations
 
+import functools
+import math
 import random
-from dataclasses import dataclass, field
+
+import numpy as np
 
 from .exceptions import DisagreementError, NotBorelFixedError
 from .gin import StableIdeal, is_strongly_stable
-from .monomials import Monomial, MonomialIdeal, NVARS
+from .koszul import betti_table_oracle
+from .monomials import Monomial, MonomialIdeal, NVARS, display_key, monomials_of_degree
 
-DEFAULT_PRIME = 32003
 DEFAULT_PRIMES = (32003, 31991)
 DEFAULT_SEEDS = (1, 2)
 
-Exps = tuple[int, int, int, int]
+
+def check_primes(primes) -> tuple[int, int]:
+    """Two distinct primes strictly between 2^14, so that p stands in for
+    characteristic zero, and 2^31, so that p*p fits in int64."""
+    primes = tuple(primes)
+    if len(primes) != 2 or primes[0] == primes[1]:
+        raise ValueError(f"need two distinct primes, got {primes}")
+    for p in primes:
+        if not (isinstance(p, int) and 2**14 < p < 2**31 and all(p % k for k in range(2, math.isqrt(p) + 1))):
+            raise ValueError(f"{p} is not a prime strictly between 2^14 and 2^31")
+    return primes
 
 
-def _drl_key(e: Exps) -> tuple:
-    return (e[0] + e[1] + e[2] + e[3], -e[3], -e[2], -e[1], -e[0])
+@functools.lru_cache(maxsize=64)
+def _basis(d: int) -> tuple[tuple[int, int, int, int], ...]:
+    """Degree-d exponent vectors in descending degrevlex order: the Macaulay matrix columns."""
+    return tuple(m.exps for m in sorted(monomials_of_degree(d), key=display_key))
 
 
-def _mul(u: Exps, v: Exps) -> Exps:
-    return (u[0] + v[0], u[1] + v[1], u[2] + v[2], u[3] + v[3])
+@functools.lru_cache(maxsize=64)
+def _shifts(d: int) -> np.ndarray:
+    """Row j maps each degree-d column to the degree-(d+1) column of x_j times it."""
+    index = {e: k for k, e in enumerate(_basis(d + 1))}
+    return np.array([[index[e[:j] + (e[j] + 1,) + e[j + 1 :]] for e in _basis(d)] for j in range(NVARS)])
 
 
-def _divides(u: Exps, v: Exps) -> bool:
-    return u[0] <= v[0] and u[1] <= v[1] and u[2] <= v[2] and u[3] <= v[3]
+def _row_echelon(rows: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
+    """Row echelon form mod p of int64 rows with entries in [0, p), and its pivot columns."""
+    rows = rows[rows.any(axis=1)]
+    pivots: list[int] = []
+    while len(pivots) < len(rows):
+        rank = len(pivots)
+        nonzero = rows[rank:] != 0
+        occupied = nonzero.any(axis=0)
+        col = int(occupied.argmax())
+        if not occupied[col]:
+            break
+        k = rank + int(nonzero[:, col].argmax())
+        if k != rank:
+            rows[[rank, k]] = rows[[k, rank]]
+        pivot, below = rows[rank], rows[rank + 1 :]
+        factor = below[:, col, None] * pivot  # products of entries below p stay below 2^62
+        below *= pivot[col]
+        below -= factor
+        below %= p
+        pivots.append(col)
+    return rows[: len(pivots)], pivots
 
 
-def _sub(u: Exps, v: Exps) -> Exps:
-    return (u[0] - v[0], u[1] - v[1], u[2] - v[2], u[3] - v[3])
-
-
-def _lcm(u: Exps, v: Exps) -> Exps:
-    return (max(u[0], v[0]), max(u[1], v[1]), max(u[2], v[2]), max(u[3], v[3]))
-
-
-@dataclass
-class Polynomial4:
-    """A polynomial over F_p in sparse form: exponent tuple -> coefficient."""
-
-    p: int
-    terms: dict[Exps, int] = field(default_factory=dict)
-
-    def __post_init__(self):
-        self.terms = {m: c % self.p for m, c in self.terms.items() if c % self.p}
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    @property
-    def lead(self) -> Exps:
-        return max(self.terms, key=_drl_key)
-
-    @property
-    def degree(self) -> int:
-        return max(sum(m) for m in self.terms)
-
-    def monic(self) -> "Polynomial4":
-        inv = pow(self.terms[self.lead], -1, self.p)
-        return Polynomial4(self.p, {m: c * inv % self.p for m, c in self.terms.items()})
-
-    def __mul__(self, other: "Polynomial4") -> "Polynomial4":
-        out: dict[Exps, int] = {}
-        for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
-                key = _mul(m1, m2)
-                out[key] = (out.get(key, 0) + c1 * c2) % self.p
-        return Polynomial4(self.p, out)
-
-    def __add__(self, other: "Polynomial4") -> "Polynomial4":
-        out = dict(self.terms)
-        for m, c in other.terms.items():
-            out[m] = (out.get(m, 0) + c) % self.p
-        return Polynomial4(self.p, out)
-
-    def __str__(self) -> str:
-        if self.is_zero:
-            return "0"
-        parts = []
-        for m in sorted(self.terms, key=_drl_key, reverse=True):
-            c = self.terms[m]
-            mono = str(Monomial(m))
-            parts.append(mono if c == 1 and mono != "1" else f"{c}" + ("" if mono == "1" else f"*{mono}"))
-        return " + ".join(parts)
-
-
-def _normal_form(f: dict[Exps, int], basis: list[tuple[Exps, dict[Exps, int]]], p: int) -> dict[Exps, int]:
-    """Full remainder of f modulo a list of monic (lead, terms) reducers."""
-    remainder: dict[Exps, int] = {}
-    work = dict(f)
-    while work:
-        lt = max(work, key=_drl_key)
-        reducer = next((g for lead, g in basis if _divides(lead, lt)), None)
-        if reducer is None:
-            remainder[lt] = work.pop(lt)
-            continue
-        c = work[lt]
-        shift = _sub(lt, max(reducer, key=_drl_key))
-        for m, a in reducer.items():
-            key = _mul(m, shift)
-            v = (work.get(key, 0) - c * a) % p
-            if v:
-                work[key] = v
-            else:
-                work.pop(key, None)
-    return remainder
-
-
-def _s_polynomial(f: dict[Exps, int], g: dict[Exps, int], p: int) -> dict[Exps, int]:
-    lf = max(f, key=_drl_key)
-    lg = max(g, key=_drl_key)
-    L = _lcm(lf, lg)
-    out: dict[Exps, int] = {}
-    for m, c in f.items():
-        key = _mul(m, _sub(L, lf))
-        out[key] = (out.get(key, 0) + c) % p
-    for m, c in g.items():
-        key = _mul(m, _sub(L, lg))
-        v = (out.get(key, 0) - c) % p
-        if v:
-            out[key] = v
-        else:
-            out.pop(key, None)
-    return out
-
-
-def groebner_basis(polys: list[Polynomial4]) -> list[Polynomial4]:
-    """The unique reduced Groebner basis in degrevlex, by Buchberger's
-    algorithm with the Gebauer-Moeller pair criteria and normal (lowest
-    lcm first) selection."""
-    nonzero = [f for f in polys if not f.is_zero]
-    if not nonzero:
+def leading_monomials(polys: dict[int, np.ndarray], top: int, p: int) -> MonomialIdeal:
+    """The degrevlex initial ideal, up to degree `top`, of the ideal generated
+    by homogeneous polynomials over F_p, given as {degree d: rows of
+    coefficients over _basis(d)}.  The degree-d Macaulay matrix holds the
+    degree-d generators and the a, b, c, d shifts of the degree-(d-1) echelon rows."""
+    polys = {d: np.asarray(rows, dtype=np.int64) % p for d, rows in polys.items()}
+    if not any(rows.any() for rows in polys.values()):
         raise ValueError("need at least one non-zero polynomial")
-    p = nonzero[0].p
-    if any(f.p != p for f in nonzero):
-        raise ValueError("mixed primes")
+    leads: list[Monomial] = []
+    echelon, inherited = np.zeros((0, 0), dtype=np.int64), set()
+    for d in range(min(polys), top + 1):
+        width = len(_basis(d))
+        shifted = np.zeros((NVARS, len(echelon), width), dtype=np.int64)
+        if len(echelon):
+            for j, columns in enumerate(_shifts(d - 1)):
+                shifted[j][:, columns] = echelon
+        fresh = polys.get(d, np.zeros((0, width), dtype=np.int64))
+        echelon, pivots = _row_echelon(np.vstack([shifted.reshape(-1, width), fresh]), p)
+        leads += [Monomial(_basis(d)[c]) for c in pivots if c not in inherited]
+        inherited = set(_shifts(d)[:, pivots].ravel().tolist())
+    return MonomialIdeal(tuple(leads))
 
-    basis: list[tuple[Exps, dict[Exps, int]]] = []
-    pairs: set[tuple[int, int]] = set()
 
-    def update(h: dict[Exps, int]):
-        # Gebauer-Moeller update of the pair set when h joins the basis.
-        nonlocal pairs
-        lh = max(h, key=_drl_key)
-        kept = set()
-        for i, j in pairs:
-            lij = _lcm(basis[i][0], basis[j][0])
-            if (
-                not _divides(lh, lij)
-                or _lcm(basis[i][0], lh) == lij
-                or _lcm(basis[j][0], lh) == lij
-            ):
-                kept.add((i, j))
-        by_lcm: dict[Exps, list[int]] = {}
-        for i, (lead, _) in enumerate(basis):
-            by_lcm.setdefault(_lcm(lead, lh), []).append(i)
-        minimal: list[Exps] = []
-        for L in sorted(by_lcm, key=_drl_key):
-            if not any(_divides(M, L) for M in minimal):
-                minimal.append(L)
-        new_index = len(basis)
-        for L in minimal:
-            if not any(_mul(basis[i][0], lh) == L for i in by_lcm[L]):
-                kept.add((min(by_lcm[L]), new_index))
-        pairs = kept
-        basis.append((lh, h))
+def _substituted(ideal: MonomialIdeal, matrix: list[list[int]], p: int) -> dict[int, np.ndarray]:
+    """Coefficient rows, by degree, of the minimal generators after the
+    substitution x_i -> sum_j matrix[i][j] x_j."""
+    coeffs = np.array(matrix, dtype=np.int64)[:, :, None]
+    images = {(0, 0, 0, 0): np.ones(1, dtype=np.int64)}
 
-    for f in sorted(nonzero, key=lambda f: _drl_key(f.lead)):
-        update(f.monic().terms)
+    def image(e: tuple[int, ...]) -> np.ndarray:
+        if e not in images:
+            i = next(k for k in range(NVARS) if e[k])
+            parent = e[:i] + (e[i] - 1,) + e[i + 1 :]
+            terms = coeffs[i] * image(parent) % p
+            # each column of x_i * parent sums at most 4 terms below 2^31: exact in float64
+            out = np.bincount(_shifts(sum(parent)).ravel(), terms.ravel(), len(_basis(sum(e))))
+            images[e] = out.astype(np.int64) % p
+        return images[e]
 
-    while pairs:
-        i, j = min(pairs, key=lambda ij: _drl_key(_lcm(basis[ij[0]][0], basis[ij[1]][0])))
-        pairs.discard((i, j))
-        s = _s_polynomial(basis[i][1], basis[j][1], p)
-        r = _normal_form(s, basis, p)
-        if r:
-            inv = pow(r[max(r, key=_drl_key)], -1, p)
-            update({m: c * inv % p for m, c in r.items()})
-
-    # minimalize leads, then inter-reduce tails for the reduced basis
-    chosen: list[tuple[Exps, dict[Exps, int]]] = []
-    for lead, g in sorted(basis, key=lambda lg: _drl_key(lg[0])):
-        if not any(_divides(l2, lead) for l2, _ in chosen):
-            chosen.append((lead, g))
-    reduced = []
-    for k, (lead, g) in enumerate(chosen):
-        others = chosen[:k] + chosen[k + 1 :]
-        r = _normal_form(g, others, p)
-        reduced.append(Polynomial4(p, r).monic())
-    return sorted(reduced, key=lambda f: _drl_key(f.lead))
+    by_degree: dict[int, list[np.ndarray]] = {}
+    for g in ideal.generators:
+        by_degree.setdefault(g.degree, []).append(image(g.exps))
+    return {d: np.array(rows) for d, rows in by_degree.items()}
 
 
 def random_invertible_matrix(seed: int, prime: int) -> list[list[int]]:
     """A uniformly sampled invertible 4x4 matrix over F_p, deterministic in
-    the seed (resampled until the determinant is non-zero)."""
+    the seed (resampled until it has full rank)."""
     rng = random.Random(seed)
     while True:
         matrix = [[rng.randrange(prime) for _ in range(NVARS)] for _ in range(NVARS)]
-        if _det_mod(matrix, prime):
+        if len(_row_echelon(np.array(matrix, dtype=np.int64), prime)[1]) == NVARS:
             return matrix
 
 
-def _det_mod(matrix: list[list[int]], p: int) -> int:
-    m = [row[:] for row in matrix]
-    det = 1
-    for col in range(NVARS):
-        pivot = next((r for r in range(col, NVARS) if m[r][col] % p), None)
-        if pivot is None:
-            return 0
-        if pivot != col:
-            m[col], m[pivot] = m[pivot], m[col]
-            det = -det
-        det = det * m[col][col] % p
-        inv = pow(m[col][col], -1, p)
-        for r in range(col + 1, NVARS):
-            factor = m[r][col] * inv % p
-            for c in range(col, NVARS):
-                m[r][c] = (m[r][c] - factor * m[col][c]) % p
-    return det % p
-
-
-def substitute(ideal: MonomialIdeal, matrix: list[list[int]], prime: int) -> list[Polynomial4]:
-    """Apply the linear substitution x_i -> sum_j matrix[i][j] x_j to every
-    minimal generator."""
-    images = [
-        Polynomial4(prime, {tuple(1 if k == j else 0 for k in range(NVARS)): matrix[i][j] for j in range(NVARS)})
-        for i in range(NVARS)
-    ]
-    out = []
-    for g in ideal.generators:
-        poly = Polynomial4(prime, {(0, 0, 0, 0): 1})
-        for i, e in enumerate(g.exps):
-            for _ in range(e):
-                poly = poly * images[i]
-        out.append(poly)
-    return out
-
-
-def generic_change(ideal: MonomialIdeal, seed: int, prime: int = DEFAULT_PRIME) -> list[Polynomial4]:
-    """Generators of the ideal after a random invertible change of coordinates."""
-    return substitute(ideal, random_invertible_matrix(seed, prime), prime)
-
-
-def initial_ideal(basis: list[Polynomial4]) -> MonomialIdeal:
-    return MonomialIdeal(tuple(Monomial(f.lead) for f in basis))
+def _hilbert_at(ideal: MonomialIdeal, d: int) -> int:
+    """dim_k (R/I)_d: the degree-d monomials outside the ideal."""
+    monomials = np.array(_basis(d))
+    gens = np.array([g.exps for g in ideal.generators]).reshape(-1, NVARS)
+    return int((~(monomials[:, None, :] >= gens[None, :, :]).all(axis=2).any(axis=1)).sum())
 
 
 def gin_oracle(
@@ -263,28 +146,31 @@ def gin_oracle(
     primes: tuple[int, int] = DEFAULT_PRIMES,
 ) -> StableIdeal:
     """Numerical gin: the initial ideal after a generic change of
-    coordinates, agreeing over every (seed, prime) combination and verified
-    Borel-fixed.  A non-stable result triggers a reseed; persistent
-    disagreement across runs raises instead of adjudicating."""
+    coordinates, agreeing over every (seed, prime) combination, verified
+    Borel-fixed and Hilbert-preserving.  A non-stable result triggers a
+    reseed; persistent disagreement across runs raises instead of
+    adjudicating."""
+    primes = check_primes(primes)
     if ideal.is_zero or ideal.is_unit:
         raise ValueError("gin oracle needs a proper non-zero ideal")
+    top = betti_table_oracle(ideal).regularity
     results: list[tuple[int, int, MonomialIdeal]] = []
     for seed in seeds:
         for prime in primes:
-            candidate = None
             for attempt in range(3):
-                polys = generic_change(ideal, seed + 7919 * attempt, prime)
-                lead = initial_ideal(groebner_basis(polys))
+                matrix = random_invertible_matrix(seed + 7919 * attempt, prime)
+                lead = leading_monomials(_substituted(ideal, matrix, prime), top, prime)
                 if is_strongly_stable(lead):
-                    candidate = lead
                     break
-            if candidate is None:
-                raise NotBorelFixedError(
-                    f"no Borel-fixed initial ideal for seed {seed}, prime {prime}"
-                )
-            results.append((seed, prime, candidate))
+            else:
+                raise NotBorelFixedError(f"no Borel-fixed initial ideal for seed {seed}, prime {prime}")
+            results.append((seed, prime, lead))
     first = results[0][2]
     if any(r != first for _, _, r in results):
         detail = "; ".join(f"seed {s}, p {p}: {r}" for s, p, r in results)
         raise DisagreementError(f"gin runs disagree: {detail}")
+    if _hilbert_at(first, top + 1) != _hilbert_at(ideal, top + 1):
+        raise DisagreementError(
+            f"initial ideal of {ideal} up to degree {top} loses the Hilbert function in degree {top + 1}"
+        )
     return StableIdeal(first.generators)

@@ -321,20 +321,21 @@ def check_schwartau(bound: int) -> CheckResult:
 def check_hope(bound: int) -> CheckResult:
     """Failing componentwise linearity forces the two larger opposite-edge
     sums to be equal; the converse fails on (10,1,2,3,10,1)."""
+    def top_sums_equal(t: TetTuple) -> bool:
+        e = t.entries
+        sums = sorted((e[0] + e[5], e[1] + e[4], e[2] + e[3]))
+        return sums[1] == sums[2]
+
     failures, total = [], 0
     for t in iter_tuples(bound):
         if tuples.is_cwl(t):
             continue
         total += 1
-        sums = sorted(
-            (t.entries[0] + t.entries[5], t.entries[1] + t.entries[4], t.entries[2] + t.entries[3])
-        )
-        if sums[1] != sums[2]:
+        if not top_sums_equal(t):
             failures.append(t)
     witness = TetTuple((10, 1, 2, 3, 10, 1))
     total += 1
-    sums = sorted((11, 11, 5))
-    if not (sums[1] == sums[2] and tuples.is_cwl(witness)):
+    if not (top_sums_equal(witness) and tuples.is_cwl(witness)):
         failures.append(witness)
     return _summarize("non-CWL forces equal top opposite-edge sums", failures, total)
 

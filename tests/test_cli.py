@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import tetracurves
 from tetracurves.cli import main
 
 
@@ -80,6 +85,27 @@ class TestGinCommand:
         assert code == 0
         assert report["result"]["supported"] is False
         assert "note" in report["result"]
+
+    @pytest.mark.parametrize(
+        "primes", [["4"], ["0"], ["-7"], ["16381"], ["2147483659"], ["32003", "32003"]]
+    )
+    @pytest.mark.parametrize("command", [["gin", "1,0,0,0,0,1", "--oracle-check"], ["verify"]])
+    def test_bad_prime_is_usage_error(self, capsys, command, primes):
+        argv = command + [arg for p in primes for arg in ("--prime", p)]
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "prime" in capsys.readouterr().err
+
+    def test_prime_one_exits_promptly(self):
+        # mod 1 every matrix is singular, so an unchecked prime 1 resamples forever
+        env = dict(os.environ, PYTHONPATH=str(Path(tetracurves.__file__).parents[1]))
+        done = subprocess.run(
+            [sys.executable, "-m", "tetracurves.cli", "gin", "1,0,0,0,0,1", "--oracle-check", "--prime", "1"],
+            env=env, capture_output=True, text=True, timeout=60,
+        )
+        assert done.returncode == 2
+        assert "not a prime" in done.stderr
 
 
 class TestHilbertCommand:
