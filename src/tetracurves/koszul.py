@@ -6,10 +6,13 @@ complex are the squarefree divisors t of m with m/t in I, and
     beta_{i, deg m}(I)  =  rank H~_{i-1}(K(I, m); Q),
 
 where i = 0 counts minimal generators of I.  Candidate multidegrees run
-over the box below the componentwise maximum of the generators.  Complexes
-on at most four vertices are torsion-free, so ranks over Q are exact and
-characteristic-independent; boundary ranks are computed in exact rational
-arithmetic.
+over the box below the componentwise maximum of the generators, the same
+exponent box (`monomials.exponent_box`) the Hilbert counter uses: the oracle
+reads the ideal's membership on it once, encodes each multidegree's complex
+as a 16-bit face mask, and sums homology ranks per distinct mask and degree.
+Complexes on at most four vertices are torsion-free, so ranks over Q are
+exact and characteristic-independent; boundary ranks are computed in exact
+rational arithmetic.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ from typing import Iterable, Mapping
 
 import numpy as np
 
-from .monomials import Monomial, MonomialIdeal, NVARS
+from .monomials import Monomial, MonomialIdeal, NVARS, exponent_box
 
 _VERTEX_BITS = tuple(1 << v for v in range(NVARS))
 _SUBSET_VERTICES = tuple(
@@ -236,39 +239,34 @@ def betti_table_oracle(ideal: MonomialIdeal) -> BettiTable:
     multidegrees below the componentwise maximum of the generators."""
     if ideal.is_zero or ideal.is_unit:
         raise ValueError("Betti oracle needs a proper non-zero ideal")
-    gens = np.array([g.exps for g in ideal.generators], dtype=np.int32)
-    shape = tuple(int(x) + 1 for x in gens.max(axis=0))
-
-    member = np.zeros(shape, dtype=bool)
-    for g in ideal.generators:
-        member[tuple(slice(e, None) for e in g.exps)] = True
-
-    masks = np.zeros(shape, dtype=np.int32)
-    for s in range(1 << NVARS):
-        e = [1 if s & b else 0 for b in _VERTEX_BITS]
-        if any(ei >= si for ei, si in zip(e, shape)):
-            continue
-        dst = tuple(slice(ei, None) for ei in e)
-        src = tuple(slice(None, si - ei) for si, ei in zip(shape, e))
-        masks[dst] |= member[src].astype(np.int32) << s
-
-    degrees = np.indices(shape).sum(axis=0).ravel()
-    masks = masks.ravel()
-
-    table: dict[tuple[int, int], int] = {}
-    unique, inverse = np.unique(masks, return_inverse=True)
-    for idx, mask in enumerate(unique):
-        ranks = _homology_of_complex_mask(int(mask))
-        if not any(ranks):
-            continue
-        degree_counts = np.bincount(degrees[inverse == idx])
-        for i, r in enumerate(ranks):
-            if r == 0:
-                continue
-            for j, count in enumerate(degree_counts):
-                if count:
-                    table[(i, j)] = table.get((i, j), 0) + r * int(count)
-    return BettiTable.from_dict(table)
+    # bit s of masks[m + 1] is set when m - (the 0/1 vector of s) is in I;
+    # the zero layer below the box makes a negative coordinate read "not in I"
+    least, top = exponent_box(ideal)
+    masks = np.zeros(top + 2, dtype=np.uint16)
+    masks[1:, 1:, 1:, 1:] = least[..., None] <= np.arange(top[3] + 1)
+    # one shift per variable v doubles the faces: s gains v where m - e_v has s
+    masks[1:] |= masks[:-1] << 1
+    masks[:, 1:] |= masks[:, :-1] << 2
+    masks[:, :, 1:] |= masks[:, :, :-1] << 4
+    masks[:, :, :, 1:] |= masks[:, :, :, :-1] << 8
+    masks = masks[1:, 1:, 1:, 1:]
+    degrees = sum(np.indices(masks.shape, sparse=True))
+    # the void complex (m not in I) and the full simplex (m - abcd in I) are
+    # acyclic, and together they fill most of the box
+    mixed = (masks != 0) & (masks != (1 << (1 << NVARS)) - 1)
+    unique, inverse = np.unique(masks[mixed], return_inverse=True)
+    n_degrees = sum(masks.shape) - NVARS + 1
+    counts = np.bincount(
+        inverse * n_degrees + degrees[mixed], minlength=len(unique) * n_degrees
+    ).reshape(len(unique), n_degrees)
+    ranks = np.array(
+        [_homology_of_complex_mask(m) for m in unique.tolist()], dtype=np.int64
+    ).reshape(-1, NVARS)
+    betti = ranks.T @ counts
+    rows, cols = np.nonzero(betti)
+    return BettiTable.from_dict(
+        {(i, j): int(betti[i, j]) for i, j in zip(rows.tolist(), cols.tolist())}
+    )
 
 
 @functools.lru_cache(maxsize=None)

@@ -50,7 +50,7 @@ class Monomial:
     exps: tuple[int, int, int, int]
 
     def __post_init__(self):
-        if len(self.exps) != NVARS or any(e < 0 for e in self.exps):
+        if len(self.exps) != NVARS or min(self.exps) < 0:
             raise ValueError(f"bad exponent vector {self.exps}")
 
     @classmethod
@@ -174,6 +174,13 @@ class MonomialIdeal:
         return hash(self.generators)
 
     @classmethod
+    def _from_minimal(cls, generators: tuple[Monomial, ...]) -> "MonomialIdeal":
+        """Wrap generators that are already minimal and in `display_key` order."""
+        ideal = object.__new__(cls)
+        object.__setattr__(ideal, "generators", generators)
+        return ideal
+
+    @classmethod
     def of(cls, *texts: str) -> "MonomialIdeal":
         return cls(tuple(Monomial.parse(t) for t in texts))
 
@@ -242,23 +249,66 @@ def edge_power_ideal(edge: tuple[int, int], n: int) -> MonomialIdeal:
     return MonomialIdeal(tuple(gens))
 
 
-@functools.lru_cache(maxsize=None)
-def _ideal_of_entries(entries: tuple[int, ...]) -> MonomialIdeal:
-    ideal = MonomialIdeal.unit()
-    for edge, a in zip(EDGES, entries):
-        if a > 0:
-            ideal = ideal.intersect(edge_power_ideal(edge, a))
-    return ideal
-
-
 def ideal_of_tuple(t: Sequence[int]) -> MonomialIdeal:
     """The saturated ideal of a tetrahedral curve: the intersection of the
-    powers (x,y)^a_i over the six coordinate lines.  Factors with a_i = 0 are
-    skipped; the empty intersection is the unit ideal."""
+    powers (x,y)^a_i over the six coordinate lines; the unit ideal when every
+    weight is 0.
+
+    Built from the definition, not by intersecting: x^e lies in the ideal
+    exactly when e_x + e_y >= a_xy on every edge.  For each (e0, e1, e2) that
+    meets the three inequalities among vertices 0-2, the least admissible e3
+    is max(0, a03 - e0, a13 - e1, a23 - e2).  That point is a minimal
+    generator unless lowering e0, e1 or e2 by one keeps the same least e3.
+    Exponents of minimal generators never exceed the largest weight at their
+    vertex, which bounds the grid."""
     entries = tuple(t)
     if len(entries) != 6 or any(a < 0 for a in entries):
         raise ValueError(f"need six non-negative weights, got {entries}")
-    return _ideal_of_entries(entries)
+    a01, a02, a03, a12, a13, a23 = entries
+    e0, e1, e2 = np.indices(
+        (max(a01, a02, a03) + 1, max(a01, a12, a13) + 1, max(a02, a12, a23) + 1), sparse=True
+    )
+    meets = (e0 + e1 >= a01) & (e0 + e2 >= a02) & (e1 + e2 >= a12)
+    least = np.maximum(np.maximum(a03 - e0, a13 - e1), np.maximum(a23 - e2, 0))
+    least = np.where(meets, least, max(a03, a13, a23) + 1)
+    minimal = meets.copy()
+    minimal[1:] &= least[:-1] > least[1:]
+    minimal[:, 1:] &= least[:, :-1] > least[:, 1:]
+    minimal[:, :, 1:] &= least[:, :, :-1] > least[:, :, 1:]
+    exps = np.column_stack((np.argwhere(minimal), least[minimal]))
+    # display order: ascending degree, then descending e3, e2, e1, e0
+    order = np.lexsort((exps[:, 0], exps[:, 1], exps[:, 2], exps[:, 3], exps.sum(axis=1)))
+    return MonomialIdeal._from_minimal(
+        tuple(Monomial(tuple(e)) for e in exps[order].tolist())
+    )
+
+
+def exponent_box(
+    ideal: MonomialIdeal, bound: int | None = None
+) -> tuple[np.ndarray, np.ndarray]:
+    """The ideal's membership on the exponent box below its generators' lcm.
+
+    The box holds the exponent vectors p with 0 <= p_i <= top_i, where top is
+    the lcm of the generators, capped at `bound` in each axis when one is
+    given.  Since no generator reaches past the lcm, an exponent vector
+    clipped to the box along uncapped axes keeps its membership.
+
+    Membership along the d axis is a threshold, so the box is returned as
+    `(least, top)`: least[p0, p1, p2] is the least p3 <= top[3] with x^p in
+    the ideal, or top[3] + 1 when there is none.  It is the prefix minimum of
+    the generators' d-exponents; a generator past a cap divides no box point
+    and is dropped."""
+    gens = np.array([g.exps for g in ideal.generators], dtype=np.int64).reshape(-1, NVARS)
+    top = gens.max(axis=0, initial=0)
+    if bound is not None:
+        top = np.minimum(top, bound)
+        gens = gens[(gens <= top).all(axis=1)]
+    least = np.full(top[:3] + 1, top[3] + 1)
+    # minimal generators differ in (e0, e1, e2), so no entry is written twice
+    least[gens[:, 0], gens[:, 1], gens[:, 2]] = gens[:, 3]
+    for axis in range(3):
+        np.minimum.accumulate(least, axis=axis, out=least)
+    return least, top
 
 
 def basic_double_link(ideal: MonomialIdeal, g: int | str, F: Monomial) -> MonomialIdeal:
@@ -313,38 +363,47 @@ class HilbertData:
     degree: int
 
 
-@functools.lru_cache(maxsize=8)
-def _monomial_grid(upto: int) -> tuple[np.ndarray, np.ndarray]:
-    """Exponent array and degree array of all monomials of degree <= upto."""
-    axes = np.indices((upto + 1,) * NVARS).reshape(NVARS, -1).T
-    deg = axes.sum(axis=1)
-    keep = deg <= upto
-    return axes[keep].astype(np.int32), deg[keep].astype(np.int64)
-
-
 def hilbert_data(ideal: MonomialIdeal, upto: int) -> HilbertData:
     """Count standard monomials of R/I in degrees 0..upto.
 
     Raises BoundTooSmallError if the first differences have not stabilized
     by `upto`; callers should pass roughly regularity + 3.
+
+    The count runs over the columns (p0, p1, p2) of `exponent_box` capped at
+    `upto`, so its cost is the box below the generators' lcm (or below upto,
+    whichever is smaller), not the (upto + 1)^4 grid.  A monomial of degree
+    <= upto has no exponent above upto, so clipping it to the box keeps its
+    membership.  A box point p outside the ideal with t coordinates on the
+    box's upper face stands for the monomials that clip to it, x^p / (1 - x)^t
+    as a series.  Summed over the standard points of one column (p3 below
+    least[p0, p1, p2]) that is (x^s - x^(s + least)) / (1 - x)^(u + 1), with
+    s = p0 + p1 + p2 and u the number of p0, p1, p2 on the upper face; the
+    second term drops when no p3 in the box is in the ideal.
     """
     if upto < 0:
         raise ValueError("upto must be non-negative")
-    exps, deg = _monomial_grid(upto)
-    member = np.zeros(len(exps), dtype=bool)
-    for g in ideal.generators:
-        member |= (exps >= np.array(g.exps, dtype=np.int32)).all(axis=1)
-    values = np.bincount(deg[~member], minlength=upto + 1)[: upto + 1]
-    first = np.diff(values, prepend=0)
+    least, top = exponent_box(ideal, bound=upto)
+    axes = np.indices(least.shape, sparse=True)
+    start = sum(axes)
+    faces = sum(axis == n for axis, n in zip(axes, top[:3]))
+    end = start + least
+    size = (min(upto, int(top.sum())) + 1) * NVARS
+    starts = np.bincount((start * NVARS + faces)[start <= upto], minlength=size)
+    ends = np.bincount((end * NVARS + faces)[(least <= top[3]) & (end <= upto)], minlength=size)
+    by_degree = (starts - ends).reshape(-1, NVARS).tolist()
+    # sum over u of B_u(x) / (1 - x)^(u + 1) by Horner's rule; a prefix sum
+    # divides by 1 - x
+    values = [0] * (upto + 1)
+    for u in range(NVARS - 1, -1, -1):
+        for s, counts in enumerate(by_degree):
+            values[s] += counts[u]
+        values = list(itertools.accumulate(values))
+    first = [b - a for a, b in zip([0] + values, values)]
     if upto < 1 or first[-1] != first[-2]:
         raise BoundTooSmallError(
             f"Hilbert function of {ideal} not stabilized by degree {upto}"
         )
-    second = np.diff(first, prepend=0)
-    nz = np.nonzero(second)[0]
-    h = tuple(int(x) for x in second[: nz[-1] + 1]) if len(nz) else ()
-    return HilbertData(
-        values=tuple(int(v) for v in values),
-        h_vector=h,
-        degree=int(first[-1]),
-    )
+    h = [b - a for a, b in zip([0] + first, first)]
+    while h and h[-1] == 0:
+        h.pop()
+    return HilbertData(values=tuple(values), h_vector=tuple(h), degree=first[-1])

@@ -115,6 +115,14 @@ class TestHilbertCommand:
         assert report["result"]["values"] == [1, 4, 6, 8, 10, 12]
         assert report["result"]["degree"] == 2
 
+    def test_large_bound(self, capsys):
+        # used to allocate the dense (upto + 1)^4 grid: 6.4 GiB here
+        code, report = run_json(capsys, "hilbert", "1,0,0,0,0,1", "--upto", "120")
+        assert code == 0
+        values = report["result"]["values"]
+        assert values == [1] + [2 * d + 2 for d in range(1, 121)]
+        assert report["result"]["degree"] == 2
+
     def test_bound_too_small(self, capsys):
         code, report = run_json(capsys, "hilbert", "2,0,1,1,0,2", "--upto", "1")
         assert code == 1

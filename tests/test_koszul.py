@@ -1,5 +1,7 @@
+import itertools
+
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from tetracurves.koszul import (
     BettiTable,
@@ -16,6 +18,19 @@ monomials = st.tuples(*[st.integers(0, 3)] * 4).map(Monomial)
 
 def M(text):
     return Monomial.parse(text)
+
+
+def koszul_reference(ideal):
+    """Betti table from the upper Koszul complex of every multidegree in the
+    box below the lcm of the generators: beta_{i, |m|} += rank H~_{i-1}."""
+    top = [max(g.exps[v] for g in ideal.generators) for v in range(4)]
+    table = {}
+    for m in itertools.product(*(range(e + 1) for e in top)):
+        for dim, rank in reduced_homology_ranks(upper_koszul(ideal, Monomial(m))).items():
+            if rank:
+                key = (dim + 1, sum(m))
+                table[key] = table.get(key, 0) + rank
+    return BettiTable.from_dict(table)
 
 
 class TestSimplicialComplex:
@@ -123,6 +138,23 @@ class TestBettiOracle:
     def test_minimal_curve(self):
         got = betti_table_oracle(ideal_of_tuple((4, 1, 2, 1, 1, 5)))
         assert got.as_dict() == {(0, 9): 24, (1, 10): 37, (2, 11): 14}
+
+    @given(st.lists(monomials, min_size=1, max_size=6))
+    @example([M("a"), M("b"), M("c"), M("d")])
+    @example([M("a^3*b"), M("c^2")])
+    @example([M("a*b*c*d")])
+    def test_matches_upper_koszul_reference(self, gens):
+        I = MonomialIdeal(tuple(gens))
+        if I.is_unit:
+            return
+        got = betti_table_oracle(I)
+        assert got == koszul_reference(I)
+        assert all(type(x) is int for entry in got.entries for x in entry)
+
+    def test_tetrahedral_ideals_match_upper_koszul_reference(self):
+        for t in ((1, 0, 0, 0, 0, 1), (2, 0, 1, 1, 0, 2), (3, 3, 3, 1, 2, 4), (2, 1, 1, 1, 0, 2)):
+            I = ideal_of_tuple(t)
+            assert betti_table_oracle(I) == koszul_reference(I), t
 
     def test_rejects_unit_and_zero(self):
         with pytest.raises(ValueError):

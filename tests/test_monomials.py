@@ -1,5 +1,7 @@
+import itertools
+
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from tetracurves.exceptions import (
     BoundTooSmallError,
@@ -12,6 +14,8 @@ from tetracurves.monomials import (
     basic_double_link,
     component_ideal,
     degrevlex_key,
+    edge_power_ideal,
+    EDGES,
     hilbert_data,
     ideal_of_tuple,
     minimalize,
@@ -20,6 +24,47 @@ from tetracurves.monomials import (
 )
 
 monomials = st.tuples(*[st.integers(0, 4)] * 4).map(Monomial)
+
+KOSZUL_LADDER = (
+    (3, 3, 3, 1, 2, 4),
+    (7, 5, 5, 2, 1, 6),
+    (10, 9, 8, 4, 4, 10),
+    (20, 18, 17, 9, 8, 20),
+)
+
+
+def intersection_reference(t):
+    """The tetrahedral ideal by intersecting the powers of the edge ideals."""
+    ideal = MonomialIdeal.unit()
+    for edge, a in zip(EDGES, t):
+        if a > 0:
+            ideal = ideal.intersect(edge_power_ideal(edge, a))
+    return ideal
+
+
+def hilbert_reference(ideal, upto):
+    """Hilbert data by testing every monomial of degree <= upto for membership."""
+    values = [
+        sum(not ideal.contains(m) for m in monomials_of_degree(d)) for d in range(upto + 1)
+    ]
+    first = [v - u for u, v in zip([0] + values, values)]
+    if upto < 1 or first[-1] != first[-2]:
+        raise BoundTooSmallError("not stabilized")
+    h = [v - u for u, v in zip([0] + first, first)]
+    while h and h[-1] == 0:
+        h.pop()
+    return tuple(values), tuple(h), first[-1]
+
+
+@st.composite
+def ideals(draw):
+    """Monomial ideals with exponents up to 6, among them the zero and unit
+    ideals and ideals in which a variable never occurs."""
+    gens = draw(st.lists(st.tuples(*[st.integers(0, 6)] * 4), max_size=6))
+    unused = draw(st.sampled_from((None, 0, 1, 2, 3)))
+    if unused is not None:
+        gens = [tuple(0 if i == unused else e for i, e in enumerate(g)) for g in gens]
+    return MonomialIdeal(tuple(Monomial(g) for g in gens))
 
 
 def M(text):
@@ -95,6 +140,21 @@ class TestIdealOfTuple:
         assert ideal_of_tuple((0, 2, 2, 2, 2, 0)) == MonomialIdeal.of(
             "a^2*b^2", "a*b*c*d", "c^2*d^2"
         )
+
+    def test_matches_intersection_reference(self):
+        # every tuple of weight <= 10, then the Koszul ladder; equality of
+        # generator tuples also checks the minimality and the display order
+        small = (t for t in itertools.product(range(11), repeat=6) if sum(t) <= 10)
+        for t in itertools.chain(small, KOSZUL_LADDER):
+            got = ideal_of_tuple(t)
+            assert got == intersection_reference(t), t
+            assert all(type(e) is int for g in got.generators for e in g.exps)
+
+    def test_rejects_bad_weights(self):
+        with pytest.raises(ValueError):
+            ideal_of_tuple((1, 0, 0, 0, 1))
+        with pytest.raises(ValueError):
+            ideal_of_tuple((1, 0, 0, -1, 0, 1))
 
 
 class TestContains:
@@ -191,6 +251,31 @@ class TestHilbertData:
             hilbert_data(MonomialIdeal.zero(), 6)
         with pytest.raises(BoundTooSmallError):
             hilbert_data(MonomialIdeal.of("a", "b"), 0)
+
+    @given(ideals(), st.integers(0, 12))
+    @example(MonomialIdeal.zero(), 3)
+    @example(MonomialIdeal.unit(), 0)
+    @example(MonomialIdeal.unit(), 4)
+    @example(MonomialIdeal.of("a^9", "b^9", "c^9", "d^9"), 5)
+    @example(MonomialIdeal.of("a^9*b", "c^2"), 7)
+    def test_matches_brute_force_count(self, ideal, upto):
+        try:
+            expected = hilbert_reference(ideal, upto)
+        except BoundTooSmallError:
+            with pytest.raises(BoundTooSmallError):
+                hilbert_data(ideal, upto)
+            return
+        got = hilbert_data(ideal, upto)
+        assert (got.values, got.h_vector, got.degree) == expected
+        assert all(type(v) is int for v in got.values + got.h_vector + (got.degree,))
+
+    def test_ladder_matches_brute_force_count(self):
+        # reg + 3 for the first two rungs of the Koszul ladder
+        for t, upto in (((3, 3, 3, 1, 2, 4), 12), ((7, 5, 5, 2, 1, 6), 20)):
+            got = hilbert_data(ideal_of_tuple(t), upto)
+            assert (got.values, got.h_vector, got.degree) == hilbert_reference(
+                ideal_of_tuple(t), upto
+            )
 
 
 class TestIdealEquality:
