@@ -60,3 +60,7 @@ class NotBorelFixedError(TetracurvesError):
 
 class EnumerationCapError(TetracurvesError):
     """A provably finite enumeration exceeded its safety cap."""
+
+
+class OracleTooLargeError(TetracurvesError):
+    """An oracle input would need more memory than the oracle's fixed limit."""

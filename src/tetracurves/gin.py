@@ -130,6 +130,6 @@ def gin_of_curve(t: TetTuple) -> StableIdeal | None:
     if r is None:
         return None
     gin: MonomialIdeal = gin_buchsbaum_minimal(r)
-    for step in reversed(trace.steps):
-        gin = gin_bdl_step(gin, step.weight)
+    for weight in reversed(trace.weights):
+        gin = gin_bdl_step(gin, weight)
     return StableIdeal(gin.generators)

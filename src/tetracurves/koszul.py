@@ -20,13 +20,20 @@ from __future__ import annotations
 import functools
 import itertools
 import json
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping
 
 import numpy as np
 
+from .exceptions import OracleTooLargeError
 from .monomials import Monomial, MonomialIdeal, NVARS, exponent_box
+
+# the oracle's memory limit, and its peak bytes per cell of the padded box
+# (uint16 face masks, int64 degree index, boolean temporaries; 11.5 measured)
+ORACLE_MEMORY_LIMIT = 1 << 30
+_BYTES_PER_CELL = 12
 
 _VERTEX_BITS = tuple(1 << v for v in range(NVARS))
 _SUBSET_VERTICES = tuple(
@@ -239,9 +246,14 @@ def betti_table_oracle(ideal: MonomialIdeal) -> BettiTable:
     multidegrees below the componentwise maximum of the generators."""
     if ideal.is_zero or ideal.is_unit:
         raise ValueError("Betti oracle needs a proper non-zero ideal")
+    least, top = exponent_box(ideal)
+    estimate = math.prod(k + 2 for k in top.tolist()) * _BYTES_PER_CELL
+    if estimate > ORACLE_MEMORY_LIMIT:
+        raise OracleTooLargeError(
+            f"the Koszul oracle box {(top + 1).tolist()} needs about {estimate >> 20} MiB"
+        )
     # bit s of masks[m + 1] is set when m - (the 0/1 vector of s) is in I;
     # the zero layer below the box makes a negative coordinate read "not in I"
-    least, top = exponent_box(ideal)
     masks = np.zeros(top + 2, dtype=np.uint16)
     masks[1:, 1:, 1:, 1:] = least[..., None] <= np.arange(top[3] + 1)
     # one shift per variable v doubles the faces: s gains v where m - e_v has s
@@ -269,7 +281,7 @@ def betti_table_oracle(ideal: MonomialIdeal) -> BettiTable:
     )
 
 
-@functools.lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=8192)
 def cached_betti_oracle(ideal: MonomialIdeal) -> BettiTable:
     """Memoized oracle; ideals are hashable by their minimal generators."""
     return betti_table_oracle(ideal)

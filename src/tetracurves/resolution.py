@@ -13,6 +13,9 @@ the one step where minimality fails.
 
 from __future__ import annotations
 
+import itertools
+import operator
+from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 
@@ -25,6 +28,7 @@ from .exceptions import (
 from .koszul import BettiTable
 from .tuples import (
     ClassificationReport,
+    ReductionTrace,
     ReductionType,
     TetTuple,
     TerminalKind,
@@ -86,55 +90,72 @@ class BaseKind(Enum):
 class ResolutionRecipe:
     """Assembly plan for a Betti table from a reduction chain: a base table
     shifted by the number of steps, plus one generator/syzygy pair per step
-    at (F degree + shift, F degree + shift + 1)."""
+    at (F degree + shift, F degree + shift + 1), where the k-th step from
+    the top has shift k."""
 
     base_kind: BaseKind
     base: TetTuple
     base_betti: BettiTable
-    steps: tuple[tuple[int, int], ...]  # (F_degree, shift_applied), top first
+    weights: tuple[int, ...]  # F degrees, top first
+
+    @property
+    def steps(self) -> tuple[tuple[int, int], ...]:
+        """(F degree, shift applied) per step, top first."""
+        return tuple(zip(self.weights, itertools.count()))
 
     def assemble(self) -> BettiTable:
-        table = self.base_betti.shifted(len(self.steps))
-        for f_degree, shift in self.steps:
-            table = table + BettiTable.from_dict(
-                {(0, f_degree + shift): 1, (1, f_degree + shift + 1): 1}
-            )
-        return table
+        n = len(self.weights)
+        table = Counter({(i, j + n): r for i, j, r in self.base_betti.entries})
+        for degree, count in Counter(map(operator.add, self.weights, range(n))).items():
+            table[(0, degree)] += count
+            table[(1, degree + 1)] += count
+        return BettiTable.from_dict(table)
+
+    @property
+    def is_linear(self) -> bool:
+        """`assemble().is_linear`, without assembling: every entry of the
+        table lies on one strand j - i."""
+        n = len(self.weights)
+        strands = set(map(operator.add, self.weights, range(n)))
+        strands.update(j + n - i for i, j, _ in self.base_betti.entries)
+        return len(strands) == 1
+
+
+def _recipe(
+    weights: tuple[int, ...], terminal: TetTuple, ci: tuple[int, TetTuple] | None
+) -> ResolutionRecipe:
+    """The plan for a chain with these step weights (top first) and this
+    terminal; ci is the topmost CI-power element with its chain index."""
+    if not terminal.is_trivial:
+        kind, base, base_betti = BaseKind.MINIMAL_CURVE, terminal, minimal_curve_betti(terminal)
+    elif ci is None:
+        kind, base, base_betti = BaseKind.TRIVIAL, terminal, BettiTable.from_dict({(0, 0): 1})
+    else:
+        index, base = ci
+        weights = weights[:index]
+        kind, base_betti = BaseKind.CI_POWER, ci_power_betti(ci_power_form(base))
+    return ResolutionRecipe(kind, base, base_betti, weights)
 
 
 def recipe_from_chain(chain: tuple[TetTuple, ...]) -> ResolutionRecipe:
     """Build the assembly plan for an explicit maximal-weight reduction
     chain (top curve first, trivial or minimal terminal last)."""
-    terminal = chain[-1]
-    if terminal.is_trivial:
-        base_index, base_kind, base_betti = (
-            len(chain) - 1,
-            BaseKind.TRIVIAL,
-            BettiTable.from_dict({(0, 0): 1}),
-        )
-        for k, element in enumerate(chain):
-            r = ci_power_form(element)
-            if r is not None:
-                base_index, base_kind, base_betti = k, BaseKind.CI_POWER, ci_power_betti(r)
-                break
-    else:
-        base_index, base_kind, base_betti = (
-            len(chain) - 1,
-            BaseKind.MINIMAL_CURVE,
-            minimal_curve_betti(terminal),
-        )
-    steps = tuple(
-        (max(facet_weights(chain[j])), j) for j in range(base_index)
+    ci = next(
+        ((k, c) for k, c in enumerate(chain) if ci_power_form(c) is not None), None
     )
-    return ResolutionRecipe(
-        base_kind=base_kind, base=chain[base_index], base_betti=base_betti, steps=steps
-    )
+    weights = tuple(max(facet_weights(c)) for c in chain[:-1])
+    return _recipe(weights, chain[-1], ci)
+
+
+def _trace_recipe(trace: ReductionTrace) -> ResolutionRecipe:
+    ci = trace.first_ci_power and (trace.first_ci_power[0], trace.ci_power_element)
+    return _recipe(trace.weights, trace.terminal, ci)
 
 
 def resolution_recipe(t: TetTuple) -> ResolutionRecipe:
     if t.is_trivial:
         raise TrivialCurveError("the trivial curve has no resolution recipe")
-    return recipe_from_chain(reduction_trace(t).chain)
+    return _trace_recipe(reduction_trace(t))
 
 
 def betti_table(t: TetTuple) -> BettiTable:
@@ -277,7 +298,7 @@ def gin_betti_prediction(t: TetTuple) -> BettiTable:
     if t.is_trivial:
         raise TrivialCurveError("gin is undefined for the trivial curve")
     trace = reduction_trace(t)
-    table = recipe_from_chain(trace.chain).assemble()
+    table = _trace_recipe(trace).assemble()
     if trace.terminal_kind is TerminalKind.MINIMAL or trace.first_ci_power is None:
         return table
     r = trace.first_ci_power[1]
@@ -304,14 +325,15 @@ def classify(t: TetTuple) -> ClassificationReport:
     trace = reduction_trace(t)
     acm = trace.is_acm
     cwl = True if not acm else trace.first_ci_power is None
+    minimal = not trace.weights  # t is its own terminal
     return ClassificationReport(
         trivial=False,
         acm=acm,
-        minimal=is_minimal(t),
-        buchsbaum_minimal_r=buchsbaum_minimal_r(t) if is_minimal(t) else None,
+        minimal=minimal,
+        buchsbaum_minimal_r=buchsbaum_minimal_r(t) if minimal else None,
         schwartau=t.entries[1] == 0 and t.entries[4] == 0,
         componentwise_linear=cwl,
-        linear_resolution=recipe_from_chain(trace.chain).assemble().is_linear,
+        linear_resolution=_trace_recipe(trace).is_linear,
         ci_power_r=ci_power_form(t),
         degree=degree_of_tuple(t),
         regularity=regularity_closed_form(t),

@@ -10,12 +10,25 @@ vertex variable and F collects the edge weights at v.  Iterating along
 facets of maximal weight drives every curve down to the trivial curve or
 to a minimal one, and the shape of that chain decides ACM-ness,
 componentwise linearity, and regularity.
+
+`reduction_trace` works on the six integers and jumps over periods.  When
+the last 2p reduced vertices repeat with period p, every quantity a step's
+decision reads is affine in the number k of further periods: the reduced
+vertex's triangle slacks, its facet-weight gaps to the other facets (and,
+for an earlier vertex that ties and is skipped, one violated slack), every
+lowered edge, and, until a CI-power curve is seen, each opposite-pair sum
+and, beside a zero pair, one nonzero difference of the other four.  The
+decisions repeat while each of these keeps its sign at k = 0 (zero
+counting as non-negative); the least k where one would lose it is solved
+by floor division and jumped at once, and the step weights of the jump
+are arithmetic sequences.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
+from collections.abc import Sequence
 from dataclasses import dataclass
 from enum import Enum
 
@@ -28,6 +41,7 @@ from .exceptions import (
 from .monomials import EDGES, Monomial, VARIABLES
 
 OPPOSITE = (5, 4, 3, 2, 1, 0)  # opposite edge pairs: (1,6), (2,5), (3,4)
+OPPOSITE_PAIRS = ((0, 5), (1, 4), (2, 3))
 
 
 @dataclass(frozen=True, order=True)
@@ -37,8 +51,8 @@ class TetTuple:
     entries: tuple[int, int, int, int, int, int]
 
     def __post_init__(self):
-        if len(self.entries) != 6 or any(a < 0 for a in self.entries):
-            raise ValueError(f"need six non-negative weights, got {self.entries}")
+        if len(self.entries) != 6 or any(type(a) is not int or a < 0 for a in self.entries):
+            raise ValueError(f"need six non-negative integer weights, got {self.entries}")
 
     @classmethod
     def of(cls, *entries: int) -> "TetTuple":
@@ -153,16 +167,25 @@ TRIANGLE_ROWS = tuple(_triangle_rows(v) for v in range(4))
 
 def facet_weights(t: TetTuple) -> tuple[int, int, int, int]:
     """The four facet weights (w_A, w_B, w_C, w_D)."""
-    e = t.entries
-    return tuple(sum(e[i] for i in pos) for pos in FACET_POSITIONS)
+    return _facets(t.entries)
+
+
+def _facets(e) -> tuple[int, int, int, int]:
+    return tuple(e[i] + e[j] + e[k] for i, j, k in FACET_POSITIONS)
+
+
+def _slack(e, row: tuple[int, int, int]) -> int:
+    i, j, k = row
+    return e[i] + e[j] - e[k]
+
+
+def _applicable(e, v: int) -> bool:
+    return all(_slack(e, row) >= 0 for row in TRIANGLE_ROWS[v])
 
 
 def reduction_applicable(t: TetTuple, ty: ReductionType) -> bool:
     """True when t is non-trivial and the three inequalities of system ty hold."""
-    if t.is_trivial:
-        return False
-    e = t.entries
-    return all(e[i] + e[j] >= e[k] for i, j, k in TRIANGLE_ROWS[ty.vertex])
+    return not t.is_trivial and _applicable(t.entries, ty.vertex)
 
 
 def _reduction_form(t: TetTuple, v: int) -> Monomial:
@@ -232,19 +255,28 @@ def minimal_by_weight_test(t: TetTuple) -> bool:
     return False
 
 
+def _max_weight_vertex(e) -> int | None:
+    """An applicable vertex of maximal facet weight at entries e, ties broken
+    A < B < C < D, or None when e is trivial or minimal."""
+    fw = _facets(e)
+    top = max(fw)
+    if not top:
+        return None
+    v = next((v for v in range(4) if fw[v] == top and _applicable(e, v)), None)
+    # a non-minimal curve can always be reduced along a maximal-weight facet
+    if v is None and any(_applicable(e, u) for u in range(4)):
+        raise AssertionError(f"no maximal-weight reduction found for {e}")
+    return v
+
+
 def max_weight_reduction(t: TetTuple) -> ReductionStep:
     """Reduce an applicable facet of maximal weight, ties broken A < B < C < D."""
     if t.is_trivial:
         raise IsTrivialError("the trivial curve admits no reduction")
-    if is_minimal(t):
+    v = _max_weight_vertex(t.entries)
+    if v is None:
         raise IsMinimalError(f"({t}) is minimal")
-    weights = facet_weights(t)
-    top = max(weights)
-    for ty in ReductionType:
-        if weights[ty.vertex] == top and reduction_applicable(t, ty):
-            return apply_reduction(t, ty)
-    # A non-minimal curve can always be reduced along a maximal-weight facet.
-    raise AssertionError(f"no maximal-weight reduction found for ({t})")
+    return apply_reduction(t, ReductionType(v))
 
 
 def max_weight_choices(t: TetTuple) -> list[ReductionType]:
@@ -268,8 +300,11 @@ class TerminalKind(Enum):
 def ci_power_form(t: TetTuple) -> int | None:
     """r >= 1 when t is, up to symmetry, (0,r,r,r,r,0): the r-th power of a
     (2,2) complete intersection supported on two pairs of opposite edges."""
-    e = t.entries
-    for i, j in ((0, 5), (1, 4), (2, 3)):
+    return _ci_power(t.entries)
+
+
+def _ci_power(e) -> int | None:
+    for i, j in OPPOSITE_PAIRS:
         if e[i] == 0 and e[j] == 0:
             rest = [e[k] for k in range(6) if k not in (i, j)]
             r = rest[0]
@@ -278,21 +313,55 @@ def ci_power_form(t: TetTuple) -> int | None:
     return None
 
 
+class _TraceSteps(Sequence):
+    """The steps of a trace, made from its record when an item is first read;
+    `len` reads the record and makes no `ReductionStep`."""
+
+    def __init__(self, start: TetTuple, vertices: tuple[int, ...]):
+        self._start, self._vertices = start, vertices
+
+    def __len__(self) -> int:
+        return len(self._vertices)
+
+    @functools.cached_property
+    def _items(self) -> tuple[ReductionStep, ...]:
+        steps, cur = [], self._start
+        for v in self._vertices:
+            steps.append(apply_reduction(cur, ReductionType(v)))
+            cur = steps[-1].child
+        return tuple(steps)
+
+    def __getitem__(self, index):
+        return self._items[index]
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, Sequence) and self._items == tuple(other)
+
+
 @dataclass(frozen=True)
 class ReductionTrace:
     """The maximal-weight reduction chain from a curve down to its terminal.
 
-    `steps` runs top first; `chain` is the full curve sequence including the
-    terminal.  `first_ci_power` records the topmost chain element of
-    complete-intersection-power shape, as (chain index, r); that element is
-    the base of the Betti-table assembly for ACM curves that are not
-    componentwise linear.
+    The record holds the reduced vertex and the step weight (the maximal
+    facet weight of the parent) of every step, top first.  `first_ci_power`
+    records the topmost chain element of complete-intersection-power shape,
+    as (chain index, r), and `ci_power_element` is that element: the base of
+    the Betti-table assembly for ACM curves that are not componentwise
+    linear.  `steps` and `chain` (which includes the terminal) are rebuilt
+    from the record when read.
     """
 
-    steps: tuple[ReductionStep, ...]
+    start: TetTuple
+    vertices: tuple[int, ...]
+    weights: tuple[int, ...]
     terminal: TetTuple
     terminal_kind: TerminalKind
     first_ci_power: tuple[int, int] | None
+    ci_power_element: TetTuple | None
+
+    @functools.cached_property
+    def steps(self) -> _TraceSteps:
+        return _TraceSteps(self.start, self.vertices)
 
     @property
     def chain(self) -> tuple[TetTuple, ...]:
@@ -303,23 +372,76 @@ class ReductionTrace:
         return self.terminal_kind is TerminalKind.TRIVIAL
 
 
+def _periods_ahead(states, drift, period, watch_ci: bool) -> int:
+    """How many more times the period just run repeats exactly: the largest K
+    such that every decision of the period, made at states[j] + k * drift,
+    is the same for k = 1..K (see the module docstring)."""
+    bounds = []
+
+    def keep(value: int, slope: int) -> None:  # the sign of value; zero stays >= 0
+        if value < 0:
+            value, slope = -value, -slope
+        if slope < 0:
+            bounds.append((value - (value > 0)) // -slope)
+
+    fd = _facets(drift)
+    for x, v in zip(states, period):
+        fx = _facets(x)
+        for row in TRIANGLE_ROWS[v]:
+            keep(_slack(x, row), _slack(drift, row))
+        for u in range(4):
+            keep(fx[v] - fx[u], fd[v] - fd[u])
+            if u < v and fx[u] == fx[v]:  # a tied earlier vertex stays inapplicable
+                row = next(r for r in TRIANGLE_ROWS[u] if _slack(x, r) < 0)
+                keep(_slack(x, row), _slack(drift, row))
+        for i in FACET_POSITIONS[v]:
+            keep(x[i], drift[i])
+        for i, j in OPPOSITE_PAIRS if watch_ci else ():
+            keep(x[i] + x[j], drift[i] + drift[j])
+            if not x[i] + x[j]:  # a zero pair: keep two of the other four apart
+                a, *rest = (k for k in range(6) if k not in (i, j))
+                b = next(k for k in rest if x[k] != x[a])
+                keep(x[b] - x[a], drift[b] - drift[a])
+    return min(bounds, default=0)
+
+
 def reduction_trace(t: TetTuple) -> ReductionTrace:
-    """Iterate maximal-weight reductions down to the trivial or a minimal curve."""
-    steps: list[ReductionStep] = []
-    first_ci = None
-    cur = t
-    index = 0
-    while not cur.is_trivial and not is_minimal(cur):
-        if first_ci is None:
-            r = ci_power_form(cur)
-            if r is not None:
-                first_ci = (index, r)
-        steps.append(max_weight_reduction(cur))
-        cur = steps[-1].child
-        index += 1
-    kind = TerminalKind.TRIVIAL if cur.is_trivial else TerminalKind.MINIMAL
+    """Iterate maximal-weight reductions down to the trivial or a minimal
+    curve, jumping over repeated periods."""
+    e = list(t.entries)
+    vertices: list[int] = []
+    weights: list[int] = []
+    states: list[tuple[int, ...]] = []  # parents of the steps since the last jump
+    ci = None  # ((chain index, r), element) of the first CI-power element
+    while (v := _max_weight_vertex(e)) is not None:
+        if ci is None and (r := _ci_power(e)) is not None:
+            ci = (len(vertices), r), TetTuple(tuple(e))
+        states.append(tuple(e))
+        vertices.append(v)
+        weights.append(_facets(e)[v])
+        for i in FACET_POSITIONS[v]:
+            e[i] = max(0, e[i] - 1)
+        for p in range(1, min(6, len(states) // 2) + 1):
+            if vertices[-p:] != vertices[-2 * p : -p]:
+                continue
+            drift = [b - a for a, b in zip(states[-p], e)]
+            ahead = _periods_ahead(states[-p:], drift, vertices[-p:], ci is None)
+            if ahead:
+                fd, last = _facets(drift), list(zip(weights[-p:], vertices[-p:]))
+                weights.extend(w + m * fd[u] for m in range(1, ahead + 1) for w, u in last)
+                vertices.extend(vertices[-p:] * ahead)
+                e = [a + ahead * s for a, s in zip(e, drift)]
+                states.clear()
+            break
+    terminal = TetTuple(tuple(e))
     return ReductionTrace(
-        steps=tuple(steps), terminal=cur, terminal_kind=kind, first_ci_power=first_ci
+        start=t,
+        vertices=tuple(vertices),
+        weights=tuple(weights),
+        terminal=terminal,
+        terminal_kind=TerminalKind.TRIVIAL if terminal.is_trivial else TerminalKind.MINIMAL,
+        first_ci_power=ci and ci[0],
+        ci_power_element=ci and ci[1],
     )
 
 

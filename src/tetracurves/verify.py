@@ -82,8 +82,9 @@ def check_degree_vs_hilbert(bound: int) -> CheckResult:
     failures, total = [], 0
     for t in iter_tuples(bound, include_trivial=True):
         total += 1
-        upto = (tuples.regularity_closed_form(t) if not t.is_trivial else 0) + 3
-        if hilbert_data(ideal_of_tuple(t), upto).degree != tuples.degree_of_tuple(t):
+        ideal = ideal_of_tuple(t)
+        upto = (cached_betti_oracle(ideal).regularity if not t.is_trivial else 0) + 3
+        if hilbert_data(ideal, upto).degree != tuples.degree_of_tuple(t):
             failures.append(t)
     return _summarize("degree formula equals Hilbert-polynomial degree", failures, total)
 
@@ -292,7 +293,7 @@ def check_cwl_oracle(bound: int) -> CheckResult:
     for t in iter_tuples(bound):
         total += 1
         ideal = ideal_of_tuple(t)
-        reg = tuples.regularity_closed_form(t)
+        reg = cached_betti_oracle(ideal).regularity
         componentwise = True
         for d in range(ideal.min_generator_degree, reg + 1):
             piece = component_ideal(ideal, d)
@@ -636,8 +637,9 @@ def check_truncation(bound: int) -> CheckResult:
     failures, total = [], 0
     for t in iter_tuples(bound):
         ideal = ideal_of_tuple(t)
-        reference = cached_betti_oracle(ideal).as_dict()
-        for d in range(1, tuples.regularity_closed_form(t) + 2):
+        oracle = cached_betti_oracle(ideal)
+        reference = oracle.as_dict()
+        for d in range(1, oracle.regularity + 2):
             total += 1
             truncated = cached_betti_oracle(truncate(ideal, d)).as_dict()
             tail = {k: v for k, v in reference.items() if k[1] >= k[0] + d + 1}

@@ -59,6 +59,25 @@ class TestReduceCommand:
         assert "steps" not in report["result"]
 
 
+class TestHugeWeights:
+    @pytest.mark.parametrize(
+        "argv, key, expected",
+        [
+            (["classify", "1000000,1000000,1000000,1,1,1"], "acm", True),
+            (["reduce", "200000,200000,200000,200000,200000,200000"], "step_count", 400000),
+        ],
+    )
+    def test_huge_weights_finish(self, argv, key, expected):
+        # one step per unit of weight took minutes; the compressed trace jumps
+        env = dict(os.environ, PYTHONPATH=str(Path(tetracurves.__file__).parents[1]))
+        done = subprocess.run(
+            [sys.executable, "-m", "tetracurves.cli", "--format", "json", *argv],
+            env=env, capture_output=True, text=True, timeout=60,
+        )
+        assert done.returncode == 0
+        assert json.loads(done.stdout)["result"][key] == expected
+
+
 class TestBettiCommand:
     def test_oracle_check_passes(self, capsys):
         code, report = run_json(capsys, "betti", "1,3,4,2,3,0", "--oracle-check")
@@ -66,6 +85,12 @@ class TestBettiCommand:
         assert report["result"]["oracle_match"] is True
         entries = {(i, j): r for i, j, r in report["result"]["entries"]}
         assert entries == {(0, 8): 1, (0, 7): 1, (0, 6): 3, (1, 9): 1, (1, 8): 3}
+
+    def test_oracle_over_memory_limit_is_typed_error(self, capsys):
+        # the padded box would be 152^4 cells; the estimate refuses it unallocated
+        code, report = run_json(capsys, "betti", "150,150,150,150,150,150", "--oracle-check")
+        assert code == 1
+        assert report["result"]["error"] == "OracleTooLargeError"
 
     def test_trivial_curve_reports_error(self, capsys):
         code, report = run_json(capsys, "betti", "0,0,0,0,0,0")

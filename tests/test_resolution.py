@@ -6,7 +6,8 @@ from tetracurves.exceptions import (
     NotMinimalError,
     TrivialCurveError,
 )
-from tetracurves.koszul import cached_betti_oracle
+from tetracurves.gin import gin_bdl_step, gin_buchsbaum_minimal, gin_of_curve
+from tetracurves.koszul import BettiTable, cached_betti_oracle
 from tetracurves.monomials import ideal_of_tuple
 from tetracurves.resolution import (
     BaseKind,
@@ -27,12 +28,18 @@ from tetracurves.tuples import (
     ReductionType,
     TetTuple,
     apply_reduction,
+    buchsbaum_minimal_r,
     canonicalize,
+    ci_power_form,
+    facet_weights,
+    is_minimal,
+    max_weight_reduction,
 )
 from tetracurves.verify import (
     PUBLISHED_TWO_SKEW_ORBITS,
     TWO_SKEW_ERRATA,
     check_two_skew_vs_published,
+    iter_tuples,
 )
 
 small_tuples = st.tuples(*[st.integers(0, 3)] * 6).map(TetTuple)
@@ -145,6 +152,57 @@ class TestBettiTableAssembly:
         assert len(chains) > 1
         for chain in chains:
             assert recipe_from_chain(chain).assemble() == expected
+
+
+def pairwise_assemble(recipe):
+    """Test-only copy of the former `ResolutionRecipe.assemble`: one
+    `BettiTable` sum per step."""
+    table = recipe.base_betti.shifted(len(recipe.steps))
+    for f_degree, shift in recipe.steps:
+        table = table + BettiTable.from_dict(
+            {(0, f_degree + shift): 1, (1, f_degree + shift + 1): 1}
+        )
+    return table
+
+
+def stepwise_chain(t):
+    """Test-only reference chain: one `max_weight_reduction` per step."""
+    chain = [t]
+    while not chain[-1].is_trivial and not is_minimal(chain[-1]):
+        chain.append(max_weight_reduction(chain[-1]).child)
+    return tuple(chain)
+
+
+class TestLinearAssembly:
+    """The one-pass assembly from the trace record against the former
+    pairwise assembly over the step-by-step chain."""
+
+    @staticmethod
+    def check(t):
+        chain = stepwise_chain(t)
+        table = pairwise_assemble(recipe_from_chain(chain))
+        assert betti_table(t) == table
+        assert resolution_recipe(t).is_linear is table.is_linear
+        prediction = table
+        ci = next((c for c in chain if ci_power_form(c) is not None), None)
+        if chain[-1].is_trivial and ci is not None:
+            r, p = ci_power_form(ci), table.min_generator_degree
+            prediction = table + BettiTable.from_dict({(0, p + 1): r, (1, p + 1): r})
+        assert gin_betti_prediction(t) == prediction
+        if not chain[-1].is_trivial:  # ACM curves take gin_acm on both sides
+            r = buchsbaum_minimal_r(chain[-1])
+            gin = r and gin_buchsbaum_minimal(r)
+            for c in reversed(chain[:-1] if r else ()):
+                gin = gin_bdl_step(gin, max(facet_weights(c)))
+            assert gin_of_curve(t) == gin
+
+    def test_up_to_weight_9(self):
+        for t in iter_tuples(9):
+            self.check(t)
+
+    @pytest.mark.parametrize("entries", [(7, 5, 5, 2, 1, 6), (20, 18, 17, 9, 8, 20)])
+    def test_ladder(self, entries):
+        self.check(TetTuple(entries))
 
 
 class TestLinearResolution:

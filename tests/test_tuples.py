@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -7,6 +9,7 @@ from tetracurves.exceptions import (
     NotApplicableError,
     TrivialCurveError,
 )
+from tetracurves import tuples
 from tetracurves.monomials import Monomial
 from tetracurves.tuples import (
     ReductionType,
@@ -29,6 +32,7 @@ from tetracurves.tuples import (
     regularity_closed_form,
     schwartau_status,
 )
+from tetracurves.verify import iter_tuples
 
 tet_tuples = st.tuples(*[st.integers(0, 4)] * 6).map(TetTuple)
 small_tuples = st.tuples(*[st.integers(0, 3)] * 6).map(TetTuple)
@@ -50,6 +54,13 @@ class TestTetTuple:
     def test_parse_rejects(self, bad):
         with pytest.raises(ValueError):
             TetTuple.parse(bad)
+
+    @pytest.mark.parametrize(
+        "bad", [(1.5, 0, 0, 0, 0, 1), (True, 0, 0, 0, 0, 1), (1, 0, 0, 0, 0, 2.0), ("1", 0, 0, 0, 0, 1)]
+    )
+    def test_rejects_non_int_weights(self, bad):
+        with pytest.raises(ValueError):
+            TetTuple(bad)
 
     def test_trivial(self):
         assert T("0,0,0,0,0,0").is_trivial
@@ -157,6 +168,68 @@ class TestReductionTrace:
         trace = reduction_trace(T("0,0,0,0,0,0"))
         assert trace.steps == ()
         assert trace.terminal_kind is TerminalKind.TRIVIAL
+
+
+def stepwise_trace(t):
+    """Test-only reference for `reduction_trace`: one `max_weight_reduction`
+    per step, as (vertices, weights, terminal, kind, first_ci_power, the
+    CI-power element)."""
+    vertices, weights, ci = [], [], None
+    cur = t
+    while True:
+        if ci is None and (r := ci_power_form(cur)) is not None:
+            ci = ((len(vertices), r), cur)
+        try:
+            step = max_weight_reduction(cur)
+        except (IsTrivialError, IsMinimalError):
+            break
+        vertices.append(step.type.vertex)
+        weights.append(step.weight)
+        cur = step.child
+    kind = TerminalKind.TRIVIAL if cur.is_trivial else TerminalKind.MINIMAL
+    return tuple(vertices), tuple(weights), cur, kind, ci and ci[0], ci and ci[1]
+
+
+def trace_record(t):
+    trace = reduction_trace(t)
+    return (
+        trace.vertices,
+        trace.weights,
+        trace.terminal,
+        trace.terminal_kind,
+        trace.first_ci_power,
+        trace.ci_power_element,
+    )
+
+
+class TestCompressedTrace:
+    def test_matches_stepwise_up_to_weight_12(self):
+        for t in iter_tuples(12):
+            assert trace_record(t) == stepwise_trace(t), t
+
+    def test_matches_stepwise_on_large_entries(self):
+        rng = random.Random(20261018)
+        for _ in range(50):
+            t = TetTuple(tuple(rng.randint(0, 10**4) for _ in range(6)))
+            assert trace_record(t) == stepwise_trace(t), t
+
+    def test_steps_and_chain_match_stepwise(self):
+        for t in iter_tuples(6):
+            steps, cur = [], t
+            while not cur.is_trivial and not is_minimal(cur):
+                steps.append(max_weight_reduction(cur))
+                cur = steps[-1].child
+            trace = reduction_trace(t)
+            assert trace.steps == tuple(steps)
+            assert trace.chain == tuple(s.parent for s in steps) + (cur,)
+
+    def test_len_of_steps_builds_no_step(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("a ReductionStep was built")
+
+        monkeypatch.setattr(tuples, "apply_reduction", refuse)
+        assert len(reduction_trace(T("7,5,5,2,1,6")).steps) == 4
+        assert len(reduction_trace(TetTuple((200000,) * 6)).steps) == 400000
 
 
 class TestMinimality:
