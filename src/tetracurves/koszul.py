@@ -28,11 +28,10 @@ from typing import Iterable, Mapping
 import numpy as np
 
 from .exceptions import OracleTooLargeError
-from .monomials import Monomial, MonomialIdeal, NVARS, exponent_box
+from .monomials import ORACLE_MEMORY_LIMIT, Monomial, MonomialIdeal, NVARS, exponent_box
 
-# the oracle's memory limit, and its peak bytes per cell of the padded box
-# (uint16 face masks, int64 degree index, boolean temporaries; 11.5 measured)
-ORACLE_MEMORY_LIMIT = 1 << 30
+# the oracle's peak bytes per cell of the padded box (uint16 face masks,
+# int64 degree index, boolean temporaries; 11.5 measured)
 _BYTES_PER_CELL = 12
 
 _VERTEX_BITS = tuple(1 << v for v in range(NVARS))

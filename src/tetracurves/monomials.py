@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -22,6 +23,7 @@ from .exceptions import (
     BoundTooSmallError,
     FNotInIdealError,
     GDividesFError,
+    OracleTooLargeError,
 )
 
 VARIABLES = "abcd"
@@ -30,6 +32,12 @@ NVARS = 4
 # Edge i of the tetrahedron (0-based) joins these two vertices; opposite
 # edges are at positions (0,5), (1,4), (2,3).
 EDGES = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
+
+# the memory limit of ideal_of_tuple's grid and of the Koszul oracle's box,
+# and the grid's peak bytes per cell (two int64 arrays of the least d-exponent
+# and boolean masks; 17.0 measured)
+ORACLE_MEMORY_LIMIT = 1 << 30
+_GRID_BYTES_PER_CELL = 17
 
 
 def variable_index(g: int | str) -> int:
@@ -113,15 +121,6 @@ class Monomial:
 
     def __repr__(self) -> str:
         return f"Monomial({self})"
-
-
-def degrevlex_key(m: Monomial) -> tuple:
-    """Sort key for degree-reverse-lexicographic order with a > b > c > d.
-
-    Larger key means larger monomial.
-    """
-    e = m.exps
-    return (sum(e), -e[3], -e[2], -e[1], -e[0])
 
 
 def display_key(m: Monomial) -> tuple:
@@ -234,10 +233,6 @@ class MonomialIdeal:
         return f"MonomialIdeal{self}"
 
 
-def contains(ideal: MonomialIdeal, m: Monomial) -> bool:
-    return ideal.contains(m)
-
-
 def edge_power_ideal(edge: tuple[int, int], n: int) -> MonomialIdeal:
     """(x, y)^n for the two variables of an edge: generated by x^i y^(n-i)."""
     x, y = edge
@@ -260,14 +255,17 @@ def ideal_of_tuple(t: Sequence[int]) -> MonomialIdeal:
     is max(0, a03 - e0, a13 - e1, a23 - e2).  That point is a minimal
     generator unless lowering e0, e1 or e2 by one keeps the same least e3.
     Exponents of minimal generators never exceed the largest weight at their
-    vertex, which bounds the grid."""
+    vertex, which bounds the grid.  Raises OracleTooLargeError when the grid
+    would need more than ORACLE_MEMORY_LIMIT bytes."""
     entries = tuple(t)
     if len(entries) != 6 or any(a < 0 for a in entries):
         raise ValueError(f"need six non-negative weights, got {entries}")
     a01, a02, a03, a12, a13, a23 = entries
-    e0, e1, e2 = np.indices(
-        (max(a01, a02, a03) + 1, max(a01, a12, a13) + 1, max(a02, a12, a23) + 1), sparse=True
-    )
+    shape = (max(a01, a02, a03) + 1, max(a01, a12, a13) + 1, max(a02, a12, a23) + 1)
+    estimate = math.prod(shape) * _GRID_BYTES_PER_CELL
+    if estimate > ORACLE_MEMORY_LIMIT:
+        raise OracleTooLargeError(f"the ideal's exponent grid {list(shape)} needs about {estimate >> 20} MiB")
+    e0, e1, e2 = np.indices(shape, sparse=True)
     meets = (e0 + e1 >= a01) & (e0 + e2 >= a02) & (e1 + e2 >= a12)
     least = np.maximum(np.maximum(a03 - e0, a13 - e1), np.maximum(a23 - e2, 0))
     least = np.where(meets, least, max(a03, a13, a23) + 1)

@@ -6,6 +6,9 @@ Every suite runs a batch of checks over all tuples up to a weight bound
 check.  The betti/cwl/regularity/truncation suites compare closed-form
 results with the Koszul-homology oracle; the gin suite compares the
 combinatorial gin constructions with the finite-field Groebner oracle.
+
+A check is a stream of cases and a test of one case, run by `_sweep`;
+`SUITES` lists each suite's default bound and checks.
 """
 
 from __future__ import annotations
@@ -13,7 +16,8 @@ from __future__ import annotations
 import itertools
 import random
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
+from math import comb
 
 from . import gin as gin_mod
 from . import groebner, monomials, resolution, tuples
@@ -45,10 +49,7 @@ class SuiteResult:
             "suite": self.suite,
             "passed": self.passed,
             "elapsed_s": round(self.elapsed_s, 3),
-            "checks": [
-                {"name": c.name, "passed": c.passed, "detail": c.detail}
-                for c in self.checks
-            ],
+            "checks": [asdict(c) for c in self.checks],
         }
 
 
@@ -56,18 +57,21 @@ def iter_tuples(max_total: int, include_trivial: bool = False):
     """All 6-tuples with weight sum at most max_total."""
     for total in range(0 if include_trivial else 1, max_total + 1):
         for cuts in itertools.combinations(range(total + 5), 5):
-            parts = []
-            prev = -1
-            for c in cuts:
-                parts.append(c - prev - 1)
-                prev = c
-            parts.append(total + 4 - prev)
-            yield TetTuple(tuple(parts))
+            yield TetTuple(tuple(b - a - 1 for a, b in zip((-1, *cuts), (*cuts, total + 5))))
 
 
-def _summarize(name: str, failures: list, total: int) -> CheckResult:
+def _sweep(name: str, cases, fails) -> CheckResult:
+    """Run `fails` on every case and summarize.  `fails(case)` is falsy when
+    the case passes; otherwise it is True (the case is the failing input),
+    a list of the case's failing inputs, or its one failing input."""
+    failures, total = [], 0
+    for case in cases:
+        total += 1
+        bad = fails(case)
+        if bad:
+            failures += bad if isinstance(bad, list) else [case if bad is True else bad]
     if failures:
-        shown = "; ".join(str(f) for f in failures[:3])
+        shown = "; ".join(map(str, failures[:3]))
         return CheckResult(name, False, f"{len(failures)}/{total} failed, e.g. {shown}")
     return CheckResult(name, True, f"{total} cases")
 
@@ -76,87 +80,71 @@ def oracle_table(t: TetTuple) -> BettiTable:
     return cached_betti_oracle(ideal_of_tuple(t))
 
 
+def _trace_steps(bound: int):
+    return (s for t in iter_tuples(bound) for s in tuples.reduction_trace(t).steps)
+
+
 # ---------------------------------------------------------------- reduction
 
 def check_degree_vs_hilbert(bound: int) -> CheckResult:
-    failures, total = [], 0
-    for t in iter_tuples(bound, include_trivial=True):
-        total += 1
+    def fails(t):
         ideal = ideal_of_tuple(t)
         upto = (cached_betti_oracle(ideal).regularity if not t.is_trivial else 0) + 3
-        if hilbert_data(ideal, upto).degree != tuples.degree_of_tuple(t):
-            failures.append(t)
-    return _summarize("degree formula equals Hilbert-polynomial degree", failures, total)
+        return hilbert_data(ideal, upto).degree != tuples.degree_of_tuple(t)
+
+    cases = iter_tuples(bound, include_trivial=True)
+    return _sweep("degree formula equals Hilbert-polynomial degree", cases, fails)
 
 
 def check_degree_additivity(bound: int) -> CheckResult:
-    failures, total = [], 0
-    for t in iter_tuples(bound):
-        for step in tuples.reduction_trace(t).steps:
-            total += 1
-            if tuples.degree_of_tuple(step.parent) != tuples.degree_of_tuple(step.child) + step.weight:
-                failures.append(step.parent)
-    return _summarize("degree additive along reduction steps", failures, total)
+    def fails(s):
+        return tuples.degree_of_tuple(s.parent) != tuples.degree_of_tuple(s.child) + s.weight and s.parent
+
+    return _sweep("degree additive along reduction steps", _trace_steps(bound), fails)
 
 
 def check_bdl_reconstruction(bound: int) -> CheckResult:
-    failures, total = [], 0
-    for t in iter_tuples(bound):
-        for ty in tuples.ReductionType:
-            if not tuples.reduction_applicable(t, ty):
-                continue
-            total += 1
-            step = tuples.apply_reduction(t, ty)
-            rebuilt = basic_double_link(ideal_of_tuple(step.child), step.G, step.F)
-            if rebuilt != ideal_of_tuple(t):
-                failures.append((t, ty.name))
-    return _summarize("G*I(child) + (F) rebuilds the parent ideal", failures, total)
+    def fails(case):
+        t, ty = case
+        step = tuples.apply_reduction(t, ty)
+        rebuilt = basic_double_link(ideal_of_tuple(step.child), step.G, step.F)
+        return rebuilt != ideal_of_tuple(t) and (t, ty.name)
+
+    types = tuples.ReductionType
+    cases = ((t, ty) for t in iter_tuples(bound) for ty in types if tuples.reduction_applicable(t, ty))
+    return _sweep("G*I(child) + (F) rebuilds the parent ideal", cases, fails)
 
 
 def check_minimality_criterion(bound: int) -> CheckResult:
-    failures, total = [], 0
-    for t in iter_tuples(bound):
-        total += 1
-        if tuples.is_minimal(t) != tuples.minimal_by_weight_test(t):
-            failures.append(t)
-    return _summarize("definitional minimality equals the weight criterion", failures, total)
+    return _sweep("definitional minimality equals the weight criterion", iter_tuples(bound),
+                  lambda t: tuples.is_minimal(t) != tuples.minimal_by_weight_test(t))
 
 
 def check_maxweight_monotone(bound: int) -> CheckResult:
-    failures, total = [], 0
-    for t in iter_tuples(bound):
-        for step in tuples.reduction_trace(t).steps:
-            if tuples.ci_power_form(step.parent) is not None:
-                continue
-            total += 1
-            if not max(tuples.facet_weights(step.parent)) > max(tuples.facet_weights(step.child)):
-                failures.append(step.parent)
-    return _summarize("maximal facet weight strictly drops along traces", failures, total)
+    def fails(s):
+        return max(tuples.facet_weights(s.parent)) <= max(tuples.facet_weights(s.child)) and s.parent
+
+    steps = (s for s in _trace_steps(bound) if tuples.ci_power_form(s.parent) is None)
+    return _sweep("maximal facet weight strictly drops along traces", steps, fails)
 
 
 def check_fdegree(bound: int) -> CheckResult:
     """Above the CI-power base of a non-componentwise-linear ACM curve, each
     F degree exceeds the parent's lowest generator degree."""
-    failures, total = [], 0
-    for t in iter_tuples(bound):
-        trace = tuples.reduction_trace(t)
-        if not trace.is_acm or trace.first_ci_power is None:
-            continue
-        ci_index = trace.first_ci_power[0]
-        for k in range(ci_index):
-            total += 1
-            p = resolution.betti_table(trace.steps[k].parent).min_generator_degree
-            if trace.steps[k].weight < p + 1:
-                failures.append(trace.steps[k].parent)
-    return _summarize("F degree exceeds lowest generator degree above CI base", failures, total)
+    traces = (tuples.reduction_trace(t) for t in iter_tuples(bound))
+    steps = (
+        trace.steps[k]
+        for trace in traces
+        if trace.is_acm and trace.first_ci_power is not None
+        for k in range(trace.first_ci_power[0])
+    )
+    return _sweep("F degree exceeds lowest generator degree above CI base", steps,
+                  lambda s: s.weight < resolution.betti_table(s.parent).min_generator_degree + 1 and s.parent)
 
 
 def check_s4_invariance(bound: int) -> CheckResult:
-    failures, total = [], 0
-    perms = tuples.VERTEX_PERMUTATIONS
-    for t in iter_tuples(bound):
-        total += 1
-        reference = (
+    def invariants(t):
+        return (
             tuples.is_minimal(t),
             tuples.is_acm(t),
             tuples.is_cwl(t),
@@ -165,158 +153,108 @@ def check_s4_invariance(bound: int) -> CheckResult:
             tuples.ci_power_form(t),
             resolution.betti_table(t).entries,
         )
-        for pi in perms:
-            image = tuples.permute(t, pi)
-            got = (
-                tuples.is_minimal(image),
-                tuples.is_acm(image),
-                tuples.is_cwl(image),
-                tuples.degree_of_tuple(image),
-                tuples.regularity_closed_form(image),
-                tuples.ci_power_form(image),
-                resolution.betti_table(image).entries,
-            )
-            if got != reference:
-                failures.append((t, pi))
-                break
-    return _summarize("classifiers invariant under the symmetry action", failures, total)
+
+    def fails(t):
+        reference = invariants(t)
+        perms = tuples.VERTEX_PERMUTATIONS
+        return next(((t, pi) for pi in perms if invariants(tuples.permute(t, pi)) != reference), False)
+
+    return _sweep("classifiers invariant under the symmetry action", iter_tuples(bound), fails)
 
 
 # ---------------------------------------------------------------- betti
 
 def check_builder_vs_oracle_all_choices(bound: int) -> CheckResult:
-    failures, total = [], 0
-    for t in iter_tuples(bound):
-        expected = oracle_table(t)
-        for chain in resolution.all_max_weight_chains(t):
-            total += 1
-            got = resolution.recipe_from_chain(chain).assemble()
-            if got != expected:
-                failures.append((t, [str(c) for c in chain]))
-                break
-    return _summarize("assembled table equals oracle for every tie-break", failures, total)
+    failed = set()  # a tuple's tie-breaks after its first failing one are skipped
+
+    def fails(case):
+        t, expected, chain = case
+        if resolution.recipe_from_chain(chain).assemble() != expected:
+            failed.add(t)
+            return t, [str(c) for c in chain]
+        return False
+
+    cases = (
+        (t, expected, chain)
+        for t in iter_tuples(bound)
+        for expected in [oracle_table(t)]
+        for chain in resolution.all_max_weight_chains(t)
+        if t not in failed
+    )
+    return _sweep("assembled table equals oracle for every tie-break", cases, fails)
 
 
 def check_random_builder_vs_oracle(count: int, max_entry: int, seed: int) -> CheckResult:
     rng = random.Random(seed)
-    failures, total = [], 0
-    while total < count:
-        t = TetTuple(tuple(rng.randint(0, max_entry) for _ in range(6)))
-        if t.is_trivial:
-            continue
-        total += 1
-        if resolution.betti_table(t) != oracle_table(t):
-            failures.append(t)
-    return _summarize(f"random builder vs oracle (entries <= {max_entry})", failures, total)
+    draws = (TetTuple(tuple(rng.randint(0, max_entry) for _ in range(6))) for _ in itertools.count())
+    cases = itertools.islice((t for t in draws if not t.is_trivial), count)
+    return _sweep(f"random builder vs oracle (entries <= {max_entry})", cases,
+                  lambda t: resolution.betti_table(t) != oracle_table(t))
 
 
 def check_minimal_formula(max_entry: int) -> CheckResult:
-    failures, total = [], 0
-    for entries in itertools.product(range(max_entry + 1), repeat=6):
-        t = TetTuple(entries)
-        if not tuples.is_minimal(t):
-            continue
-        total += 1
-        if resolution.minimal_curve_betti(t) != oracle_table(t):
-            failures.append(t)
     spot = TetTuple((4, 1, 2, 1, 1, 5))
-    total += 1
     expected = BettiTable.from_dict({(0, 9): 24, (1, 10): 37, (2, 11): 14})
-    if resolution.minimal_curve_betti(spot) != expected or oracle_table(spot) != expected:
-        failures.append(spot)
-    return _summarize("minimal-curve formulas equal oracle", failures, total)
+    grid = map(TetTuple, itertools.product(range(max_entry + 1), repeat=6))
+    cases = itertools.chain((t for t in grid if tuples.is_minimal(t)), [spot])
+    return _sweep("minimal-curve formulas equal oracle", cases, lambda t: resolution.minimal_curve_betti(t)
+                  != oracle_table(t) or t == spot and oracle_table(t) != expected)
 
 
 def check_sum_rule(bound: int) -> CheckResult:
     """Alternating Betti sums reproduce the Hilbert-series numerator of R/I."""
-    failures, total = [], 0
-    for t in iter_tuples(bound):
-        total += 1
+    def fails(t):
         table = oracle_table(t)
         top = max(j for _, j, _ in table.entries)
         values = hilbert_data(ideal_of_tuple(t), top + 4).values
-        ok = True
-        for j in range(top + 1):
-            numerator = sum(
-                (-1) ** k * _binom(4, k) * (values[j - k] if 0 <= j - k else 0)
-                for k in range(5)
-            )
-            betti_sum = sum((-1) ** i * table.rank(i, j) for i in range(4))
-            if numerator != (1 if j == 0 else 0) - betti_sum:
-                ok = False
-                break
-        if not ok:
-            failures.append(t)
-    return _summarize("alternating sums match the Hilbert numerator", failures, total)
+        return any(
+            sum((-1) ** k * comb(4, k) * values[j - k] for k in range(min(j, 4) + 1))
+            != (j == 0) - sum((-1) ** i * table.rank(i, j) for i in range(4))
+            for j in range(top + 1)
+        )
 
-
-def _binom(n: int, k: int) -> int:
-    from math import comb
-
-    return comb(n, k)
+    return _sweep("alternating sums match the Hilbert numerator", iter_tuples(bound), fails)
 
 
 def check_non_acm_shape(bound: int) -> CheckResult:
     """Non-ACM tables: one generator/syzygy pair per step at strictly
     decreasing facet weights, all above the shifted minimal-curve block."""
-    failures, total = [], 0
-    for t in iter_tuples(bound):
-        trace = tuples.reduction_trace(t)
-        if trace.is_acm:
-            continue
-        total += 1
+    def fails(trace):
         recipe = resolution.recipe_from_chain(trace.chain)
         weights = [w for w, _ in recipe.steps]
         e0 = recipe.base_betti.min_generator_degree
         strictly_decreasing = all(a > b for a, b in zip(weights, weights[1:]))
         above_base = not weights or weights[-1] > e0
         shifted_block = recipe.assemble().rank(0, e0 + len(weights)) >= recipe.base_betti.rank(0, e0)
-        if not (strictly_decreasing and above_base and shifted_block):
-            failures.append(t)
-    return _summarize("non-ACM tables keep the step/base shape", failures, total)
+        return not (strictly_decreasing and above_base and shifted_block) and trace.start
+
+    traces = (tuples.reduction_trace(t) for t in iter_tuples(bound))
+    return _sweep("non-ACM tables keep the step/base shape", (tr for tr in traces if not tr.is_acm), fails)
 
 
 def check_projective_dimension(bound: int) -> CheckResult:
-    failures, total = [], 0
-    for t in iter_tuples(bound):
-        total += 1
-        expected = 1 if tuples.is_acm(t) else 2
-        if oracle_table(t).projective_dimension != expected:
-            failures.append(t)
-    return _summarize("projective dimension 1 exactly for ACM ideals", failures, total)
+    return _sweep("projective dimension 1 exactly for ACM ideals", iter_tuples(bound),
+                  lambda t: oracle_table(t).projective_dimension != (1 if tuples.is_acm(t) else 2))
 
 
 # ---------------------------------------------------------------- cwl
 
 def check_cwl_oracle(bound: int) -> CheckResult:
-    failures, total = [], 0
-    for t in iter_tuples(bound):
-        total += 1
+    def fails(t):
         ideal = ideal_of_tuple(t)
-        reg = cached_betti_oracle(ideal).regularity
-        componentwise = True
-        for d in range(ideal.min_generator_degree, reg + 1):
-            piece = component_ideal(ideal, d)
-            if piece.is_zero:
-                continue
-            if not cached_betti_oracle(piece).is_linear:
-                componentwise = False
-                break
-        if tuples.is_cwl(t) != componentwise:
-            failures.append(t)
-    return _summarize("is_cwl equals the componentwise oracle", failures, total)
+        degrees = range(ideal.min_generator_degree, cached_betti_oracle(ideal).regularity + 1)
+        pieces = (component_ideal(ideal, d) for d in degrees)
+        return tuples.is_cwl(t) != all(p.is_zero or cached_betti_oracle(p).is_linear for p in pieces)
+
+    return _sweep("is_cwl equals the componentwise oracle", iter_tuples(bound), fails)
 
 
 def check_schwartau(bound: int) -> CheckResult:
-    failures, total = [], 0
-    for t in iter_tuples(bound):
-        total += 1
+    def fails(t):
         is_schwartau, cwl = tuples.schwartau_status(t)
-        if is_schwartau != (t.entries[1] == 0 and t.entries[4] == 0):
-            failures.append(t)
-        elif cwl != tuples.is_cwl(t):
-            failures.append(t)
-    return _summarize("Schwartau criterion agrees with is_cwl", failures, total)
+        return is_schwartau != (t.entries[1] == 0 and t.entries[4] == 0) or cwl != tuples.is_cwl(t)
+
+    return _sweep("Schwartau criterion agrees with is_cwl", iter_tuples(bound), fails)
 
 
 def check_hope(bound: int) -> CheckResult:
@@ -327,123 +265,96 @@ def check_hope(bound: int) -> CheckResult:
         sums = sorted((e[0] + e[5], e[1] + e[4], e[2] + e[3]))
         return sums[1] == sums[2]
 
-    failures, total = [], 0
-    for t in iter_tuples(bound):
-        if tuples.is_cwl(t):
-            continue
-        total += 1
-        if not top_sums_equal(t):
-            failures.append(t)
     witness = TetTuple((10, 1, 2, 3, 10, 1))
-    total += 1
-    if not (top_sums_equal(witness) and tuples.is_cwl(witness)):
-        failures.append(witness)
-    return _summarize("non-CWL forces equal top opposite-edge sums", failures, total)
+    cases = itertools.chain((t for t in iter_tuples(bound) if not tuples.is_cwl(t)), [witness])
+    return _sweep("non-CWL forces equal top opposite-edge sums", cases,
+                  lambda t: not top_sums_equal(t) or t == witness and not tuples.is_cwl(t))
 
 
 # ---------------------------------------------------------------- regularity
 
 def check_regularity(bound: int) -> CheckResult:
-    failures, total = [], 0
-    for t in iter_tuples(bound):
-        total += 1
-        if tuples.regularity_closed_form(t) != oracle_table(t).regularity:
-            failures.append(t)
-    spots = {
-        TetTuple((0, 2, 2, 2, 2, 0)): 5,
-        TetTuple((4, 1, 2, 1, 1, 5)): 9,
-        TetTuple((7, 5, 5, 2, 1, 6)): 17,
-    }
-    for t, expected in spots.items():
-        total += 1
-        if tuples.regularity_closed_form(t) != expected:
-            failures.append(t)
-    return _summarize("closed-form regularity equals oracle", failures, total)
+    spots = {TetTuple((0, 2, 2, 2, 2, 0)): 5, TetTuple((4, 1, 2, 1, 1, 5)): 9, TetTuple((7, 5, 5, 2, 1, 6)): 17}
+
+    def fails(case):
+        t, expected = case
+        if expected is None:
+            expected = oracle_table(t).regularity
+        return tuples.regularity_closed_form(t) != expected and t
+
+    cases = itertools.chain(((t, None) for t in iter_tuples(bound)), spots.items())
+    return _sweep("closed-form regularity equals oracle", cases, fails)
 
 
 # ---------------------------------------------------------------- gin
 
 def check_gin_acm_examples() -> CheckResult:
-    failures = []
-    first = gin_mod.gin_acm(TetTuple((1, 2, 2, 2, 1, 2)))
-    if first != MonomialIdeal.of("a^4", "a^3*b", "a^2*b^3", "a*b^4", "b^6"):
-        failures.append("gin(1,2,2,2,1,2)")
-    second = gin_mod.gin_acm(TetTuple((2, 1, 4, 1, 1, 3)))
-    if second != MonomialIdeal.of("a^5", "a^4*b", "a^3*b^3", "a^2*b^4", "a*b^6", "b^8"):
-        failures.append("gin(2,1,4,1,1,3)")
-    return _summarize("worked ACM gin displays reproduced", failures, 2)
+    examples = {
+        TetTuple((1, 2, 2, 2, 1, 2)): ("a^4", "a^3*b", "a^2*b^3", "a*b^4", "b^6"),
+        TetTuple((2, 1, 4, 1, 1, 3)): ("a^5", "a^4*b", "a^3*b^3", "a^2*b^4", "a*b^6", "b^8"),
+    }
+    return _sweep("worked ACM gin displays reproduced", examples.items(),
+                  lambda case: gin_mod.gin_acm(case[0]) != MonomialIdeal.of(*case[1]) and f"gin({case[0]})")
+
+
+def _acm_tuples(bound: int):
+    return (t for t in iter_tuples(bound) if tuples.is_acm(t))
 
 
 def check_ek_vs_prediction(bound: int) -> CheckResult:
-    failures, total = [], 0
-    for t in iter_tuples(bound):
-        if not tuples.is_acm(t):
-            continue
-        total += 1
-        if gin_mod.ek_betti(gin_mod.gin_acm(t)) != resolution.gin_betti_prediction(t):
-            failures.append(t)
-    return _summarize("Eliahou-Kervaire table equals gin Betti prediction", failures, total)
+    return _sweep("Eliahou-Kervaire table equals gin Betti prediction", _acm_tuples(bound),
+                  lambda t: gin_mod.ek_betti(gin_mod.gin_acm(t)) != resolution.gin_betti_prediction(t))
 
 
 def check_gin_acm_wellformed(bound: int) -> CheckResult:
-    failures, total = [], 0
-    for t in iter_tuples(bound):
-        if not tuples.is_acm(t):
-            continue
-        total += 1
+    def fails(t):
         g = gin_mod.gin_acm(t)
+        ideal = ideal_of_tuple(t)
         in_two_vars = all(m.exps[2] == 0 and m.exps[3] == 0 for m in g.generators)
-        upto = tuples.regularity_closed_form(t) + 3
-        hilbert_match = (
-            hilbert_data(g, upto).values == hilbert_data(ideal_of_tuple(t), upto).values
-        )
-        cwl_gens_ok = True
-        if tuples.is_cwl(t):
-            d0 = ideal_of_tuple(t).min_generator_degree
-            cwl_gens_ok = len(ideal_of_tuple(t).generators) == d0 + 1
-        if not (gin_mod.is_strongly_stable(g) and in_two_vars and hilbert_match and cwl_gens_ok):
-            failures.append(t)
-    return _summarize("gin_acm stable, in a and b, Hilbert-preserving", failures, total)
+        upto = cached_betti_oracle(ideal).regularity + 3
+        hilbert_match = hilbert_data(g, upto).values == hilbert_data(ideal, upto).values
+        cwl_gens_ok = not tuples.is_cwl(t) or len(ideal.generators) == ideal.min_generator_degree + 1
+        return not (gin_mod.is_strongly_stable(g) and in_two_vars and hilbert_match and cwl_gens_ok)
+
+    return _sweep("gin_acm stable, in a and b, Hilbert-preserving", _acm_tuples(bound), fails)
+
+
+def _gin_tuples(bound: int):
+    """The tuples that gin_of_curve supports, with their gins."""
+    return ((t, g) for t in iter_tuples(bound) if (g := gin_mod.gin_of_curve(t)) is not None)
 
 
 def check_gin_vs_oracle(bound: int, seeds: tuple[int, int], primes: tuple[int, int]) -> CheckResult:
-    failures, total = [], 0
-    for t in iter_tuples(bound):
-        built = gin_mod.gin_of_curve(t)
-        if built is None:
-            continue
-        total += 1
-        if built != groebner.gin_oracle(ideal_of_tuple(t), seeds=seeds, primes=primes):
-            failures.append(t)
-    return _summarize("gin_of_curve equals the Groebner oracle", failures, total)
+    def fails(case):
+        t, built = case
+        return built != groebner.gin_oracle(ideal_of_tuple(t), seeds=seeds, primes=primes) and t
+
+    return _sweep("gin_of_curve equals the Groebner oracle", _gin_tuples(bound), fails)
 
 
 def check_buchsbaum_gin(r_max: int, seeds: tuple[int, int], primes: tuple[int, int]) -> CheckResult:
-    failures, total = [], 0
-    for r in range(1, r_max + 1):
-        total += 2
+    def fails(case):
+        r, side = case
         built = gin_mod.gin_buchsbaum_minimal(r)
-        model = ideal_of_tuple((r, 0, r - 1, r - 1, 0, r))
-        if built != groebner.gin_oracle(model, seeds=seeds, primes=primes):
-            failures.append(f"r={r} oracle")
-        expected = BettiTable.from_dict(
-            {(0, 2 * r): 3 * r + 1, (1, 2 * r + 1): 4 * r, (2, 2 * r + 2): r}
-        )
-        if gin_mod.ek_betti(built) != expected:
-            failures.append(f"r={r} ek")
-    return _summarize("Buchsbaum gin recursion matches the oracle", failures, total)
+        if side == "oracle":
+            model = ideal_of_tuple((r, 0, r - 1, r - 1, 0, r))
+            bad = built != groebner.gin_oracle(model, seeds=seeds, primes=primes)
+        else:
+            expected = BettiTable.from_dict({(0, 2 * r): 3 * r + 1, (1, 2 * r + 1): 4 * r, (2, 2 * r + 2): r})
+            bad = gin_mod.ek_betti(built) != expected
+        return bad and f"r={r} {side}"
+
+    cases = itertools.product(range(1, r_max + 1), ("oracle", "ek"))
+    return _sweep("Buchsbaum gin recursion matches the oracle", cases, fails)
 
 
 def check_gin_regularity(bound: int, seeds: tuple[int, int], primes: tuple[int, int]) -> CheckResult:
-    failures, total = [], 0
-    for t in iter_tuples(bound):
-        if gin_mod.gin_of_curve(t) is None:
-            continue
-        total += 1
+    def fails(case):
+        t = case[0]
         oracle = groebner.gin_oracle(ideal_of_tuple(t), seeds=seeds, primes=primes)
-        if gin_mod.ek_betti(oracle).regularity != tuples.regularity_closed_form(t):
-            failures.append(t)
-    return _summarize("gin regularity equals closed-form regularity", failures, total)
+        return gin_mod.ek_betti(oracle).regularity != tuples.regularity_closed_form(t) and t
+
+    return _sweep("gin regularity equals closed-form regularity", _gin_tuples(bound), fails)
 
 
 # ---------------------------------------------------------------- enumeration
@@ -473,45 +384,27 @@ TWO_SKEW_ERRATA = (
 TWO_SKEW_LINES = TetTuple((1, 0, 0, 0, 0, 1))
 
 
-def two_skew_enumeration() -> set[TetTuple]:
-    return resolution.enumerate_linear_in_class(TWO_SKEW_LINES)
-
-
 def brute_force_linear_in_class(minimal: TetTuple, max_entry: int) -> set[TetTuple]:
     """Independent of the ascent: scan all tuples up to an entry bound."""
     target = tuples.canonicalize(minimal)[0]
-    found = set()
-    for entries in itertools.product(range(max_entry + 1), repeat=6):
-        t = TetTuple(entries)
-        if t.is_trivial:
-            continue
-        trace = tuples.reduction_trace(t)
-        if trace.terminal_kind is not TerminalKind.MINIMAL:
-            continue
-        if tuples.canonicalize(trace.terminal)[0] != target:
-            continue
-        if resolution.betti_table(t).is_linear:
-            found.add(tuples.canonicalize(t)[0])
-    return found
+    grid = map(TetTuple, itertools.product(range(max_entry + 1), repeat=6))
+    return {
+        tuples.canonicalize(t)[0]
+        for t in grid
+        if not t.is_trivial
+        and (trace := tuples.reduction_trace(t)).terminal_kind is TerminalKind.MINIMAL
+        and tuples.canonicalize(trace.terminal)[0] == target
+        and resolution.betti_table(t).is_linear
+    }
 
 
 def check_two_skew_vs_brute_force(max_entry: int = 4) -> CheckResult:
-    got = two_skew_enumeration()
+    name = "two-skew-lines ascent equals brute force, oracle-linear"
+    got = resolution.enumerate_linear_in_class(TWO_SKEW_LINES)
     brute = brute_force_linear_in_class(TWO_SKEW_LINES, max_entry)
-    oracle_ok = all(
-        cached_betti_oracle(ideal_of_tuple(c)).is_linear for c in got
-    )
-    if got == brute and oracle_ok:
-        return CheckResult(
-            "two-skew-lines ascent equals brute force, oracle-linear",
-            True,
-            f"{len(got)} orbits",
-        )
-    return CheckResult(
-        "two-skew-lines ascent equals brute force, oracle-linear",
-        False,
-        f"ascent {sorted(str(c) for c in got)} vs brute {sorted(str(c) for c in brute)}",
-    )
+    if got == brute and all(oracle_table(c).is_linear for c in got):
+        return CheckResult(name, True, f"{len(got)} orbits")
+    return CheckResult(name, False, f"ascent {sorted(map(str, got))} vs brute {sorted(map(str, brute))}")
 
 
 def _erratum_evidence(action: str, t: TetTuple, listed: bool) -> str | None:
@@ -537,10 +430,9 @@ def check_two_skew_vs_published(
     """The ascent's orbits equal the published list amended by the errata,
     and the oracle confirms every erratum."""
     name = "two-skew-lines orbits match the published list"
-    got = two_skew_enumeration()
+    got = resolution.enumerate_linear_in_class(TWO_SKEW_LINES)
     published = {tuples.canonicalize(TetTuple(e))[0] for e in published_orbits}
-    amended = set(published)
-    evidence, refuted = [], []
+    amended, evidence, refuted = set(published), [], []
     for action, entries in errata:
         t = TetTuple(entries)
         canon = tuples.canonicalize(t)[0]
@@ -554,115 +446,128 @@ def check_two_skew_vs_published(
         else:
             evidence.append(note)
     if got == amended and not refuted:
-        return CheckResult(
-            name,
-            True,
-            f"{len(got)} orbits = {len(published)} published with "
-            f"{len(errata)} errata: {'; '.join(evidence)}",
-        )
-    extra = sorted(str(c) for c in got - amended)
-    missing = sorted(str(c) for c in amended - got)
-    return CheckResult(
-        name,
-        False,
-        f"extra {extra}, missing {missing}"
-        + (f", errata that do not hold {refuted}" if refuted else ""),
-    )
+        return CheckResult(name, True, f"{len(got)} orbits = {len(published)} published with "
+                           f"{len(errata)} errata: {'; '.join(evidence)}")
+    extra, missing = sorted(map(str, got - amended)), sorted(map(str, amended - got))
+    refuted_note = f", errata that do not hold {refuted}" if refuted else ""
+    return CheckResult(name, False, f"extra {extra}, missing {missing}{refuted_note}")
 
 
 def check_acm_linear_families(bound: int) -> CheckResult:
     """The shape classifier accepts exactly the ACM curves whose closed-form
     table is linear, and the oracle confirms one tuple of every accepted
     orbit to be ACM (projective dimension <= 1) with a linear table."""
-    failures, total = [], 0
-    oracle_checked: set[TetTuple] = set()
-    for t in iter_tuples(bound):
-        total += 1
+    oracle_checked = set()
+
+    def fails(t):
         is_family = resolution.acm_linear_family(t) is not None
-        truth = tuples.is_acm(t) and resolution.betti_table(t).is_linear
-        if is_family != truth:
-            failures.append(t)
-        if not is_family:
-            continue
-        canon = tuples.canonicalize(t)[0]
-        if canon not in oracle_checked:
+        bad = [t] if is_family != (tuples.is_acm(t) and resolution.betti_table(t).is_linear) else []
+        if is_family and (canon := tuples.canonicalize(t)[0]) not in oracle_checked:
             oracle_checked.add(canon)
             table = oracle_table(canon)
             if table.projective_dimension > 1 or not table.is_linear:
-                failures.append(f"{t} oracle")
-    result = _summarize("ACM-linear curves are exactly the six families", failures, total)
+                bad.append(f"{t} oracle")
+        return bad
+
+    result = _sweep("ACM-linear curves are exactly the six families", iter_tuples(bound), fails)
     if result.passed:
         result.detail += f", {len(oracle_checked)} accepted orbits oracle-confirmed"
     return result
 
 
 def check_no_nonmin(bound: int = 12) -> CheckResult:
-    failures, total = [], 0
-    for t in iter_tuples(bound):
-        if not tuples.is_minimal(t):
-            continue
+    def deep(t):
         top = max(t.entries)
-        hypothesis = False
-        for pi in tuples.VERTEX_PERMUTATIONS:
-            a1, a2, a3, a4, a5, a6 = tuples.permute(t, pi)
-            if a6 == top and a1 > max(a3 + a5 + 2, a2 + a4 + 2) and a6 > max(a4 + a5 + 2, a2 + a3 + 2):
-                hypothesis = True
-                break
-        if not hypothesis:
-            continue
-        total += 1
-        if any(not tuples.is_minimal(parent) for parent, _ in resolution.ascent_candidates(t)):
-            failures.append(t)
-    return _summarize("deep minimal curves admit only minimal ascents", failures, total)
+        return any(
+            a6 == top and a1 > max(a3 + a5 + 2, a2 + a4 + 2) and a6 > max(a4 + a5 + 2, a2 + a3 + 2)
+            for a1, a2, a3, a4, a5, a6 in (tuples.permute(t, pi) for pi in tuples.VERTEX_PERMUTATIONS)
+        )
+
+    return _sweep("deep minimal curves admit only minimal ascents",
+                  (t for t in iter_tuples(bound) if tuples.is_minimal(t) and deep(t)),
+                  lambda t: any(not tuples.is_minimal(parent) for parent, _ in resolution.ascent_candidates(t)))
 
 
 # ---------------------------------------------------------------- liaison addition
 
 def check_liaison_addition(r_max: int = 4) -> CheckResult:
-    failures, total = [], 0
     ac = monomials.Monomial.parse("a*c")
     base = ideal_of_tuple((1, 0, 0, 0, 0, 1))
-    for r in range(1, r_max + 1):
-        total += 1
+
+    def fails(r):
         bd_r = monomials.Monomial((0, r, 0, r))
         combined = ideal_of_tuple((r, 0, r - 1, r - 1, 0, r)).scaled(ac) + base.scaled(bd_r)
-        if combined != ideal_of_tuple((r + 1, 0, r, r, 0, r + 1)):
-            failures.append(r)
-    return _summarize("liaison addition identity for r = 1..4", failures, total)
+        return combined != ideal_of_tuple((r + 1, 0, r, r, 0, r + 1))
+
+    return _sweep("liaison addition identity for r = 1..4", range(1, r_max + 1), fails)
 
 
 # ---------------------------------------------------------------- truncation
 
 def check_truncation(bound: int) -> CheckResult:
-    failures, total = [], 0
-    for t in iter_tuples(bound):
-        ideal = ideal_of_tuple(t)
-        oracle = cached_betti_oracle(ideal)
-        reference = oracle.as_dict()
-        for d in range(1, oracle.regularity + 2):
-            total += 1
-            truncated = cached_betti_oracle(truncate(ideal, d)).as_dict()
-            tail = {k: v for k, v in reference.items() if k[1] >= k[0] + d + 1}
-            tail_truncated = {k: v for k, v in truncated.items() if k[1] >= k[0] + d + 1}
-            if tail != tail_truncated:
-                failures.append((t, d))
-    return _summarize("truncation preserves Betti numbers above the cut", failures, total)
+    def fails(case):
+        t, ideal, oracle, d = case
+        def tail(table):
+            return {k: v for k, v in table.as_dict().items() if k[1] >= k[0] + d + 1}
+        return tail(oracle) != tail(cached_betti_oracle(truncate(ideal, d))) and (t, d)
+
+    cases = (
+        (t, ideal, oracle, d)
+        for t in iter_tuples(bound)
+        for ideal in [ideal_of_tuple(t)]
+        for oracle in [cached_betti_oracle(ideal)]
+        for d in range(1, oracle.regularity + 2)
+    )
+    return _sweep("truncation preserves Betti numbers above the cut", cases, fails)
 
 
 # ---------------------------------------------------------------- suites
 
-SUITE_DEFAULT_BOUNDS = {
-    "reduction": 7,
-    "betti": 7,
-    "cwl": 6,
-    "regularity": 7,
-    "gin": 6,
-    "enumeration": 10,
-    "liaison-addition": 4,
-    "truncation": 6,
+# suite -> (default bound, checks); a check is called as check(bound, (seed, seed + 1), primes)
+# and the suite runs its checks one at a time, so an abort keeps the earlier results
+SUITES = {
+    "reduction": (7, (
+        lambda b, s, p: check_degree_vs_hilbert(b),
+        lambda b, s, p: check_degree_additivity(b),
+        lambda b, s, p: check_bdl_reconstruction(b),
+        lambda b, s, p: check_minimality_criterion(b),
+        lambda b, s, p: check_maxweight_monotone(b),
+        lambda b, s, p: check_fdegree(b),
+        lambda b, s, p: check_s4_invariance(min(b, 5)),
+    )),
+    "betti": (7, (
+        lambda b, s, p: check_builder_vs_oracle_all_choices(b),
+        lambda b, s, p: check_random_builder_vs_oracle(200, 4, s[0]),
+        lambda b, s, p: check_minimal_formula(3),
+        lambda b, s, p: check_sum_rule(min(b, 6)),
+        lambda b, s, p: check_projective_dimension(b),
+        lambda b, s, p: check_non_acm_shape(b),
+    )),
+    "cwl": (6, (
+        lambda b, s, p: check_cwl_oracle(b),
+        lambda b, s, p: check_schwartau(b),
+        lambda b, s, p: check_hope(b),
+    )),
+    "regularity": (7, (lambda b, s, p: check_regularity(b),)),
+    "gin": (6, (
+        lambda b, s, p: check_gin_acm_examples(),
+        lambda b, s, p: check_ek_vs_prediction(b),
+        lambda b, s, p: check_gin_acm_wellformed(min(b, 6)),
+        lambda b, s, p: check_buchsbaum_gin(3, s, p),
+        lambda b, s, p: check_gin_vs_oracle(min(b, 6), s, p),
+        lambda b, s, p: check_gin_regularity(min(b, 5), s, p),
+    )),
+    "enumeration": (10, (
+        lambda b, s, p: check_two_skew_vs_brute_force(),
+        lambda b, s, p: check_two_skew_vs_published(),
+        lambda b, s, p: check_acm_linear_families(b),
+        lambda b, s, p: check_no_nonmin(12),
+    )),
+    "liaison-addition": (4, (lambda b, s, p: check_liaison_addition(b),)),
+    "truncation": (6, (lambda b, s, p: check_truncation(b),)),
 }
 
-SUITE_NAMES = tuple(SUITE_DEFAULT_BOUNDS)
+SUITE_NAMES = tuple(SUITES)
 
 
 def run_suite(
@@ -671,53 +576,18 @@ def run_suite(
     seed: int = 1,
     primes: tuple[int, int] = groebner.DEFAULT_PRIMES,
 ) -> SuiteResult:
-    if name not in SUITE_NAMES:
+    if name not in SUITES:
         raise ValueError(f"unknown suite {name!r}; choose from {', '.join(SUITE_NAMES)}")
-    bound = SUITE_DEFAULT_BOUNDS[name] if bound is None else bound
-    seeds = (seed, seed + 1)
+    default_bound, checks = SUITES[name]
+    bound = default_bound if bound is None else bound
     start = time.perf_counter()
-    checks: list[CheckResult] = []
+    results = []
     try:
-        if name == "reduction":
-            checks.append(check_degree_vs_hilbert(bound))
-            checks.append(check_degree_additivity(bound))
-            checks.append(check_bdl_reconstruction(bound))
-            checks.append(check_minimality_criterion(bound))
-            checks.append(check_maxweight_monotone(bound))
-            checks.append(check_fdegree(bound))
-            checks.append(check_s4_invariance(min(bound, 5)))
-        elif name == "betti":
-            checks.append(check_builder_vs_oracle_all_choices(bound))
-            checks.append(check_random_builder_vs_oracle(200, 4, seed))
-            checks.append(check_minimal_formula(3))
-            checks.append(check_sum_rule(min(bound, 6)))
-            checks.append(check_projective_dimension(bound))
-            checks.append(check_non_acm_shape(bound))
-        elif name == "cwl":
-            checks.append(check_cwl_oracle(bound))
-            checks.append(check_schwartau(bound))
-            checks.append(check_hope(bound))
-        elif name == "regularity":
-            checks.append(check_regularity(bound))
-        elif name == "gin":
-            checks.append(check_gin_acm_examples())
-            checks.append(check_ek_vs_prediction(bound))
-            checks.append(check_gin_acm_wellformed(min(bound, 6)))
-            checks.append(check_buchsbaum_gin(3, seeds, primes))
-            checks.append(check_gin_vs_oracle(min(bound, 6), seeds, primes))
-            checks.append(check_gin_regularity(min(bound, 5), seeds, primes))
-        elif name == "enumeration":
-            checks.append(check_two_skew_vs_brute_force())
-            checks.append(check_two_skew_vs_published())
-            checks.append(check_acm_linear_families(bound))
-            checks.append(check_no_nonmin(12))
-        elif name == "liaison-addition":
-            checks.append(check_liaison_addition(bound))
-        elif name == "truncation":
-            checks.append(check_truncation(bound))
+        for check in checks:
+            results.append(check(bound, (seed, seed + 1), primes))
     except TetracurvesError as exc:
-        checks.append(CheckResult(f"{name} suite aborted", False, str(exc)))
-    return SuiteResult(suite=name, checks=checks, elapsed_s=time.perf_counter() - start)
+        results.append(CheckResult(f"{name} suite aborted", False, str(exc)))
+    return SuiteResult(suite=name, checks=results, elapsed_s=time.perf_counter() - start)
 
 
 def run_suites(

@@ -2,11 +2,13 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
 
 import tetracurves
+from tetracurves import resolution
 from tetracurves.cli import main
 
 
@@ -76,6 +78,26 @@ class TestHugeWeights:
         )
         assert done.returncode == 0
         assert json.loads(done.stdout)["result"][key] == expected
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            # the ideal's grid has 100001^3 cells; a 74.5 GiB temporary ended in a MemoryError
+            ["betti", "--oracle-check", "100000,100000,100000,100000,100000,100000"],
+            # its boolean mask alone takes 25.2 GiB
+            ["hilbert", "3000,3000,3000,3000,3000,3000", "--upto", "3000"],
+        ],
+    )
+    def test_huge_ideal_grid_is_typed_error(self, argv):
+        env = dict(os.environ, PYTHONPATH=str(Path(tetracurves.__file__).parents[1]))
+        start = time.perf_counter()
+        done = subprocess.run(
+            [sys.executable, "-m", "tetracurves.cli", "--format", "json", *argv],
+            env=env, capture_output=True, text=True, timeout=60,
+        )
+        assert time.perf_counter() - start < 10
+        assert done.returncode == 1
+        assert json.loads(done.stdout)["result"]["error"] == "OracleTooLargeError"
 
 
 class TestBettiCommand:
@@ -164,6 +186,12 @@ class TestEnumerateCommand:
         code, report = run_json(capsys, "enumerate-linear", "3,3,3,1,2,4")
         assert code == 1
         assert report["result"]["error"] == "NotMinimalError"
+
+    def test_level_cap_is_typed_error(self, capsys, monkeypatch):
+        monkeypatch.setattr(resolution, "_ASCENT_LEVEL_CAP", 1)
+        code, report = run_json(capsys, "enumerate-linear", "1,0,0,0,0,1")
+        assert code == 1
+        assert report["result"]["error"] == "EnumerationCapError"
 
 
 class TestVerifyCommand:

@@ -13,7 +13,6 @@ from tetracurves.monomials import (
     MonomialIdeal,
     basic_double_link,
     component_ideal,
-    degrevlex_key,
     edge_power_ideal,
     EDGES,
     hilbert_data,
@@ -88,12 +87,6 @@ class TestMonomial:
     def test_divides(self):
         assert M("a*b").divides(M("a^2*b"))
         assert not M("a*b").divides(M("a*c"))
-
-    def test_degrevlex_order(self):
-        # a > b > c > d, and ab > c^2 in degree two
-        assert degrevlex_key(M("a")) > degrevlex_key(M("b"))
-        assert degrevlex_key(M("c")) > degrevlex_key(M("d"))
-        assert degrevlex_key(M("a*b")) > degrevlex_key(M("c^2"))
 
     @given(monomials, monomials)
     def test_lcm_divisible(self, u, v):

@@ -1,7 +1,9 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from tetracurves import resolution
 from tetracurves.exceptions import (
+    EnumerationCapError,
     IsACMError,
     NotMinimalError,
     TrivialCurveError,
@@ -340,6 +342,12 @@ class TestEnumerateLinearInClass:
     def test_rejects_acm(self):
         with pytest.raises(IsACMError):
             enumerate_linear_in_class(T("1,1,1,1,1,1"))
+
+    def test_ascent_past_the_level_cap_is_typed_error(self, monkeypatch):
+        # the two-skew-lines ascent needs more than one level
+        monkeypatch.setattr(resolution, "_ASCENT_LEVEL_CAP", 1)
+        with pytest.raises(EnumerationCapError):
+            enumerate_linear_in_class(T("1,0,0,0,0,1"))
 
 
 class TestTwoSkewPublishedCheck:
