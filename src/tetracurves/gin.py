@@ -9,22 +9,25 @@ gin(J) = a*gin(I) + (b^e) with e the maximal facet weight of J, so it is
 determined by the gin of the minimal curve of the class; that minimal gin
 is known when the minimal curve is arithmetically Buchsbaum, i.e. of shape
 (r, 0, r-1, r-1, 0, r) up to symmetry, where an explicit recursion applies.
+
+Both routes are closed forms over one reduction trace and never build the
+curve's ideal: the h-vector comes from the closed-form Betti table, and the
+basic double links are folded into one generator list, so the ideal is
+minimalized and checked for strong stability once.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
+from itertools import accumulate
 from math import comb
 
 from .exceptions import NotACMError, NotStableError, TrivialCurveError
 from .koszul import BettiTable
-from .monomials import Monomial, MonomialIdeal, hilbert_data, ideal_of_tuple
-from .tuples import (
-    TetTuple,
-    buchsbaum_minimal_r,
-    reduction_trace,
-    regularity_closed_form,
-)
+from .monomials import Monomial, MonomialIdeal
+from .resolution import _trace_recipe
+from .tuples import ReductionTrace, TetTuple, buchsbaum_minimal_r, reduction_trace
 
 
 def is_strongly_stable(ideal: MonomialIdeal) -> bool:
@@ -72,22 +75,47 @@ def ek_betti(stable: StableIdeal) -> BettiTable:
     return BettiTable.from_dict(table)
 
 
+def _lex_gin(trace: ReductionTrace) -> StableIdeal:
+    """gin of the ACM curve traced, read off its closed-form Betti table.
+    The Hilbert series numerator 1 + sum (-1)^(i+1) beta_ij t^j divided by
+    (1 - t)^2 (two prefix sums) is the h-vector; with k_d = d - h_d the lex
+    ideal's minimal generators in degree d are a^(d-i) b^i for i from
+    k_(d-1) + 2 (or 0 when k_(d-1) < 0) to k_d."""
+    numerator = Counter({0: 1})
+    for i, j, r in _trace_recipe(trace).assemble().entries:
+        numerator[j] += (-1) ** (i + 1) * r
+    h = list(accumulate(accumulate(numerator[d] for d in range(max(numerator) + 1))))
+    while h and h[-1] == 0:
+        h.pop()
+    gens, last = [], -1
+    for d in range(len(h) + 1):
+        k = d - (h[d] if d < len(h) else 0)
+        gens += (Monomial((d - i, i, 0, 0)) for i in range(last + 2 if last >= 0 else 0, k + 1))
+        last = k
+    return StableIdeal(tuple(gens))
+
+
 def gin_acm(t: TetTuple) -> StableIdeal:
     """gin of an ACM curve: the lex ideal in a, b whose artinian quotient
     has the curve's h-vector; in each degree d it spans the first
     d+1-h_d monomials of k[a,b]_d in lex order."""
     if t.is_trivial:
         raise TrivialCurveError("gin is undefined for the trivial curve")
-    if not reduction_trace(t).is_acm:
+    trace = reduction_trace(t)
+    if not trace.is_acm:
         raise NotACMError(f"({t}) is not arithmetically Cohen-Macaulay")
-    data = hilbert_data(ideal_of_tuple(t), regularity_closed_form(t) + 3)
-    h = data.h_vector
-    gens = []
-    for d in range(len(h) + 1):
-        h_d = h[d] if d < len(h) else 0
-        for i in range(d + 1 - h_d):
-            gens.append(Monomial((d - i, i, 0, 0)))
-    return StableIdeal(tuple(gens))
+    return _lex_gin(trace)
+
+
+def _buchsbaum_generators(r: int, shift: int = 0) -> list[Monomial]:
+    """Generators of a^shift * gin(r,0,r-1,r-1,0,r), not all minimal: the
+    recursion below unrolled from gin(0) = (1), step k's triple times
+    a^(2(r-1-k))."""
+    gens = [Monomial((2 * r + shift, 0, 0, 0))]
+    for k in range(r):
+        s = 2 * (r - 1 - k) + shift
+        gens += (Monomial((s + 1, 2 * k + 1, 0, 0)), Monomial((s, 2 * k + 2, 0, 0)), Monomial((s + k + 1, k, 1, 0)))
+    return gens
 
 
 def gin_buchsbaum_minimal(r: int) -> StableIdeal:
@@ -95,16 +123,7 @@ def gin_buchsbaum_minimal(r: int) -> StableIdeal:
     recursion gin(r+1) = (a^2)*gin(r) + (a b^(2r+1), b^(2r+2), a^(r+1) b^r c)."""
     if r < 1:
         raise ValueError("r must be at least 1")
-    gin = MonomialIdeal.of("a^2", "a*b", "b^2", "a*c")
-    for k in range(1, r):
-        gin = gin.scaled(Monomial.of(2, 0, 0, 0)) + MonomialIdeal(
-            (
-                Monomial((1, 2 * k + 1, 0, 0)),
-                Monomial((0, 2 * k + 2, 0, 0)),
-                Monomial((k + 1, k, 1, 0)),
-            )
-        )
-    return StableIdeal(gin.generators)
+    return StableIdeal(tuple(_buchsbaum_generators(r)))
 
 
 def gin_bdl_step(gin_ideal: MonomialIdeal, e: int) -> StableIdeal:
@@ -125,11 +144,11 @@ def gin_of_curve(t: TetTuple) -> StableIdeal | None:
         raise TrivialCurveError("gin is undefined for the trivial curve")
     trace = reduction_trace(t)
     if trace.is_acm:
-        return gin_acm(t)
+        return _lex_gin(trace)
     r = buchsbaum_minimal_r(trace.terminal)
     if r is None:
         return None
-    gin: MonomialIdeal = gin_buchsbaum_minimal(r)
-    for weight in reversed(trace.weights):
-        gin = gin_bdl_step(gin, weight)
-    return StableIdeal(gin.generators)
+    # gin_bdl_step folded: the j-th step from the top multiplies by a^j
+    gens = _buchsbaum_generators(r, len(trace.weights))
+    gens += (Monomial((j, e, 0, 0)) for j, e in enumerate(trace.weights))
+    return StableIdeal(tuple(gens))

@@ -33,11 +33,13 @@ NVARS = 4
 # edges are at positions (0,5), (1,4), (2,3).
 EDGES = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
 
-# the memory limit of ideal_of_tuple's grid and of the Koszul oracle's box,
-# and the grid's peak bytes per cell (two int64 arrays of the least d-exponent
-# and boolean masks; 17.0 measured)
+# the memory limit of ideal_of_tuple's grid, hilbert_data's degree lists and
+# the Koszul oracle's box; the grid's peak bytes per cell (two int64 arrays of
+# the least d-exponent and boolean masks; 17.0 measured) and hilbert_data's
+# per degree up to the bound (Python lists of ints; 65.4 measured)
 ORACLE_MEMORY_LIMIT = 1 << 30
 _GRID_BYTES_PER_CELL = 17
+_HILBERT_BYTES_PER_DEGREE = 66
 
 
 def variable_index(g: int | str) -> int:
@@ -365,7 +367,9 @@ def hilbert_data(ideal: MonomialIdeal, upto: int) -> HilbertData:
     """Count standard monomials of R/I in degrees 0..upto.
 
     Raises BoundTooSmallError if the first differences have not stabilized
-    by `upto`; callers should pass roughly regularity + 3.
+    by `upto`; callers should pass roughly regularity + 3.  Raises
+    OracleTooLargeError when the lists of values would need more than
+    ORACLE_MEMORY_LIMIT bytes.
 
     The count runs over the columns (p0, p1, p2) of `exponent_box` capped at
     `upto`, so its cost is the box below the generators' lcm (or below upto,
@@ -380,6 +384,8 @@ def hilbert_data(ideal: MonomialIdeal, upto: int) -> HilbertData:
     """
     if upto < 0:
         raise ValueError("upto must be non-negative")
+    if (estimate := (upto + 1) * _HILBERT_BYTES_PER_DEGREE) > ORACLE_MEMORY_LIMIT:
+        raise OracleTooLargeError(f"the Hilbert function up to degree {upto} needs about {estimate >> 20} MiB")
     least, top = exponent_box(ideal, bound=upto)
     axes = np.indices(least.shape, sparse=True)
     start = sum(axes)

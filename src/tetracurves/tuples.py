@@ -489,6 +489,9 @@ def buchsbaum_minimal_r(t: TetTuple) -> int | None:
     if t.is_trivial:
         return None
     r = max(t.entries)
+    # S4 only permutes the entries, so other sorted entries mean another orbit
+    if sorted(t.entries) != [0, 0, r - 1, r - 1, r, r]:
+        return None
     model = TetTuple((r, 0, r - 1, r - 1, 0, r))
     if canonicalize(t)[0] == canonicalize(model)[0]:
         return r

@@ -99,6 +99,19 @@ class TestHugeWeights:
         assert done.returncode == 1
         assert json.loads(done.stdout)["result"]["error"] == "OracleTooLargeError"
 
+    def test_huge_hilbert_bound_is_typed_error(self):
+        # a tiny box, but the lists of values up to 10^9 ended in a MemoryError
+        env = dict(os.environ, PYTHONPATH=str(Path(tetracurves.__file__).parents[1]))
+        start = time.perf_counter()
+        done = subprocess.run(
+            [sys.executable, "-m", "tetracurves.cli", "--format", "json",
+             "hilbert", "1,0,0,0,0,1", "--upto", "1000000000"],
+            env=env, capture_output=True, text=True, timeout=60,
+        )
+        assert time.perf_counter() - start < 10
+        assert done.returncode == 1
+        assert json.loads(done.stdout)["result"]["error"] == "OracleTooLargeError"
+
 
 class TestBettiCommand:
     def test_oracle_check_passes(self, capsys):

@@ -1,6 +1,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from tetracurves import gin as gin_module, monomials
 from tetracurves.exceptions import NotACMError, NotStableError, TrivialCurveError
 from tetracurves.gin import (
     StableIdeal,
@@ -15,13 +16,46 @@ from tetracurves.gin import (
 from tetracurves.koszul import BettiTable
 from tetracurves.monomials import Monomial, MonomialIdeal, hilbert_data, ideal_of_tuple
 from tetracurves.resolution import gin_betti_prediction
-from tetracurves.tuples import TetTuple, is_acm, regularity_closed_form
+from tetracurves.tuples import TetTuple, buchsbaum_minimal_r, is_acm, reduction_trace, regularity_closed_form
+from tetracurves.verify import iter_tuples
 
 small_tuples = st.tuples(*[st.integers(0, 2)] * 6).map(TetTuple)
 
 
 def T(text):
     return TetTuple.parse(text)
+
+
+def hilbert_gin_acm(t):
+    """Test-only copy of the former `gin_acm`: the h-vector counted by
+    `hilbert_data` on the curve's ideal, every lex monomial of every degree,
+    then one `StableIdeal`."""
+    h = hilbert_data(ideal_of_tuple(t), regularity_closed_form(t) + 3).h_vector
+    gens = []
+    for d in range(len(h) + 1):
+        h_d = h[d] if d < len(h) else 0
+        gens += (Monomial((d - i, i, 0, 0)) for i in range(d + 1 - h_d))
+    return StableIdeal(tuple(gens))
+
+
+def stepwise_gin_buchsbaum_minimal(r):
+    """Test-only copy of the former recursion: one ideal per step."""
+    gin = MonomialIdeal.of("a^2", "a*b", "b^2", "a*c")
+    for k in range(1, r):
+        gin = gin.scaled(Monomial.of(2, 0, 0, 0)) + MonomialIdeal(
+            (Monomial((1, 2 * k + 1, 0, 0)), Monomial((0, 2 * k + 2, 0, 0)), Monomial((k + 1, k, 1, 0)))
+        )
+    return StableIdeal(gin.generators)
+
+
+def stepwise_gin_of_curve(t):
+    """Test-only copy of the former non-ACM route: `gin_bdl_step` folded
+    along the trace, one `StableIdeal` per step."""
+    trace = reduction_trace(t)
+    gin = stepwise_gin_buchsbaum_minimal(buchsbaum_minimal_r(trace.terminal))
+    for weight in reversed(trace.weights):
+        gin = gin_bdl_step(gin, weight)
+    return gin
 
 
 class TestStability:
@@ -74,6 +108,42 @@ class TestGinAcm:
         assert all(m.exps[2] == 0 and m.exps[3] == 0 for m in g.generators)
         upto = regularity_closed_form(t) + 3
         assert hilbert_data(g, upto).values == hilbert_data(ideal_of_tuple(t), upto).values
+
+
+class TestClosedFormReferences:
+    def test_gin_acm_matches_hilbert_construction_up_to_weight_9(self):
+        for t in iter_tuples(9):
+            if is_acm(t):
+                assert gin_acm(t) == hilbert_gin_acm(t), t
+
+    @pytest.mark.parametrize("weight", [20, 60])
+    def test_gin_acm_matches_hilbert_construction_on_thick_curves(self, weight):
+        t = TetTuple((weight,) * 6)
+        assert gin_acm(t) == hilbert_gin_acm(t)
+
+    def test_buchsbaum_gin_matches_recursion(self):
+        for r in range(1, 13):
+            assert gin_buchsbaum_minimal(r) == stepwise_gin_buchsbaum_minimal(r), r
+
+    def test_bdl_fold_matches_stepwise(self):
+        t = TetTuple((79, 63, 51, 44, 18, 18))
+        assert not is_acm(t)
+        assert gin_of_curve(t) == stepwise_gin_of_curve(t)
+
+    def test_gin_of_curve_stays_off_the_monomial_engine(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("gin_of_curve reached the monomial engine")
+
+        for module in (monomials, gin_module):
+            for name in ("ideal_of_tuple", "hilbert_data"):
+                if hasattr(module, name):
+                    monkeypatch.setattr(module, name, refuse)
+        acm = [T("1,2,2,2,1,2"), T("2,1,4,1,1,3"), T("2,5,5,5,5,0"), TetTuple((20,) * 6)]
+        rooted = [T("1,0,0,0,0,1"), T("2,1,0,0,0,1"), TetTuple((79, 63, 51, 44, 18, 18))]
+        assert all(is_acm(t) for t in acm) and not any(is_acm(t) for t in rooted)
+        for t in acm + rooted:
+            assert gin_of_curve(t) is not None
+        assert len(gin_of_curve(TetTuple((100,) * 6)).generators) == 201
 
 
 class TestEkBetti:

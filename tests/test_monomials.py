@@ -7,6 +7,7 @@ from tetracurves.exceptions import (
     BoundTooSmallError,
     FNotInIdealError,
     GDividesFError,
+    OracleTooLargeError,
 )
 from tetracurves.monomials import (
     Monomial,
@@ -244,6 +245,11 @@ class TestHilbertData:
             hilbert_data(MonomialIdeal.zero(), 6)
         with pytest.raises(BoundTooSmallError):
             hilbert_data(MonomialIdeal.of("a", "b"), 0)
+
+    def test_huge_bound_is_typed_error(self):
+        # the lists of values alone would take about 61 GiB
+        with pytest.raises(OracleTooLargeError):
+            hilbert_data(ideal_of_tuple((1, 0, 0, 0, 0, 1)), 10**9)
 
     @given(ideals(), st.integers(0, 12))
     @example(MonomialIdeal.zero(), 3)

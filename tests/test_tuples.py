@@ -300,6 +300,18 @@ class TestBuchsbaumDetection:
         assert buchsbaum_minimal_r(T("0,2,1,1,2,0")) == 2
         assert buchsbaum_minimal_r(T("4,1,2,1,1,5")) is None
 
+    def test_matches_canonicalize_only_up_to_weight_8(self):
+        # test-only copy of the former detection: canonicalize every tuple
+        def canonical_r(t):
+            if t.is_trivial:
+                return None
+            r = max(t.entries)
+            model = TetTuple((r, 0, r - 1, r - 1, 0, r))
+            return r if canonicalize(t)[0] == canonicalize(model)[0] else None
+
+        for t in iter_tuples(8, include_trivial=True):
+            assert buchsbaum_minimal_r(t) == canonical_r(t)
+
 
 class TestComponentwiseLinearity:
     @pytest.mark.parametrize(
