@@ -16,7 +16,6 @@ import sys
 import time
 
 from . import __version__
-from . import verify
 from .exceptions import TetracurvesError
 from .gin import ek_betti, gin_of_curve
 from .groebner import DEFAULT_PRIMES, check_primes, gin_oracle
@@ -158,6 +157,8 @@ def _run_gin(args) -> tuple[dict, int]:
 
 
 def _run_hilbert(args) -> tuple[dict, int]:
+    if args.upto < 0:
+        raise argparse.ArgumentError(None, "--upto must be non-negative")
     data = hilbert_data(ideal_of_tuple(TetTuple.parse(args.tuple)), args.upto)
     return (
         {"values": list(data.values), "h_vector": list(data.h_vector), "degree": data.degree},
@@ -171,6 +172,12 @@ def _run_enumerate(args) -> tuple[dict, int]:
 
 
 def _run_verify(args) -> tuple[dict, int]:
+    from . import verify
+
+    if args.suite != "all" and args.suite not in verify.SUITES:
+        raise argparse.ArgumentError(
+            None, f"unknown suite {args.suite!r}; choose from {', '.join(verify.SUITE_NAMES)}"
+        )
     names = verify.SUITE_NAMES if args.suite == "all" else (args.suite,)
     results = verify.run_suites(
         names, bound=args.bound, seed=args.seed, primes=args.primes
@@ -252,10 +259,14 @@ def main(argv: list[str] | None = None) -> int:
     started = time.perf_counter()
     try:
         result, code = _RUNNERS[args.command](args)
-    except TetracurvesError as exc:
-        result, code = {"error": type(exc).__name__, "message": str(exc)}, 1
-    except ValueError as exc:
+    except argparse.ArgumentError as exc:
         parser.error(str(exc))
+    except Exception as exc:
+        if not isinstance(exc, TetracurvesError):  # a defect, not a typed refusal
+            import traceback
+
+            traceback.print_exc()
+        result, code = {"error": type(exc).__name__, "message": str(exc)}, 1
 
     provenance = {
         "version": __version__,

@@ -19,8 +19,6 @@ import functools
 import math
 import random
 
-import numpy as np
-
 from .exceptions import DisagreementError, NotBorelFixedError
 from .gin import StableIdeal, is_strongly_stable
 from .koszul import betti_table_oracle
@@ -51,6 +49,7 @@ def _basis(d: int) -> tuple[tuple[int, int, int, int], ...]:
 @functools.lru_cache(maxsize=64)
 def _shifts(d: int) -> np.ndarray:
     """Row j maps each degree-d column to the degree-(d+1) column of x_j times it."""
+    import numpy as np
     index = {e: k for k, e in enumerate(_basis(d + 1))}
     return np.array([[index[e[:j] + (e[j] + 1,) + e[j + 1 :]] for e in _basis(d)] for j in range(NVARS)])
 
@@ -83,6 +82,7 @@ def leading_monomials(polys: dict[int, np.ndarray], top: int, p: int) -> Monomia
     by homogeneous polynomials over F_p, given as {degree d: rows of
     coefficients over _basis(d)}.  The degree-d Macaulay matrix holds the
     degree-d generators and the a, b, c, d shifts of the degree-(d-1) echelon rows."""
+    import numpy as np
     polys = {d: np.asarray(rows, dtype=np.int64) % p for d, rows in polys.items()}
     if not any(rows.any() for rows in polys.values()):
         raise ValueError("need at least one non-zero polynomial")
@@ -104,6 +104,7 @@ def leading_monomials(polys: dict[int, np.ndarray], top: int, p: int) -> Monomia
 def _substituted(ideal: MonomialIdeal, matrix: list[list[int]], p: int) -> dict[int, np.ndarray]:
     """Coefficient rows, by degree, of the minimal generators after the
     substitution x_i -> sum_j matrix[i][j] x_j."""
+    import numpy as np
     coeffs = np.array(matrix, dtype=np.int64)[:, :, None]
     images = {(0, 0, 0, 0): np.ones(1, dtype=np.int64)}
 
@@ -126,6 +127,7 @@ def _substituted(ideal: MonomialIdeal, matrix: list[list[int]], p: int) -> dict[
 def random_invertible_matrix(seed: int, prime: int) -> list[list[int]]:
     """A uniformly sampled invertible 4x4 matrix over F_p, deterministic in
     the seed (resampled until it has full rank)."""
+    import numpy as np
     rng = random.Random(seed)
     while True:
         matrix = [[rng.randrange(prime) for _ in range(NVARS)] for _ in range(NVARS)]
@@ -135,6 +137,7 @@ def random_invertible_matrix(seed: int, prime: int) -> list[list[int]]:
 
 def _hilbert_at(ideal: MonomialIdeal, d: int) -> int:
     """dim_k (R/I)_d: the degree-d monomials outside the ideal."""
+    import numpy as np
     monomials = np.array(_basis(d))
     gens = np.array([g.exps for g in ideal.generators]).reshape(-1, NVARS)
     return int((~(monomials[:, None, :] >= gens[None, :, :]).all(axis=2).any(axis=1)).sum())

@@ -25,8 +25,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping
 
-import numpy as np
-
 from .exceptions import OracleTooLargeError
 from .monomials import ORACLE_MEMORY_LIMIT, Monomial, MonomialIdeal, NVARS, exponent_box
 
@@ -243,6 +241,7 @@ def betti_table_oracle(ideal: MonomialIdeal) -> BettiTable:
     """Betti table of a proper non-zero monomial ideal by Koszul homology,
     summing homology ranks of the upper Koszul complex over all candidate
     multidegrees below the componentwise maximum of the generators."""
+    import numpy as np
     if ideal.is_zero or ideal.is_unit:
         raise ValueError("Betti oracle needs a proper non-zero ideal")
     least, top = exponent_box(ideal)

@@ -17,8 +17,6 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-import numpy as np
-
 from .exceptions import (
     BoundTooSmallError,
     FNotInIdealError,
@@ -33,10 +31,11 @@ NVARS = 4
 # edges are at positions (0,5), (1,4), (2,3).
 EDGES = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
 
-# the memory limit of ideal_of_tuple's grid, hilbert_data's degree lists and
-# the Koszul oracle's box; the grid's peak bytes per cell (two int64 arrays of
-# the least d-exponent and boolean masks; 17.0 measured) and hilbert_data's
-# per degree up to the bound (Python lists of ints; 65.4 measured)
+# the memory limit of ideal_of_tuple's grid, hilbert_data's degree lists,
+# minimalize's pairwise comparison and the Koszul oracle's box; the grid's
+# peak bytes per cell (two int64 arrays of the least d-exponent and boolean
+# masks; 17.0 measured) and hilbert_data's per degree up to the bound (Python
+# lists of ints; 65.4 measured)
 ORACLE_MEMORY_LIMIT = 1 << 30
 _GRID_BYTES_PER_CELL = 17
 _HILBERT_BYTES_PER_DEGREE = 66
@@ -144,6 +143,10 @@ def minimalize(monomials: Iterable[Monomial]) -> list[Monomial]:
 
 
 def _minimalize_bulk(ms: list[Monomial]) -> list[Monomial]:
+    import numpy as np
+    # the (n, n, 4) comparison and its (n, n) reduction: 5 bytes per pair (5.0 measured)
+    if (estimate := 5 * len(ms) ** 2) > ORACLE_MEMORY_LIMIT:
+        raise OracleTooLargeError(f"minimalizing {len(ms)} monomials needs about {estimate >> 20} MiB")
     # ms is deduplicated, so "divisible by a different element" marks exactly
     # the non-minimal ones.
     E = np.array([m.exps for m in ms], dtype=np.int32)
@@ -259,6 +262,7 @@ def ideal_of_tuple(t: Sequence[int]) -> MonomialIdeal:
     Exponents of minimal generators never exceed the largest weight at their
     vertex, which bounds the grid.  Raises OracleTooLargeError when the grid
     would need more than ORACLE_MEMORY_LIMIT bytes."""
+    import numpy as np
     entries = tuple(t)
     if len(entries) != 6 or any(a < 0 for a in entries):
         raise ValueError(f"need six non-negative weights, got {entries}")
@@ -298,6 +302,7 @@ def exponent_box(
     the ideal, or top[3] + 1 when there is none.  It is the prefix minimum of
     the generators' d-exponents; a generator past a cap divides no box point
     and is dropped."""
+    import numpy as np
     gens = np.array([g.exps for g in ideal.generators], dtype=np.int64).reshape(-1, NVARS)
     top = gens.max(axis=0, initial=0)
     if bound is not None:
@@ -382,6 +387,7 @@ def hilbert_data(ideal: MonomialIdeal, upto: int) -> HilbertData:
     s = p0 + p1 + p2 and u the number of p0, p1, p2 on the upper face; the
     second term drops when no p3 in the box is in the ideal.
     """
+    import numpy as np
     if upto < 0:
         raise ValueError("upto must be non-negative")
     if (estimate := (upto + 1) * _HILBERT_BYTES_PER_DEGREE) > ORACLE_MEMORY_LIMIT:

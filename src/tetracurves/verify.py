@@ -587,8 +587,10 @@ def run_suite(
     try:
         for check in checks:
             results.append(check(bound, (seed, seed + 1), primes))
-    except TetracurvesError as exc:
-        results.append(CheckResult(f"{name} suite aborted", False, str(exc)))
+    except Exception as exc:
+        # a package error is a typed refusal; anything else is a defect, named by its type
+        detail = str(exc) if isinstance(exc, TetracurvesError) else f"{type(exc).__name__}: {exc}"
+        results.append(CheckResult(f"{name} suite aborted", False, detail))
     return SuiteResult(suite=name, checks=results, elapsed_s=time.perf_counter() - start)
 
 

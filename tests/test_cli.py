@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -6,10 +8,12 @@ import time
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import tetracurves
-from tetracurves import resolution
+from tetracurves import cli, gin, resolution
 from tetracurves.cli import main
+from tetracurves.verify import SUITE_NAMES
 
 
 def run(capsys, *argv):
@@ -43,6 +47,51 @@ class TestClassifyCommand:
         with pytest.raises(SystemExit) as exc:
             main(["classify", "3,3,3"])
         assert exc.value.code == 2
+
+    def test_defect_is_json_error_with_traceback(self, capsys, monkeypatch):
+        # a ValueError from a closed form is a computation error, not a usage error
+        def broken(t):
+            raise ValueError("max() arg is an empty sequence")
+
+        monkeypatch.setattr(cli, "classify", broken)
+        code = main(["--format", "json", "classify", "3,3,3,1,2,4"])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert json.loads(captured.out)["result"] == {
+            "error": "ValueError",
+            "message": "max() arg is an empty sequence",
+        }
+        assert "Traceback" in captured.err
+
+
+class TestColdImports:
+    # pytest's own process already holds numpy, so the probe runs in a fresh one
+    PROBE = """
+import contextlib, io, json, sys
+import tetracurves
+report = {"import": "numpy" in sys.modules}
+from tetracurves.cli import main
+with contextlib.redirect_stdout(io.StringIO()):
+    codes = [main(["--format", "json", c, "3,3,3,1,2,4"]) for c in ("classify", "reduce", "betti")]
+    report["commands"] = [m for m in ("numpy", "tetracurves.verify") if m in sys.modules]
+    codes.append(main(["--format", "json", "betti", "--oracle-check", "3,3,3,1,2,4"]))
+report["oracle"] = "numpy" in sys.modules
+print(json.dumps({"codes": codes, **report}))
+"""
+
+    def test_closed_form_commands_load_neither_numpy_nor_verify(self):
+        env = dict(os.environ, PYTHONPATH=str(Path(tetracurves.__file__).parents[1]))
+        done = subprocess.run(
+            [sys.executable, "-c", self.PROBE], env=env, capture_output=True, text=True, timeout=60
+        )
+        assert done.returncode == 0, done.stderr
+        assert json.loads(done.stdout) == {
+            "codes": [0, 0, 0, 0],
+            "import": False,
+            "commands": [],
+            # positive control: the Koszul oracle does load numpy
+            "oracle": True,
+        }
 
 
 class TestReduceCommand:
@@ -111,6 +160,75 @@ class TestHugeWeights:
         assert time.perf_counter() - start < 10
         assert done.returncode == 1
         assert json.loads(done.stdout)["result"]["error"] == "OracleTooLargeError"
+
+
+_small = st.integers(0, 6).map(str)
+_bad_weight = st.one_of(
+    st.sampled_from(["", "x", "1.5", "2.0", "1e3", "0x10", "True", "False", "None"]),
+    st.integers(max_value=-1).map(str),
+    # past int()'s 4300-digit limit for strings
+    st.integers(4301, 5000).map(lambda n: "9" * n),
+)
+_bad_tuple = st.one_of(
+    st.lists(_small, max_size=12).filter(lambda w: len(w) != 6).map(",".join),
+    st.builds(
+        lambda w, bad, k: ",".join(w[:k] + [bad] + w[k:]),
+        st.lists(_small, min_size=5, max_size=5), _bad_weight, st.integers(0, 5),
+    ),
+)
+_good_tuple = st.lists(st.integers(0, 3).map(str), min_size=6, max_size=6).map(",".join)
+_bad_upto = st.one_of(
+    st.sampled_from(["", "x", "1.5", "True"]),
+    st.integers(max_value=-1).map(str),
+    # the values up to 2^24 alone would need over 1 GiB
+    st.integers(min_value=2**24).map(str),
+)
+_bad_prime = st.one_of(
+    st.sampled_from(["", "p", "3.5"]),
+    st.integers(max_value=2**14).map(str),
+    st.integers(min_value=2**31).map(str),
+    st.integers(2**13 + 1, 2**30 - 1).map(lambda k: str(2 * k)),
+)
+
+
+def _prime_flags(*primes):
+    return [arg for p in primes for arg in ("--prime", p)]
+
+
+_bad_primes = st.one_of(
+    st.builds(_prime_flags, _bad_prime),
+    st.builds(_prime_flags, _bad_prime, st.just("32003")),
+    st.builds(_prime_flags, st.just("32003"), _bad_prime),
+    st.sampled_from(["32003", "31991"]).map(lambda p: _prime_flags(p, p)),
+)
+_bad_suite = st.text(max_size=12).filter(lambda s: s not in SUITE_NAMES + ("all",))
+HOSTILE_ARGV = st.one_of(
+    st.builds(
+        lambda c, t: [c, t],
+        st.sampled_from(["classify", "reduce", "betti", "gin", "enumerate-linear"]), _bad_tuple,
+    ),
+    st.builds(lambda t, u: ["hilbert", t, "--upto", u], _bad_tuple, st.integers(0, 5).map(str)),
+    st.builds(lambda t, u: ["hilbert", t, "--upto", u], _good_tuple, _bad_upto),
+    st.builds(lambda p: ["gin", "1,0,0,0,0,1", *p], _bad_primes),
+    st.builds(lambda p: ["verify", *p], _bad_primes),
+    st.builds(lambda s: ["verify", "--suite", s], _bad_suite),
+)
+
+
+class TestHostileArgv:
+    @settings(max_examples=300)
+    @given(HOSTILE_ARGV)
+    def test_usage_error_or_json_error(self, argv):
+        out = io.StringIO()
+        try:
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+                code = main(["--format", "json", *argv])
+        except SystemExit as exc:
+            assert exc.code == 2
+            assert out.getvalue() == ""
+        else:
+            assert code == 1
+            assert set(json.loads(out.getvalue())["result"]) == {"error", "message"}
 
 
 class TestBettiCommand:
@@ -183,6 +301,12 @@ class TestHilbertCommand:
         assert values == [1] + [2 * d + 2 for d in range(1, 121)]
         assert report["result"]["degree"] == 2
 
+    def test_negative_bound_is_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["hilbert", "1,0,0,0,0,1", "--upto", "-1"])
+        assert exc.value.code == 2
+        assert "--upto" in capsys.readouterr().err
+
     def test_bound_too_small(self, capsys):
         code, report = run_json(capsys, "hilbert", "2,0,1,1,0,2", "--upto", "1")
         assert code == 1
@@ -224,6 +348,22 @@ class TestVerifyCommand:
         with pytest.raises(SystemExit) as exc:
             main(["verify", "--suite", "nope"])
         assert exc.value.code == 2
+
+    def test_defect_in_a_closed_form_aborts_the_suite(self, capsys, monkeypatch):
+        # a ValueError from a closed form is a failed check, not a usage error
+        def broken(t):
+            raise ValueError("max() arg is an empty sequence")
+
+        monkeypatch.setattr(gin, "gin_acm", broken)
+        code, report = run_json(capsys, "verify", "--suite", "gin", "--bound", "2")
+        assert code == 1
+        assert report["result"]["suites"][0]["checks"] == [
+            {
+                "name": "gin suite aborted",
+                "passed": False,
+                "detail": "ValueError: max() arg is an empty sequence",
+            }
+        ]
 
     def test_enumeration_suite_reports_published_list_mismatch(self, capsys):
         # the published list differs from the computed one by three errata,

@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 
 import pytest
 from hypothesis import example, given, strategies as st
@@ -110,6 +111,17 @@ class TestMinimalize:
             for j, v in enumerate(kept):
                 if i != j:
                     assert not u.divides(v)
+
+    def test_bulk_over_memory_limit_is_typed_error(self):
+        # 15,000 monomials would need a 1.05 GiB pairwise comparison
+        ms = [Monomial((k, 15_000 - k, 0, 0)) for k in range(15_000)]
+        tracemalloc.start()
+        try:
+            with pytest.raises(OracleTooLargeError):
+                minimalize(ms)
+            assert tracemalloc.get_traced_memory()[1] < 2**25
+        finally:
+            tracemalloc.stop()
 
     def test_bulk_path_matches_small_path(self):
         import itertools

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from tetracurves import resolution, tuples, verify
+from tetracurves import gin, resolution, tuples, verify
 from tetracurves.exceptions import FNotInIdealError
 from tetracurves.koszul import BettiTable
 
@@ -96,3 +96,15 @@ def test_abort_keeps_the_earlier_checks(monkeypatch):
     assert [c.passed for c in result.checks] == [True, True, False]
     assert result.checks[2].detail == "refused"
     assert not result.passed
+
+
+def test_defect_aborts_its_suite_and_the_next_suite_runs(monkeypatch):
+    def broken(t):
+        raise ValueError("max() arg is an empty sequence")
+
+    monkeypatch.setattr(gin, "gin_acm", broken)
+    aborted, after = verify.run_suites(("gin", "liaison-addition"), bound=3)
+    assert [(c.name, c.passed, c.detail) for c in aborted.checks] == [
+        ("gin suite aborted", False, "ValueError: max() arg is an empty sequence"),
+    ]
+    assert after.checks and after.passed
