@@ -4,7 +4,9 @@ cross-validated by independent monomial and Groebner oracles."""
 
 __version__ = "0.1.0"
 
-from .koszul import BettiTable, betti_table_oracle, reduced_homology_ranks, upper_koszul
+from types import ModuleType as _ModuleType
+
+from .koszul import BettiTable, betti_table_oracle, reduced_homology_ranks
 from .monomials import (
     HilbertData,
     Monomial,
@@ -23,7 +25,6 @@ from .resolution import (
     classify,
     enumerate_linear_in_class,
     gin_betti_prediction,
-    has_linear_resolution,
     minimal_curve_betti,
 )
 from .gin import (
@@ -56,4 +57,8 @@ from .tuples import (
     schwartau_status,
 )
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+# the submodules are bound here by the imports above; they are not exports
+__all__ = sorted(
+    name for name, value in globals().items()
+    if not name.startswith("_") and not isinstance(value, _ModuleType)
+)

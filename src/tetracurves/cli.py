@@ -178,10 +178,13 @@ def _run_verify(args) -> tuple[dict, int]:
         raise argparse.ArgumentError(
             None, f"unknown suite {args.suite!r}; choose from {', '.join(verify.SUITE_NAMES)}"
         )
+    if args.bound is not None and args.bound < 1:
+        raise argparse.ArgumentError(None, "--bound must be at least 1")
     names = verify.SUITE_NAMES if args.suite == "all" else (args.suite,)
-    results = verify.run_suites(
-        names, bound=args.bound, seed=args.seed, primes=args.primes
-    )
+    results = [
+        verify.run_suite(n, bound=args.bound, seed=args.seed, primes=args.primes)
+        for n in names
+    ]
     payload = {"suites": [r.as_dict() for r in results]}
     return payload, 0 if all(r.passed for r in results) else 1
 

@@ -10,15 +10,8 @@ class TrivialCurveError(TetracurvesError):
 
 
 class NotApplicableError(TetracurvesError):
-    """A reduction of the requested type cannot be applied to this tuple."""
-
-
-class IsMinimalError(TetracurvesError):
-    """No reduction exists because the curve is minimal."""
-
-
-class IsTrivialError(TetracurvesError):
-    """No reduction exists because the curve is trivial."""
+    """A reduction cannot be applied: not of the requested type, or none at
+    all because the curve is minimal or trivial."""
 
 
 class NotMinimalError(TetracurvesError):

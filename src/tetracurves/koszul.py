@@ -5,89 +5,36 @@ complex are the squarefree divisors t of m with m/t in I, and
 
     beta_{i, deg m}(I)  =  rank H~_{i-1}(K(I, m); Q),
 
-where i = 0 counts minimal generators of I.  Candidate multidegrees run
-over the box below the componentwise maximum of the generators, the same
-exponent box (`monomials.exponent_box`) the Hilbert counter uses: the oracle
-reads the ideal's membership on it once, encodes each multidegree's complex
-as a 16-bit face mask, and sums homology ranks per distinct mask and degree.
-Complexes on at most four vertices are torsion-free, so ranks over Q are
-exact and characteristic-independent; boundary ranks are computed in exact
-rational arithmetic.
+where i = 0 counts minimal generators of I.  A simplicial complex on the
+four vertices a, b, c, d is a 16-bit face mask throughout: bit s is set when
+the vertex set s (bit v of s for vertex v) is a face.  Candidate
+multidegrees run over the box below the componentwise maximum of the
+generators, the same exponent box (`monomials.exponent_box`) the Hilbert
+counter uses: the oracle reads the ideal's membership on it once, builds
+every multidegree's face mask from it, and sums `reduced_homology_ranks`
+per distinct mask and degree.  Complexes on at most four vertices are
+torsion-free, so ranks over Q are exact and characteristic-independent;
+boundary ranks are computed in exact rational arithmetic.
 """
 
 from __future__ import annotations
 
 import functools
-import itertools
-import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping
+from typing import Mapping
 
 from .exceptions import OracleTooLargeError
-from .monomials import ORACLE_MEMORY_LIMIT, Monomial, MonomialIdeal, NVARS, exponent_box
+from .monomials import ORACLE_MEMORY_LIMIT, MonomialIdeal, NVARS, exponent_box
 
 # the oracle's peak bytes per cell of the padded box (uint16 face masks,
 # int64 degree index, boolean temporaries; 11.5 measured)
 _BYTES_PER_CELL = 12
 
-_VERTEX_BITS = tuple(1 << v for v in range(NVARS))
 _SUBSET_VERTICES = tuple(
     tuple(v for v in range(NVARS) if s & (1 << v)) for s in range(1 << NVARS)
 )
-
-
-@dataclass(frozen=True)
-class SimplicialComplex4:
-    """A simplicial complex on vertex set {a,b,c,d}, stored as its face set.
-
-    The void complex (no faces) and the empty complex ({}) are distinct:
-    the empty complex has reduced homology of rank one in dimension -1.
-    """
-
-    faces: frozenset[frozenset[int]]
-
-    def __post_init__(self):
-        for f in self.faces:
-            for v in f:
-                if not f - {v} in self.faces:
-                    raise ValueError(f"face set not downward closed at {set(f)}")
-
-    @classmethod
-    def from_faces(cls, faces: Iterable[Iterable[int]]) -> "SimplicialComplex4":
-        closed: set[frozenset[int]] = set()
-        for f in faces:
-            f = frozenset(f)
-            for k in range(len(f) + 1):
-                closed.update(frozenset(c) for c in itertools.combinations(f, k))
-        return cls(frozenset(closed))
-
-    @property
-    def is_void(self) -> bool:
-        return not self.faces
-
-    @property
-    def mask(self) -> int:
-        out = 0
-        for f in self.faces:
-            out |= 1 << sum(_VERTEX_BITS[v] for v in f)
-        return out
-
-
-def upper_koszul(ideal: MonomialIdeal, m: Monomial) -> SimplicialComplex4:
-    """Faces are the sets of variables t dividing m with m / prod(t) in I."""
-    faces = []
-    for s in range(1 << NVARS):
-        vs = _SUBSET_VERTICES[s]
-        if any(m.exps[v] == 0 for v in vs):
-            continue
-        quotient = Monomial(
-            tuple(e - (1 if v in vs else 0) for v, e in enumerate(m.exps))
-        )
-        if ideal.contains(quotient):
-            faces.append(frozenset(vs))
-    return SimplicialComplex4(frozenset(faces))
 
 
 def _exact_rank(rows: list[list[int]]) -> int:
@@ -113,14 +60,17 @@ def _exact_rank(rows: list[list[int]]) -> int:
     return rank
 
 
-def _homology_from_masks(face_masks: frozenset[int]) -> tuple[int, int, int, int]:
-    """Reduced rational homology ranks in dimensions -1, 0, 1, 2."""
+@functools.lru_cache(maxsize=None)
+def reduced_homology_ranks(mask: int) -> tuple[int, int, int, int]:
+    """Reduced rational homology ranks in dimensions -1, 0, 1, 2 of the
+    complex on {a,b,c,d} whose faces are the vertex sets s with bit s of
+    mask set.  The mask must be downward closed; 0 is the void complex
+    (acyclic) and 1 the empty complex, whose one face is the empty set
+    (rank one in dimension -1)."""
     by_dim: dict[int, list[tuple[int, ...]]] = {}
-    for s in face_masks:
-        vs = _SUBSET_VERTICES[s]
-        by_dim.setdefault(len(vs) - 1, []).append(vs)
-    for faces in by_dim.values():
-        faces.sort()
+    for s, vs in enumerate(_SUBSET_VERTICES):
+        if mask >> s & 1:
+            by_dim.setdefault(len(vs) - 1, []).append(vs)
 
     def boundary_rank(k: int) -> int:
         upper = by_dim.get(k, [])
@@ -136,26 +86,10 @@ def _homology_from_masks(face_masks: frozenset[int]) -> tuple[int, int, int, int
             rows.append(row)
         return _exact_rank(rows)
 
-    ranks = []
-    for k in range(-1, 3):
-        dim_ck = len(by_dim.get(k, []))
-        ranks.append(dim_ck - boundary_rank(k) - boundary_rank(k + 1))
-    return tuple(ranks)
-
-
-def reduced_homology_ranks(complex4: SimplicialComplex4) -> dict[int, int]:
-    """Ranks of reduced simplicial homology over Q, dimensions -1 through 2."""
-    masks = frozenset(
-        sum(_VERTEX_BITS[v] for v in f) for f in complex4.faces
+    return tuple(
+        len(by_dim.get(k, [])) - boundary_rank(k) - boundary_rank(k + 1)
+        for k in range(-1, 3)
     )
-    r = _homology_from_masks(masks)
-    return {-1: r[0], 0: r[1], 1: r[2], 2: r[3]}
-
-
-@functools.lru_cache(maxsize=None)
-def _homology_of_complex_mask(mask: int) -> tuple[int, int, int, int]:
-    faces = frozenset(s for s in range(1 << NVARS) if mask & (1 << s))
-    return _homology_from_masks(faces)
 
 
 @dataclass(frozen=True)
@@ -193,17 +127,10 @@ class BettiTable:
         return min(j for i, j, _ in self.entries if i == 0)
 
     @property
-    def max_generator_degree(self) -> int:
-        return max(j for i, j, _ in self.entries if i == 0)
-
-    @property
     def is_linear(self) -> bool:
         """All generators in one degree d and every entry on the strand j = d + i."""
         d = self.min_generator_degree
         return all(j == d + i for i, j, _ in self.entries)
-
-    def shifted(self, s: int) -> "BettiTable":
-        return BettiTable(tuple((i, j + s, r) for i, j, r in self.entries))
 
     def __add__(self, other: "BettiTable") -> "BettiTable":
         out = self.as_dict()
@@ -213,14 +140,6 @@ class BettiTable:
 
     def json_entries(self) -> list[list[int]]:
         return [[i, j, r] for i, j, r in self.entries]
-
-    def to_json(self) -> str:
-        return json.dumps({"entries": self.json_entries()})
-
-    @classmethod
-    def from_json(cls, text: str) -> "BettiTable":
-        data = json.loads(text)
-        return cls.from_dict({(i, j): r for i, j, r in data["entries"]})
 
     def render_resolution(self, target: str = "J") -> str:
         """The paper-style one-line display 0 -> ... -> target -> 0."""
@@ -270,7 +189,7 @@ def betti_table_oracle(ideal: MonomialIdeal) -> BettiTable:
         inverse * n_degrees + degrees[mixed], minlength=len(unique) * n_degrees
     ).reshape(len(unique), n_degrees)
     ranks = np.array(
-        [_homology_of_complex_mask(m) for m in unique.tolist()], dtype=np.int64
+        [reduced_homology_ranks(m) for m in unique.tolist()], dtype=np.int64
     ).reshape(-1, NVARS)
     betti = ranks.T @ counts
     rows, cols = np.nonzero(betti)

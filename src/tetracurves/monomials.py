@@ -3,10 +3,10 @@
 Monomials are exponent vectors over the four variables a, b, c, d.  A
 monomial ideal is stored by its minimal generating set (which is unique),
 so equality of `MonomialIdeal` values is equality of ideals.  The module
-covers the constructions needed for tetrahedral curves: intersections of
-powers of edge ideals, basic double links ``g*I + (F)``, graded components
-``(I_d)``, truncations ``I_{>=d}``, and Hilbert-function data for the
-quotient ring.
+covers the constructions needed for tetrahedral curves: the curve's ideal
+(the intersection of powers of edge ideals), basic double links
+``g*I + (F)``, graded components ``(I_d)``, truncations ``I_{>=d}``, and
+Hilbert-function data for the quotient ring.
 """
 
 from __future__ import annotations
@@ -105,9 +105,6 @@ class Monomial:
         if not other.divides(self):
             raise ValueError(f"{other} does not divide {self}")
         return Monomial(tuple(s - o for s, o in zip(self.exps, other.exps)))
-
-    def lcm(self, other: "Monomial") -> "Monomial":
-        return Monomial(tuple(max(s, o) for s, o in zip(self.exps, other.exps)))
 
     def __str__(self) -> str:
         if self.degree == 0:
@@ -208,10 +205,6 @@ class MonomialIdeal:
     def min_generator_degree(self) -> int:
         return min(g.degree for g in self.generators)
 
-    @property
-    def max_generator_degree(self) -> int:
-        return max(g.degree for g in self.generators)
-
     def contains(self, m: Monomial) -> bool:
         return any(g.divides(m) for g in self.generators)
 
@@ -222,12 +215,6 @@ class MonomialIdeal:
     def __add__(self, other: "MonomialIdeal") -> "MonomialIdeal":
         return MonomialIdeal(self.generators + other.generators)
 
-    def intersect(self, other: "MonomialIdeal") -> "MonomialIdeal":
-        """Intersection via pairwise lcms of the generators."""
-        return MonomialIdeal(
-            tuple(u.lcm(v) for u in self.generators for v in other.generators)
-        )
-
     def generator_strings(self) -> list[str]:
         return [str(g) for g in self.generators]
 
@@ -236,17 +223,6 @@ class MonomialIdeal:
 
     def __repr__(self) -> str:
         return f"MonomialIdeal{self}"
-
-
-def edge_power_ideal(edge: tuple[int, int], n: int) -> MonomialIdeal:
-    """(x, y)^n for the two variables of an edge: generated by x^i y^(n-i)."""
-    x, y = edge
-    gens = []
-    for i in range(n + 1):
-        e = [0, 0, 0, 0]
-        e[x], e[y] = i, n - i
-        gens.append(Monomial(tuple(e)))
-    return MonomialIdeal(tuple(gens))
 
 
 def ideal_of_tuple(t: Sequence[int]) -> MonomialIdeal:

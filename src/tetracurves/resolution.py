@@ -13,7 +13,6 @@ the one step where minimality fails.
 
 from __future__ import annotations
 
-import itertools
 import operator
 from collections import Counter
 from dataclasses import dataclass
@@ -98,11 +97,6 @@ class ResolutionRecipe:
     base_betti: BettiTable
     weights: tuple[int, ...]  # F degrees, top first
 
-    @property
-    def steps(self) -> tuple[tuple[int, int], ...]:
-        """(F degree, shift applied) per step, top first."""
-        return tuple(zip(self.weights, itertools.count()))
-
     def assemble(self) -> BettiTable:
         n = len(self.weights)
         table = Counter({(i, j + n): r for i, j, r in self.base_betti.entries})
@@ -161,12 +155,6 @@ def resolution_recipe(t: TetTuple) -> ResolutionRecipe:
 def betti_table(t: TetTuple) -> BettiTable:
     """Graded Betti table of a non-trivial tetrahedral curve."""
     return resolution_recipe(t).assemble()
-
-
-def has_linear_resolution(t: TetTuple) -> bool:
-    if t.is_trivial:
-        raise TrivialCurveError("linearity is undefined for the trivial curve")
-    return betti_table(t).is_linear
 
 
 _FIXED_LINEAR_ACM_FAMILIES = (

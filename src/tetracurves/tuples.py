@@ -32,12 +32,7 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 from enum import Enum
 
-from .exceptions import (
-    IsMinimalError,
-    IsTrivialError,
-    NotApplicableError,
-    TrivialCurveError,
-)
+from .exceptions import NotApplicableError, TrivialCurveError
 from .monomials import EDGES, Monomial, VARIABLES
 
 OPPOSITE = (5, 4, 3, 2, 1, 0)  # opposite edge pairs: (1,6), (2,5), (3,4)
@@ -137,9 +132,6 @@ class ReductionType(Enum):
     @property
     def vertex(self) -> int:
         return self.value
-
-    def permuted(self, pi: tuple[int, ...]) -> "ReductionType":
-        return ReductionType(pi[self.value])
 
 
 def _facet_positions(v: int) -> tuple[int, ...]:
@@ -272,10 +264,10 @@ def _max_weight_vertex(e) -> int | None:
 def max_weight_reduction(t: TetTuple) -> ReductionStep:
     """Reduce an applicable facet of maximal weight, ties broken A < B < C < D."""
     if t.is_trivial:
-        raise IsTrivialError("the trivial curve admits no reduction")
+        raise NotApplicableError("the trivial curve admits no reduction")
     v = _max_weight_vertex(t.entries)
     if v is None:
-        raise IsMinimalError(f"({t}) is minimal")
+        raise NotApplicableError(f"({t}) is minimal")
     return apply_reduction(t, ReductionType(v))
 
 

@@ -221,7 +221,7 @@ def check_non_acm_shape(bound: int) -> CheckResult:
     decreasing facet weights, all above the shifted minimal-curve block."""
     def fails(trace):
         recipe = resolution.recipe_from_chain(trace.chain)
-        weights = [w for w, _ in recipe.steps]
+        weights = recipe.weights
         e0 = recipe.base_betti.min_generator_degree
         strictly_decreasing = all(a > b for a, b in zip(weights, weights[1:]))
         above_base = not weights or weights[-1] > e0
@@ -592,12 +592,3 @@ def run_suite(
         detail = str(exc) if isinstance(exc, TetracurvesError) else f"{type(exc).__name__}: {exc}"
         results.append(CheckResult(f"{name} suite aborted", False, detail))
     return SuiteResult(suite=name, checks=results, elapsed_s=time.perf_counter() - start)
-
-
-def run_suites(
-    names: tuple[str, ...],
-    bound: int | None = None,
-    seed: int = 1,
-    primes: tuple[int, int] = groebner.DEFAULT_PRIMES,
-) -> list[SuiteResult]:
-    return [run_suite(n, bound=bound, seed=seed, primes=primes) for n in names]

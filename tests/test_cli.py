@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import time
+import types
 from pathlib import Path
 
 import pytest
@@ -92,6 +93,13 @@ print(json.dumps({"codes": codes, **report}))
             # positive control: the Koszul oracle does load numpy
             "oracle": True,
         }
+
+
+class TestPublicApi:
+    def test_all_names_resolve_and_none_is_a_module(self):
+        assert tetracurves.__all__
+        for name in tetracurves.__all__:
+            assert not isinstance(getattr(tetracurves, name), types.ModuleType), name
 
 
 class TestReduceCommand:
@@ -348,6 +356,14 @@ class TestVerifyCommand:
         with pytest.raises(SystemExit) as exc:
             main(["verify", "--suite", "nope"])
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize("bound", ["-1", "0"])
+    def test_bound_below_one_is_usage_error(self, capsys, bound):
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "--suite", "regularity", "--bound", bound])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "--bound" in captured.err
 
     def test_defect_in_a_closed_form_aborts_the_suite(self, capsys, monkeypatch):
         # a ValueError from a closed form is a failed check, not a usage error

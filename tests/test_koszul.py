@@ -5,11 +5,9 @@ from hypothesis import example, given, strategies as st
 
 from tetracurves.koszul import (
     BettiTable,
-    SimplicialComplex4,
     betti_table_oracle,
     cached_betti_oracle,
     reduced_homology_ranks,
-    upper_koszul,
 )
 from tetracurves.monomials import Monomial, MonomialIdeal, ideal_of_tuple
 
@@ -20,76 +18,83 @@ def M(text):
     return Monomial.parse(text)
 
 
+def from_faces(*faces):
+    """Face mask of the complex generated by these vertex sets: every subset
+    of a listed face is a face."""
+    mask = 0
+    for face in faces:
+        bits = sum(1 << v for v in face)
+        for s in range(16):
+            if s & bits == s:
+                mask |= 1 << s
+    return mask
+
+
+def upper_koszul(ideal, m):
+    """Face mask of the upper Koszul complex K(I, m): bit s is set when the
+    variables of s divide m and m / prod(s) lies in I."""
+    mask = 0
+    for s in range(16):
+        quotient = tuple(e - (s >> v & 1) for v, e in enumerate(m.exps))
+        if min(quotient) >= 0 and ideal.contains(Monomial(quotient)):
+            mask |= 1 << s
+    return mask
+
+
 def koszul_reference(ideal):
     """Betti table from the upper Koszul complex of every multidegree in the
     box below the lcm of the generators: beta_{i, |m|} += rank H~_{i-1}."""
     top = [max(g.exps[v] for g in ideal.generators) for v in range(4)]
     table = {}
     for m in itertools.product(*(range(e + 1) for e in top)):
-        for dim, rank in reduced_homology_ranks(upper_koszul(ideal, Monomial(m))).items():
+        for i, rank in enumerate(reduced_homology_ranks(upper_koszul(ideal, Monomial(m)))):
             if rank:
-                key = (dim + 1, sum(m))
-                table[key] = table.get(key, 0) + rank
+                table[(i, sum(m))] = table.get((i, sum(m)), 0) + rank
     return BettiTable.from_dict(table)
 
 
 class TestSimplicialComplex:
-    def test_downward_closure_enforced(self):
-        with pytest.raises(ValueError):
-            SimplicialComplex4(frozenset({frozenset({0, 1})}))
-
     def test_from_faces_closes(self):
-        K = SimplicialComplex4.from_faces([{0, 1}])
-        assert frozenset() in K.faces
-        assert frozenset({0}) in K.faces
+        # faces {}, {a}, {b}, {a,b}: the subsets 0, 1, 2, 3
+        assert from_faces({0, 1}) == 0b1111
 
     def test_void_vs_empty(self):
-        void = SimplicialComplex4(frozenset())
-        empty = SimplicialComplex4(frozenset({frozenset()}))
-        assert void.is_void and not empty.is_void
-        assert reduced_homology_ranks(void) == {-1: 0, 0: 0, 1: 0, 2: 0}
-        assert reduced_homology_ranks(empty) == {-1: 1, 0: 0, 1: 0, 2: 0}
+        assert reduced_homology_ranks(0) == (0, 0, 0, 0)
+        assert reduced_homology_ranks(from_faces(set())) == (1, 0, 0, 0)
 
 
 class TestHomology:
     def test_full_simplex_contractible(self):
-        K = SimplicialComplex4.from_faces([{0, 1, 2, 3}])
-        assert reduced_homology_ranks(K) == {-1: 0, 0: 0, 1: 0, 2: 0}
+        assert reduced_homology_ranks(from_faces({0, 1, 2, 3})) == (0, 0, 0, 0)
 
     def test_two_points(self):
-        K = SimplicialComplex4.from_faces([{0}, {1}])
-        assert reduced_homology_ranks(K) == {-1: 0, 0: 1, 1: 0, 2: 0}
+        assert reduced_homology_ranks(from_faces({0}, {1})) == (0, 1, 0, 0)
 
     def test_circle(self):
-        K = SimplicialComplex4.from_faces([{0, 1}, {1, 2}, {0, 2}])
-        assert reduced_homology_ranks(K) == {-1: 0, 0: 0, 1: 1, 2: 0}
+        assert reduced_homology_ranks(from_faces({0, 1}, {1, 2}, {0, 2})) == (0, 0, 1, 0)
 
     def test_sphere(self):
-        K = SimplicialComplex4.from_faces(
-            [{0, 1, 2}, {0, 1, 3}, {0, 2, 3}, {1, 2, 3}]
-        )
-        assert reduced_homology_ranks(K) == {-1: 0, 0: 0, 1: 0, 2: 1}
+        K = from_faces({0, 1, 2}, {0, 1, 3}, {0, 2, 3}, {1, 2, 3})
+        assert reduced_homology_ranks(K) == (0, 0, 0, 1)
 
 
 class TestUpperKoszul:
     def test_koszul_syzygy_of_two_variables(self):
         K = upper_koszul(MonomialIdeal.of("a", "b"), M("a*b"))
-        assert K.faces == frozenset(
-            {frozenset(), frozenset({0}), frozenset({1})}
-        )
-        assert reduced_homology_ranks(K)[0] == 1
+        assert K == from_faces({0}, {1})
+        assert reduced_homology_ranks(K)[1] == 1
 
     def test_generator_multidegree(self):
         K = upper_koszul(MonomialIdeal.of("a", "b"), M("a"))
-        assert K.faces == frozenset({frozenset()})
-        assert reduced_homology_ranks(K)[-1] == 1
+        assert K == from_faces(set())
+        assert reduced_homology_ranks(K)[0] == 1
 
     def test_ci_syzygy(self):
         K = upper_koszul(MonomialIdeal.of("a*b", "c*d"), M("a*b*c*d"))
-        assert reduced_homology_ranks(K)[0] == 1
+        assert reduced_homology_ranks(K)[1] == 1
 
     def test_nonmember_is_void(self):
-        assert upper_koszul(MonomialIdeal.of("a*b"), M("c")).is_void
+        assert upper_koszul(MonomialIdeal.of("a*b"), M("c")) == 0
 
 
 class TestBettiTable:
@@ -105,16 +110,14 @@ class TestBettiTable:
         assert not BettiTable.from_dict({(0, 2): 2, (1, 4): 1}).is_linear
         assert not BettiTable.from_dict({(0, 2): 1, (0, 3): 1, (1, 4): 2}).is_linear
 
-    def test_shift_and_add(self):
-        table = BettiTable.from_dict({(0, 2): 1})
-        assert table.shifted(3).as_dict() == {(0, 5): 1}
-        total = table + BettiTable.from_dict({(0, 2): 2, (1, 4): 1})
+    def test_add(self):
+        total = BettiTable.from_dict({(0, 2): 1}) + BettiTable.from_dict({(0, 2): 2, (1, 4): 1})
         assert total.as_dict() == {(0, 2): 3, (1, 4): 1}
 
     def test_json_round_trip(self):
         table = BettiTable.from_dict({(0, 2): 4, (1, 3): 4, (2, 4): 1})
-        assert BettiTable.from_json(table.to_json()) == table
         assert table.json_entries() == [[0, 2, 4], [1, 3, 4], [2, 4, 1]]
+        assert BettiTable.from_dict({(i, j): r for i, j, r in table.json_entries()}) == table
 
     def test_render(self):
         table = BettiTable.from_dict({(0, 2): 2, (1, 4): 1})

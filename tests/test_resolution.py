@@ -21,7 +21,6 @@ from tetracurves.resolution import (
     classify,
     enumerate_linear_in_class,
     gin_betti_prediction,
-    has_linear_resolution,
     minimal_curve_betti,
     recipe_from_chain,
     resolution_recipe,
@@ -125,20 +124,19 @@ class TestBettiTableAssembly:
         recipe = resolution_recipe(T("7,5,5,2,1,6"))
         assert recipe.base_kind is BaseKind.MINIMAL_CURVE
         assert recipe.base == T("4,1,2,1,1,5")
-        assert [w for w, _ in recipe.steps] == [17, 14, 11, 10]
-        assert [s for _, s in recipe.steps] == [0, 1, 2, 3]
+        assert recipe.weights == (17, 14, 11, 10)
 
     def test_recipe_structure_acm_cwl(self):
         recipe = resolution_recipe(T("1,2,1,2,0,2"))
         assert recipe.base_kind is BaseKind.TRIVIAL
         assert recipe.base_betti.as_dict() == {(0, 0): 1}
-        assert len(recipe.steps) == 3
+        assert len(recipe.weights) == 3
 
     def test_recipe_structure_acm_not_cwl(self):
         recipe = resolution_recipe(T("1,3,4,2,3,0"))
         assert recipe.base_kind is BaseKind.CI_POWER
         assert recipe.base == T("0,2,2,2,2,0")
-        assert len(recipe.steps) == 2
+        assert len(recipe.weights) == 2
 
     @given(small_tuples)
     @settings(max_examples=40)
@@ -159,8 +157,9 @@ class TestBettiTableAssembly:
 def pairwise_assemble(recipe):
     """Test-only copy of the former `ResolutionRecipe.assemble`: one
     `BettiTable` sum per step."""
-    table = recipe.base_betti.shifted(len(recipe.steps))
-    for f_degree, shift in recipe.steps:
+    n = len(recipe.weights)
+    table = BettiTable(tuple((i, j + n, r) for i, j, r in recipe.base_betti.entries))
+    for shift, f_degree in enumerate(recipe.weights):
         table = table + BettiTable.from_dict(
             {(0, f_degree + shift): 1, (1, f_degree + shift + 1): 1}
         )
@@ -213,11 +212,7 @@ class TestLinearResolution:
         [("2,1,1,1,1,2", True), ("1,2,1,2,0,2", False), ("3,2,1,1,2,3", True)],
     )
     def test_examples(self, text, expected):
-        assert has_linear_resolution(T(text)) is expected
-
-    def test_trivial_raises(self):
-        with pytest.raises(TrivialCurveError):
-            has_linear_resolution(T("0,0,0,0,0,0"))
+        assert betti_table(T(text)).is_linear is expected
 
 
 class TestAcmLinearFamily:

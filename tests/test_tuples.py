@@ -3,12 +3,7 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
-from tetracurves.exceptions import (
-    IsMinimalError,
-    IsTrivialError,
-    NotApplicableError,
-    TrivialCurveError,
-)
+from tetracurves.exceptions import NotApplicableError, TrivialCurveError
 from tetracurves import tuples
 from tetracurves.monomials import Monomial
 from tetracurves.tuples import (
@@ -129,11 +124,11 @@ class TestMaxWeightReduction:
         assert step.child == T("2,1,1,0,1,2")
 
     def test_minimal_raises(self):
-        with pytest.raises(IsMinimalError):
+        with pytest.raises(NotApplicableError, match="is minimal"):
             max_weight_reduction(T("1,0,0,0,0,1"))
 
     def test_trivial_raises(self):
-        with pytest.raises(IsTrivialError):
+        with pytest.raises(NotApplicableError, match="trivial curve"):
             max_weight_reduction(T("0,0,0,0,0,0"))
 
 
@@ -181,7 +176,7 @@ def stepwise_trace(t):
             ci = ((len(vertices), r), cur)
         try:
             step = max_weight_reduction(cur)
-        except (IsTrivialError, IsMinimalError):
+        except NotApplicableError:
             break
         vertices.append(step.type.vertex)
         weights.append(step.weight)

@@ -18,9 +18,10 @@ SNAPSHOT = Path(__file__).parent / "data" / "verify_bound4.json"
 
 
 def test_suites_at_bound_4_match_the_snapshot():
+    suites = [verify.run_suite(name, bound=4) for name in verify.SUITE_NAMES]
     rows = [
         [suite.suite, check.name, check.passed, check.detail]
-        for suite in verify.run_suites(verify.SUITE_NAMES, bound=4)
+        for suite in suites
         for check in suite.checks
     ]
     assert rows == json.loads(SNAPSHOT.read_text())
@@ -103,7 +104,7 @@ def test_defect_aborts_its_suite_and_the_next_suite_runs(monkeypatch):
         raise ValueError("max() arg is an empty sequence")
 
     monkeypatch.setattr(gin, "gin_acm", broken)
-    aborted, after = verify.run_suites(("gin", "liaison-addition"), bound=3)
+    aborted, after = (verify.run_suite(n, bound=3) for n in ("gin", "liaison-addition"))
     assert [(c.name, c.passed, c.detail) for c in aborted.checks] == [
         ("gin suite aborted", False, "ValueError: max() arg is an empty sequence"),
     ]
