@@ -25,13 +25,6 @@ from .resolution import betti_table, classify, enumerate_linear_in_class
 from .tuples import TetTuple, reduction_trace
 
 
-def _parse_tuple(text: str, parser: argparse.ArgumentParser) -> TetTuple:
-    try:
-        return TetTuple.parse(text)
-    except ValueError as exc:
-        parser.error(str(exc))
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="tetracurves",
@@ -79,7 +72,7 @@ def _primes_from(args) -> tuple[int, int]:
     if len(given) == 1:
         fallback = next(p for p in DEFAULT_PRIMES if p != given[0])
         return check_primes((given[0], fallback))
-    return check_primes((given[0], given[1]))
+    return check_primes(given)
 
 
 def _betti_payload(table) -> dict:
@@ -87,12 +80,12 @@ def _betti_payload(table) -> dict:
 
 
 def _run_classify(args) -> tuple[dict, int]:
-    report = classify(TetTuple.parse(args.tuple))
+    report = classify(args.t)
     return dataclasses.asdict(report), 0
 
 
 def _run_reduce(args) -> tuple[dict, int]:
-    trace = reduction_trace(TetTuple.parse(args.tuple))
+    trace = reduction_trace(args.t)
     result = {
         "terminal": str(trace.terminal),
         "terminal_kind": trace.terminal_kind.value,
@@ -119,12 +112,11 @@ def _run_reduce(args) -> tuple[dict, int]:
 
 
 def _run_betti(args) -> tuple[dict, int]:
-    t = TetTuple.parse(args.tuple)
-    table = betti_table(t)
+    table = betti_table(args.t)
     result = _betti_payload(table)
     code = 0
     if args.oracle_check:
-        oracle = cached_betti_oracle(ideal_of_tuple(t))
+        oracle = cached_betti_oracle(ideal_of_tuple(args.t))
         result["oracle_entries"] = oracle.json_entries()
         result["oracle_match"] = oracle == table
         if not result["oracle_match"]:
@@ -133,8 +125,7 @@ def _run_betti(args) -> tuple[dict, int]:
 
 
 def _run_gin(args) -> tuple[dict, int]:
-    t = TetTuple.parse(args.tuple)
-    built = gin_of_curve(t)
+    built = gin_of_curve(args.t)
     result: dict = {"supported": built is not None}
     if built is not None:
         result["generators"] = built.generator_strings()
@@ -146,7 +137,7 @@ def _run_gin(args) -> tuple[dict, int]:
     code = 0
     if args.oracle_check:
         oracle = gin_oracle(
-            ideal_of_tuple(t), seeds=(args.seed, args.seed + 1), primes=args.primes
+            ideal_of_tuple(args.t), seeds=(args.seed, args.seed + 1), primes=args.primes
         )
         result["oracle_generators"] = oracle.generator_strings()
         if built is not None:
@@ -159,7 +150,7 @@ def _run_gin(args) -> tuple[dict, int]:
 def _run_hilbert(args) -> tuple[dict, int]:
     if args.upto < 0:
         raise argparse.ArgumentError(None, "--upto must be non-negative")
-    data = hilbert_data(ideal_of_tuple(TetTuple.parse(args.tuple)), args.upto)
+    data = hilbert_data(ideal_of_tuple(args.t), args.upto)
     return (
         {"values": list(data.values), "h_vector": list(data.h_vector), "degree": data.degree},
         0,
@@ -167,7 +158,7 @@ def _run_hilbert(args) -> tuple[dict, int]:
 
 
 def _run_enumerate(args) -> tuple[dict, int]:
-    orbits = enumerate_linear_in_class(TetTuple.parse(args.tuple))
+    orbits = enumerate_linear_in_class(args.t)
     return {"orbits": sorted(str(c) for c in orbits), "count": len(orbits)}, 0
 
 
@@ -252,9 +243,9 @@ def _fmt_scalar(value) -> str:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.command in ("classify", "reduce", "betti", "gin", "hilbert", "enumerate-linear"):
-        _parse_tuple(args.tuple, parser)
     try:
+        if hasattr(args, "tuple"):
+            args.t = TetTuple.parse(args.tuple)
         args.primes = _primes_from(args)
     except ValueError as exc:
         parser.error(str(exc))

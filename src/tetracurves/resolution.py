@@ -57,9 +57,9 @@ def minimal_curve_betti(t: TetTuple) -> BettiTable:
     a1+a6, a1+a6+1, a1+a6+2."""
     if not is_minimal(t):
         raise NotMinimalError(f"({t}) is not a minimal curve")
-    i = max(range(6), key=lambda k: t.entries[k])
-    a6, a1 = t.entries[i], t.entries[OPPOSITE[i]]
-    rest = [t.entries[k] for k in range(6) if k not in (i, OPPOSITE[i])]
+    i = max(range(6), key=t.__getitem__)
+    a6, a1 = t[i], t[OPPOSITE[i]]
+    rest = [t[k] for k in range(6) if k not in (i, OPPOSITE[i])]
     s = sum(a * (a + 1) // 2 for a in rest)
     d = a1 + a6
     return BettiTable.from_dict(
@@ -157,11 +157,15 @@ def betti_table(t: TetTuple) -> BettiTable:
     return resolution_recipe(t).assemble()
 
 
-_FIXED_LINEAR_ACM_FAMILIES = (
-    ("b", TetTuple((1, 1, 0, 1, 0, 0))),
-    ("c", TetTuple((1, 1, 1, 1, 1, 1))),
-    ("d", TetTuple((2, 1, 0, 1, 0, 1))),
-    ("e", TetTuple((2, 1, 1, 1, 1, 2))),
+# (tag, sorted entries, canonical form) of each fixed family's model
+_FIXED_LINEAR_ACM_FAMILIES = tuple(
+    (tag, sorted(model), canonicalize(model)[0])
+    for tag, model in (
+        ("b", (1, 1, 0, 1, 0, 0)),
+        ("c", (1, 1, 1, 1, 1, 1)),
+        ("d", (2, 1, 0, 1, 0, 1)),
+        ("e", (2, 1, 1, 1, 1, 2)),
+    )
 )
 
 ACM_LINEAR_FAMILY_TAGS = ("a", "b", "c", "d", "e", "f")
@@ -173,9 +177,9 @@ def _cycle_family_degree(t: TetTuple) -> int | None:
     other four edges; three of them equal m >= 1 and the fourth is m - 1
     (s = 2m) or m + 1 (s = 2m + 1)."""
     for i in range(3):
-        if t.entries[i] == t.entries[OPPOSITE[i]] == 0:
+        if t[i] == t[OPPOSITE[i]] == 0:
             low, m, mid, high = sorted(
-                a for k, a in enumerate(t.entries) if k not in (i, OPPOSITE[i])
+                a for k, a in enumerate(t) if k not in (i, OPPOSITE[i])
             )
             if m >= 1 and mid == m and (low, high) in ((m - 1, m), (m, m + 1)):
                 return m + high
@@ -205,9 +209,10 @@ def acm_linear_family(t: TetTuple) -> tuple[str, int | None] | None:
     s = _cycle_family_degree(t)
     if s is not None:
         return ("f", s)
-    canon = canonicalize(t)[0]
-    for tag, model in _FIXED_LINEAR_ACM_FAMILIES:
-        if canon == canonicalize(model)[0]:
+    # S4 only permutes the entries, so other sorted entries mean another orbit
+    key = sorted(t)
+    for tag, model_key, model in _FIXED_LINEAR_ACM_FAMILIES:
+        if key == model_key and canonicalize(t)[0] == model:
             return (tag, None)
     return None
 
@@ -221,16 +226,16 @@ def ascent_candidates(
     out: set[tuple[TetTuple, ReductionType]] = set()
     for ty in ReductionType:
         positions = FACET_POSITIONS[ty.vertex]
-        zero_positions = [i for i in positions if t.entries[i] == 0]
+        zero_positions = [i for i in positions if t[i] == 0]
         for bits in range(1 << len(zero_positions)):
-            parent = list(t.entries)
+            parent = list(t)
             for i in positions:
-                if t.entries[i] > 0:
+                if t[i] > 0:
                     parent[i] += 1
             for k, i in enumerate(zero_positions):
                 if bits & (1 << k):
                     parent[i] = 1
-            p = TetTuple(tuple(parent))
+            p = TetTuple(parent)
             if p == t or not reduction_applicable(p, ty):
                 continue
             step = apply_reduction(p, ty)
@@ -319,7 +324,7 @@ def classify(t: TetTuple) -> ClassificationReport:
         acm=acm,
         minimal=minimal,
         buchsbaum_minimal_r=buchsbaum_minimal_r(t) if minimal else None,
-        schwartau=t.entries[1] == 0 and t.entries[4] == 0,
+        schwartau=t[1] == 0 and t[4] == 0,
         componentwise_linear=cwl,
         linear_resolution=_trace_recipe(trace).is_linear,
         ci_power_r=ci_power_form(t),

@@ -2,7 +2,12 @@
 calculus by basic double linkage.
 
 A tetrahedral curve is encoded by six non-negative weights on the edges
-(a,b), (a,c), (a,d), (b,c), (b,d), (c,d) of the coordinate tetrahedron.
+(a,b), (a,c), (a,d), (b,c), (b,d), (c,d) of the coordinate tetrahedron.  A
+`TetTuple` is a tuple of these six ints, validated once when it is made;
+the calculus indexes any sequence of six ints.  S4 acts on the vertices,
+and so on the edges, through one table of 24 edge-index rows, which
+`permute`, `canonicalize` and `minimal_by_weight_test` read.
+
 Each vertex v determines a reduction: when the three edges at v dominate
 the opposite triangle, the curve is a basic double link ``G*I + (F)`` of
 the curve with those three edge weights lowered by one, where G is the
@@ -39,19 +44,18 @@ OPPOSITE = (5, 4, 3, 2, 1, 0)  # opposite edge pairs: (1,6), (2,5), (3,4)
 OPPOSITE_PAIRS = ((0, 5), (1, 4), (2, 3))
 
 
-@dataclass(frozen=True, order=True)
-class TetTuple:
-    """Six non-negative edge weights of a tetrahedral curve."""
+class TetTuple(tuple):
+    """Six non-negative edge weights of a tetrahedral curve: a tuple of six
+    ints, so it compares, hashes and sorts like the plain tuple of its
+    entries."""
 
-    entries: tuple[int, int, int, int, int, int]
+    __slots__ = ()
 
-    def __post_init__(self):
-        if len(self.entries) != 6 or any(type(a) is not int or a < 0 for a in self.entries):
-            raise ValueError(f"need six non-negative integer weights, got {self.entries}")
-
-    @classmethod
-    def of(cls, *entries: int) -> "TetTuple":
-        return cls(tuple(entries))
+    def __new__(cls, entries):
+        self = tuple.__new__(cls, entries)
+        if len(self) != 6 or any(type(a) is not int or a < 0 for a in self):
+            raise ValueError(f"need six non-negative integer weights, got {tuple(self)}")
+        return self
 
     @classmethod
     def parse(cls, text: str) -> "TetTuple":
@@ -65,28 +69,25 @@ class TetTuple:
             raise ValueError(f"non-integer weight in {text!r}") from None
         return cls(entries)
 
-    def __iter__(self):
-        return iter(self.entries)
-
-    def __len__(self) -> int:
-        return 6
+    @property
+    def entries(self) -> tuple[int, int, int, int, int, int]:
+        """The weights as a plain tuple."""
+        return tuple(self)
 
     @property
     def is_trivial(self) -> bool:
-        return not any(self.entries)
+        return not any(self)
 
     @property
     def total(self) -> int:
-        return sum(self.entries)
+        return sum(self)
 
     def __str__(self) -> str:
-        return ",".join(str(a) for a in self.entries)
+        return ",".join(map(str, self))
 
     def __repr__(self) -> str:
         return f"TetTuple({self})"
 
-
-TRIVIAL = TetTuple((0, 0, 0, 0, 0, 0))
 
 _EDGE_INDEX = {frozenset(e): i for i, e in enumerate(EDGES)}
 VERTEX_PERMUTATIONS: tuple[tuple[int, ...], ...] = tuple(
@@ -94,30 +95,34 @@ VERTEX_PERMUTATIONS: tuple[tuple[int, ...], ...] = tuple(
 )
 
 
-@functools.lru_cache(maxsize=32)
-def _edge_map(pi: tuple[int, ...]) -> tuple[int, ...]:
-    """For each edge position i, the position the weight moves to under pi."""
-    return tuple(_EDGE_INDEX[frozenset((pi[x], pi[y]))] for x, y in EDGES)
+def _edge_row(pi: tuple[int, ...]) -> tuple[int, ...]:
+    """Position j of the image of a tuple under pi holds the weight of edge
+    row[j]: the weight at edge {x,y} moves to edge {pi(x),pi(y)}."""
+    row = [0] * 6
+    for i, (x, y) in enumerate(EDGES):
+        row[_EDGE_INDEX[frozenset((pi[x], pi[y]))]] = i
+    return tuple(row)
 
 
-def permute(t: TetTuple, pi: tuple[int, ...]) -> TetTuple:
+# the edge-index row of each vertex permutation, in VERTEX_PERMUTATIONS order
+_PERMUTED_EDGES: dict[tuple[int, ...], tuple[int, ...]] = {
+    pi: _edge_row(pi) for pi in VERTEX_PERMUTATIONS
+}
+
+
+def permute(t: Sequence[int], pi: tuple[int, ...]) -> TetTuple:
     """Apply a vertex permutation: the weight at edge {x,y} moves to {pi(x),pi(y)}."""
-    em = _edge_map(pi)
-    out = [0] * 6
-    for i, a in enumerate(t.entries):
-        out[em[i]] = a
-    return TetTuple(tuple(out))
+    return TetTuple([t[i] for i in _PERMUTED_EDGES[pi]])
 
 
-def canonicalize(t: TetTuple) -> tuple[TetTuple, tuple[int, ...]]:
-    """Lexicographically smallest tuple in the 24-element orbit, with a
-    permutation that achieves it."""
-    best, best_pi = t, (0, 1, 2, 3)
-    for pi in VERTEX_PERMUTATIONS:
-        cand = permute(t, pi)
-        if cand < best:
-            best, best_pi = cand, pi
-    return best, best_pi
+def canonicalize(t: Sequence[int]) -> tuple[TetTuple, tuple[int, ...]]:
+    """Lexicographically smallest tuple in the 24-element orbit, with the
+    first permutation (in `VERTEX_PERMUTATIONS` order) that achieves it."""
+    # a tie falls to the smaller pi, which comes first: the order is lexicographic
+    best, best_pi = min(
+        (tuple([t[i] for i in row]), pi) for pi, row in _PERMUTED_EDGES.items()
+    )
+    return TetTuple(best), best_pi
 
 
 class ReductionType(Enum):
@@ -131,7 +136,10 @@ class ReductionType(Enum):
 
     @property
     def vertex(self) -> int:
-        return self.value
+        return self._value_
+
+
+_TYPES = tuple(ReductionType)  # A..D; a tuple iterates faster than the Enum class
 
 
 def _facet_positions(v: int) -> tuple[int, ...]:
@@ -157,13 +165,9 @@ FACET_POSITIONS = tuple(_facet_positions(v) for v in range(4))
 TRIANGLE_ROWS = tuple(_triangle_rows(v) for v in range(4))
 
 
-def facet_weights(t: TetTuple) -> tuple[int, int, int, int]:
+def facet_weights(t: Sequence[int]) -> tuple[int, int, int, int]:
     """The four facet weights (w_A, w_B, w_C, w_D)."""
-    return _facets(t.entries)
-
-
-def _facets(e) -> tuple[int, int, int, int]:
-    return tuple(e[i] + e[j] + e[k] for i, j, k in FACET_POSITIONS)
+    return tuple(t[i] + t[j] + t[k] for i, j, k in FACET_POSITIONS)
 
 
 def _slack(e, row: tuple[int, int, int]) -> int:
@@ -171,20 +175,16 @@ def _slack(e, row: tuple[int, int, int]) -> int:
     return e[i] + e[j] - e[k]
 
 
-def _applicable(e, v: int) -> bool:
-    return all(_slack(e, row) >= 0 for row in TRIANGLE_ROWS[v])
-
-
-def reduction_applicable(t: TetTuple, ty: ReductionType) -> bool:
+def reduction_applicable(t: Sequence[int], ty: ReductionType) -> bool:
     """True when t is non-trivial and the three inequalities of system ty hold."""
-    return not t.is_trivial and _applicable(t.entries, ty.vertex)
+    return all(_slack(t, row) >= 0 for row in TRIANGLE_ROWS[ty.vertex]) and any(t)
 
 
 def _reduction_form(t: TetTuple, v: int) -> Monomial:
     exps = [0, 0, 0, 0]
     for u in range(4):
         if u != v:
-            exps[u] = t.entries[_EDGE_INDEX[frozenset((v, u))]]
+            exps[u] = t[_EDGE_INDEX[frozenset((v, u))]]
     return Monomial(tuple(exps))
 
 
@@ -213,19 +213,17 @@ def apply_reduction(t: TetTuple, ty: ReductionType) -> ReductionStep:
     if not reduction_applicable(t, ty):
         raise NotApplicableError(f"reduction {ty.name} not applicable to ({t})")
     v = ty.vertex
-    child = list(t.entries)
+    child = list(t)
     for i in FACET_POSITIONS[v]:
         child[i] = max(0, child[i] - 1)
-    return ReductionStep(
-        type=ty, parent=t, child=TetTuple(tuple(child)), F=_reduction_form(t, v), G=v
-    )
+    return ReductionStep(type=ty, parent=t, child=TetTuple(child), F=_reduction_form(t, v), G=v)
 
 
 def is_minimal(t: TetTuple) -> bool:
     """True when t is non-trivial and admits none of the four reductions."""
     if t.is_trivial:
         return False
-    return not any(reduction_applicable(t, ty) for ty in ReductionType)
+    return not any(reduction_applicable(t, ty) for ty in _TYPES)
 
 
 def minimal_by_weight_test(t: TetTuple) -> bool:
@@ -237,9 +235,9 @@ def minimal_by_weight_test(t: TetTuple) -> bool:
     """
     if t.is_trivial:
         return False
-    top = max(t.entries)
-    for pi in VERTEX_PERMUTATIONS:
-        a1, a2, a3, a4, a5, a6 = permute(t, pi)
+    top = max(t)
+    for row in _PERMUTED_EDGES.values():
+        a1, a2, a3, a4, a5, a6 = (t[i] for i in row)
         if a6 != top:
             continue
         if a1 > max(a3 + a5, a2 + a4) and a6 > max(a4 + a5, a2 + a3):
@@ -247,34 +245,34 @@ def minimal_by_weight_test(t: TetTuple) -> bool:
     return False
 
 
-def _max_weight_vertex(e) -> int | None:
-    """An applicable vertex of maximal facet weight at entries e, ties broken
-    A < B < C < D, or None when e is trivial or minimal."""
-    fw = _facets(e)
+def _max_weight_type(t: Sequence[int]) -> ReductionType | None:
+    """An applicable reduction of maximal facet weight at t, ties broken
+    A < B < C < D, or None when t is trivial or minimal."""
+    fw = facet_weights(t)
     top = max(fw)
     if not top:
         return None
-    v = next((v for v in range(4) if fw[v] == top and _applicable(e, v)), None)
+    for ty, w in zip(_TYPES, fw):
+        if w == top and reduction_applicable(t, ty):
+            return ty
     # a non-minimal curve can always be reduced along a maximal-weight facet
-    if v is None and any(_applicable(e, u) for u in range(4)):
-        raise AssertionError(f"no maximal-weight reduction found for {e}")
-    return v
+    if any(reduction_applicable(t, ty) for ty in _TYPES):
+        raise AssertionError(f"no maximal-weight reduction found for {t}")
+    return None
 
 
 def max_weight_reduction(t: TetTuple) -> ReductionStep:
     """Reduce an applicable facet of maximal weight, ties broken A < B < C < D."""
     if t.is_trivial:
         raise NotApplicableError("the trivial curve admits no reduction")
-    v = _max_weight_vertex(t.entries)
-    if v is None:
+    ty = _max_weight_type(t)
+    if ty is None:
         raise NotApplicableError(f"({t}) is minimal")
-    return apply_reduction(t, ReductionType(v))
+    return apply_reduction(t, ty)
 
 
 def max_weight_choices(t: TetTuple) -> list[ReductionType]:
     """All applicable reductions along facets of maximal weight."""
-    if t.is_trivial or is_minimal(t):
-        return []
     weights = facet_weights(t)
     top = max(weights)
     return [
@@ -289,16 +287,12 @@ class TerminalKind(Enum):
     MINIMAL = "minimal"
 
 
-def ci_power_form(t: TetTuple) -> int | None:
+def ci_power_form(t: Sequence[int]) -> int | None:
     """r >= 1 when t is, up to symmetry, (0,r,r,r,r,0): the r-th power of a
     (2,2) complete intersection supported on two pairs of opposite edges."""
-    return _ci_power(t.entries)
-
-
-def _ci_power(e) -> int | None:
     for i, j in OPPOSITE_PAIRS:
-        if e[i] == 0 and e[j] == 0:
-            rest = [e[k] for k in range(6) if k not in (i, j)]
+        if t[i] == 0 and t[j] == 0:
+            rest = [t[k] for k in range(6) if k not in (i, j)]
             r = rest[0]
             if r >= 1 and all(x == r for x in rest):
                 return r
@@ -376,9 +370,9 @@ def _periods_ahead(states, drift, period, watch_ci: bool) -> int:
         if slope < 0:
             bounds.append((value - (value > 0)) // -slope)
 
-    fd = _facets(drift)
+    fd = facet_weights(drift)
     for x, v in zip(states, period):
-        fx = _facets(x)
+        fx = facet_weights(x)
         for row in TRIANGLE_ROWS[v]:
             keep(_slack(x, row), _slack(drift, row))
         for u in range(4):
@@ -400,17 +394,18 @@ def _periods_ahead(states, drift, period, watch_ci: bool) -> int:
 def reduction_trace(t: TetTuple) -> ReductionTrace:
     """Iterate maximal-weight reductions down to the trivial or a minimal
     curve, jumping over repeated periods."""
-    e = list(t.entries)
+    e = list(t)
     vertices: list[int] = []
     weights: list[int] = []
     states: list[tuple[int, ...]] = []  # parents of the steps since the last jump
     ci = None  # ((chain index, r), element) of the first CI-power element
-    while (v := _max_weight_vertex(e)) is not None:
-        if ci is None and (r := _ci_power(e)) is not None:
-            ci = (len(vertices), r), TetTuple(tuple(e))
+    while (ty := _max_weight_type(e)) is not None:
+        v = ty.vertex
+        if ci is None and (r := ci_power_form(e)) is not None:
+            ci = (len(vertices), r), TetTuple(e)
         states.append(tuple(e))
         vertices.append(v)
-        weights.append(_facets(e)[v])
+        weights.append(facet_weights(e)[v])
         for i in FACET_POSITIONS[v]:
             e[i] = max(0, e[i] - 1)
         for p in range(1, min(6, len(states) // 2) + 1):
@@ -419,13 +414,13 @@ def reduction_trace(t: TetTuple) -> ReductionTrace:
             drift = [b - a for a, b in zip(states[-p], e)]
             ahead = _periods_ahead(states[-p:], drift, vertices[-p:], ci is None)
             if ahead:
-                fd, last = _facets(drift), list(zip(weights[-p:], vertices[-p:]))
+                fd, last = facet_weights(drift), list(zip(weights[-p:], vertices[-p:]))
                 weights.extend(w + m * fd[u] for m in range(1, ahead + 1) for w, u in last)
                 vertices.extend(vertices[-p:] * ahead)
                 e = [a + ahead * s for a, s in zip(e, drift)]
                 states.clear()
             break
-    terminal = TetTuple(tuple(e))
+    terminal = TetTuple(e)
     return ReductionTrace(
         start=t,
         vertices=tuple(vertices),
@@ -480,12 +475,11 @@ def buchsbaum_minimal_r(t: TetTuple) -> int | None:
     curve (r, 0, r-1, r-1, 0, r); otherwise None."""
     if t.is_trivial:
         return None
-    r = max(t.entries)
+    r = max(t)
     # S4 only permutes the entries, so other sorted entries mean another orbit
-    if sorted(t.entries) != [0, 0, r - 1, r - 1, r, r]:
+    if sorted(t) != [0, 0, r - 1, r - 1, r, r]:
         return None
-    model = TetTuple((r, 0, r - 1, r - 1, 0, r))
-    if canonicalize(t)[0] == canonicalize(model)[0]:
+    if canonicalize(t)[0] == canonicalize((r, 0, r - 1, r - 1, 0, r))[0]:
         return r
     return None
 
@@ -500,8 +494,8 @@ def regularity_closed_form(t: TetTuple) -> int:
     if r is not None:
         return 2 * r + 1
     if is_minimal(t):
-        i = max(range(6), key=lambda k: t.entries[k])
-        return t.entries[i] + t.entries[OPPOSITE[i]]
+        i = max(range(6), key=t.__getitem__)
+        return t[i] + t[OPPOSITE[i]]
     return max(facet_weights(t))
 
 

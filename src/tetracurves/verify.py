@@ -57,7 +57,7 @@ def iter_tuples(max_total: int, include_trivial: bool = False):
     """All 6-tuples with weight sum at most max_total."""
     for total in range(0 if include_trivial else 1, max_total + 1):
         for cuts in itertools.combinations(range(total + 5), 5):
-            yield TetTuple(tuple(b - a - 1 for a, b in zip((-1, *cuts), (*cuts, total + 5))))
+            yield TetTuple(b - a - 1 for a, b in zip((-1, *cuts), (*cuts, total + 5)))
 
 
 def _sweep(name: str, cases, fails) -> CheckResult:
@@ -186,7 +186,7 @@ def check_builder_vs_oracle_all_choices(bound: int) -> CheckResult:
 
 def check_random_builder_vs_oracle(count: int, max_entry: int, seed: int) -> CheckResult:
     rng = random.Random(seed)
-    draws = (TetTuple(tuple(rng.randint(0, max_entry) for _ in range(6))) for _ in itertools.count())
+    draws = (TetTuple(rng.randint(0, max_entry) for _ in range(6)) for _ in itertools.count())
     cases = itertools.islice((t for t in draws if not t.is_trivial), count)
     return _sweep(f"random builder vs oracle (entries <= {max_entry})", cases,
                   lambda t: resolution.betti_table(t) != oracle_table(t))
@@ -252,7 +252,7 @@ def check_cwl_oracle(bound: int) -> CheckResult:
 def check_schwartau(bound: int) -> CheckResult:
     def fails(t):
         is_schwartau, cwl = tuples.schwartau_status(t)
-        return is_schwartau != (t.entries[1] == 0 and t.entries[4] == 0) or cwl != tuples.is_cwl(t)
+        return is_schwartau != (t[1] == 0 and t[4] == 0) or cwl != tuples.is_cwl(t)
 
     return _sweep("Schwartau criterion agrees with is_cwl", iter_tuples(bound), fails)
 
@@ -261,8 +261,7 @@ def check_hope(bound: int) -> CheckResult:
     """Failing componentwise linearity forces the two larger opposite-edge
     sums to be equal; the converse fails on (10,1,2,3,10,1)."""
     def top_sums_equal(t: TetTuple) -> bool:
-        e = t.entries
-        sums = sorted((e[0] + e[5], e[1] + e[4], e[2] + e[3]))
+        sums = sorted((t[0] + t[5], t[1] + t[4], t[2] + t[3]))
         return sums[1] == sums[2]
 
     witness = TetTuple((10, 1, 2, 3, 10, 1))
@@ -479,7 +478,7 @@ def check_acm_linear_families(bound: int) -> CheckResult:
 
 def check_no_nonmin(bound: int = 12) -> CheckResult:
     def deep(t):
-        top = max(t.entries)
+        top = max(t)
         return any(
             a6 == top and a1 > max(a3 + a5 + 2, a2 + a4 + 2) and a6 > max(a4 + a5 + 2, a2 + a3 + 2)
             for a1, a2, a3, a4, a5, a6 in (tuples.permute(t, pi) for pi in tuples.VERTEX_PERMUTATIONS)

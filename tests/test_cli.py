@@ -208,6 +208,7 @@ _bad_primes = st.one_of(
     st.builds(_prime_flags, _bad_prime, st.just("32003")),
     st.builds(_prime_flags, st.just("32003"), _bad_prime),
     st.sampled_from(["32003", "31991"]).map(lambda p: _prime_flags(p, p)),
+    st.builds(_prime_flags, st.just("32003"), st.just("31991"), st.sampled_from(["4", "32009"])),
 )
 _bad_suite = st.text(max_size=12).filter(lambda s: s not in SUITE_NAMES + ("all",))
 HOSTILE_ARGV = st.one_of(
@@ -273,7 +274,8 @@ class TestGinCommand:
         assert "note" in report["result"]
 
     @pytest.mark.parametrize(
-        "primes", [["4"], ["0"], ["-7"], ["16381"], ["2147483659"], ["32003", "32003"]]
+        "primes",
+        [["4"], ["0"], ["-7"], ["16381"], ["2147483659"], ["32003", "32003"], ["32003", "31991", "4"]],
     )
     @pytest.mark.parametrize("command", [["gin", "1,0,0,0,0,1", "--oracle-check"], ["verify"]])
     def test_bad_prime_is_usage_error(self, capsys, command, primes):

@@ -5,7 +5,7 @@ from hypothesis import given, strategies as st
 
 from tetracurves.exceptions import NotApplicableError, TrivialCurveError
 from tetracurves import tuples
-from tetracurves.monomials import Monomial
+from tetracurves.monomials import EDGES, Monomial
 from tetracurves.tuples import (
     ReductionType,
     TetTuple,
@@ -60,6 +60,20 @@ class TestTetTuple:
     def test_trivial(self):
         assert T("0,0,0,0,0,0").is_trivial
         assert not T("1,0,0,0,0,0").is_trivial
+
+    def test_is_its_plain_entries(self):
+        t = T("3,3,3,1,2,4")
+        plain = (3, 3, 3, 1, 2, 4)
+        assert t == plain and plain == t
+        assert hash(t) == hash(plain)
+        assert {t: "t"}[plain] == "t"
+        assert type(t.entries) is tuple and t.entries == plain
+        assert sorted([T("1,0,0,0,0,1"), (0, 0, 1, 1, 0, 0), T("0,1,0,0,1,0")]) == [
+            (0, 0, 1, 1, 0, 0), (0, 1, 0, 0, 1, 0), (1, 0, 0, 0, 0, 1)
+        ]
+        assert T("0,1,0,0,1,0") < plain and not plain < T("0,1,0,0,1,0")
+        assert str(t) == "3,3,3,1,2,4"
+        assert repr(t) == "TetTuple(3,3,3,1,2,4)"
 
 
 class TestFacetWeights:
@@ -243,6 +257,16 @@ class TestMinimality:
         assert is_minimal(t) == minimal_by_weight_test(t)
 
 
+def reference_permute(t, pi):
+    """Test-only reference for `permute`: the weight at edge {x,y} is moved
+    to edge {pi(x),pi(y)}, the edges looked up by their vertex sets."""
+    edge_index = {frozenset(e): i for i, e in enumerate(EDGES)}
+    out = [0] * 6
+    for i, (x, y) in enumerate(EDGES):
+        out[edge_index[frozenset((pi[x], pi[y]))]] = t[i]
+    return tuple(out)
+
+
 class TestCanonicalize:
     def test_two_skew_lines(self):
         canon, pi = canonicalize(T("0,1,0,0,1,0"))
@@ -262,6 +286,12 @@ class TestCanonicalize:
     def test_orbit_invariant(self, t, pi):
         assert canonicalize(permute(t, pi))[0] == canonicalize(t)[0]
 
+    def test_matches_brute_force_up_to_weight_8(self):
+        for t in iter_tuples(8, include_trivial=True):
+            images = [reference_permute(t, pi) for pi in VERTEX_PERMUTATIONS]
+            best = min(images)
+            assert canonicalize(t) == (best, VERTEX_PERMUTATIONS[images.index(best)]), t
+
     @given(tet_tuples)
     def test_is_orbit_minimum(self, t):
         canon = canonicalize(t)[0]
@@ -269,6 +299,11 @@ class TestCanonicalize:
 
 
 class TestPermutationAction:
+    def test_matches_edge_map_reference_up_to_weight_4(self):
+        for t in iter_tuples(4, include_trivial=True):
+            for pi in VERTEX_PERMUTATIONS:
+                assert permute(t, pi) == reference_permute(t, pi), (t, pi)
+
     @given(tet_tuples, permutations, permutations)
     def test_composition(self, t, pi, sigma):
         composed = tuple(sigma[pi[v]] for v in range(4))
