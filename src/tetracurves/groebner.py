@@ -22,7 +22,7 @@ import random
 from .exceptions import DisagreementError, NotBorelFixedError
 from .gin import StableIdeal, is_strongly_stable
 from .koszul import betti_table_oracle
-from .monomials import Monomial, MonomialIdeal, NVARS, display_key, monomials_of_degree
+from .monomials import Monomial, MonomialIdeal, NVARS, component_ideal, monomials_of_degree
 
 DEFAULT_PRIMES = (32003, 31991)
 DEFAULT_SEEDS = (1, 2)
@@ -41,17 +41,11 @@ def check_primes(primes) -> tuple[int, int]:
 
 
 @functools.lru_cache(maxsize=64)
-def _basis(d: int) -> tuple[tuple[int, int, int, int], ...]:
-    """Degree-d exponent vectors in descending degrevlex order: the Macaulay matrix columns."""
-    return tuple(m.exps for m in sorted(monomials_of_degree(d), key=display_key))
-
-
-@functools.lru_cache(maxsize=64)
 def _shifts(d: int) -> np.ndarray:
     """Row j maps each degree-d column to the degree-(d+1) column of x_j times it."""
     import numpy as np
-    index = {e: k for k, e in enumerate(_basis(d + 1))}
-    return np.array([[index[e[:j] + (e[j] + 1,) + e[j + 1 :]] for e in _basis(d)] for j in range(NVARS)])
+    index = {m: k for k, m in enumerate(monomials_of_degree(d + 1))}
+    return np.array([[index[m * Monomial.variable(j)] for m in monomials_of_degree(d)] for j in range(NVARS)])
 
 
 def _row_echelon(rows: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
@@ -80,8 +74,9 @@ def _row_echelon(rows: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
 def leading_monomials(polys: dict[int, np.ndarray], top: int, p: int) -> MonomialIdeal:
     """The degrevlex initial ideal, up to degree `top`, of the ideal generated
     by homogeneous polynomials over F_p, given as {degree d: rows of
-    coefficients over _basis(d)}.  The degree-d Macaulay matrix holds the
-    degree-d generators and the a, b, c, d shifts of the degree-(d-1) echelon rows."""
+    coefficients over monomials_of_degree(d)}, whose display order is
+    descending degrevlex.  The degree-d Macaulay matrix holds the degree-d
+    generators and the a, b, c, d shifts of the degree-(d-1) echelon rows."""
     import numpy as np
     polys = {d: np.asarray(rows, dtype=np.int64) % p for d, rows in polys.items()}
     if not any(rows.any() for rows in polys.values()):
@@ -89,14 +84,14 @@ def leading_monomials(polys: dict[int, np.ndarray], top: int, p: int) -> Monomia
     leads: list[Monomial] = []
     echelon, inherited = np.zeros((0, 0), dtype=np.int64), set()
     for d in range(min(polys), top + 1):
-        width = len(_basis(d))
+        width = len(monomials_of_degree(d))
         shifted = np.zeros((NVARS, len(echelon), width), dtype=np.int64)
         if len(echelon):
             for j, columns in enumerate(_shifts(d - 1)):
                 shifted[j][:, columns] = echelon
         fresh = polys.get(d, np.zeros((0, width), dtype=np.int64))
         echelon, pivots = _row_echelon(np.vstack([shifted.reshape(-1, width), fresh]), p)
-        leads += [Monomial(_basis(d)[c]) for c in pivots if c not in inherited]
+        leads += [monomials_of_degree(d)[c] for c in pivots if c not in inherited]
         inherited = set(_shifts(d)[:, pivots].ravel().tolist())
     return MonomialIdeal(tuple(leads))
 
@@ -114,7 +109,7 @@ def _substituted(ideal: MonomialIdeal, matrix: list[list[int]], p: int) -> dict[
             parent = e[:i] + (e[i] - 1,) + e[i + 1 :]
             terms = coeffs[i] * image(parent) % p
             # each column of x_i * parent sums at most 4 terms below 2^31: exact in float64
-            out = np.bincount(_shifts(sum(parent)).ravel(), terms.ravel(), len(_basis(sum(e))))
+            out = np.bincount(_shifts(sum(parent)).ravel(), terms.ravel(), len(monomials_of_degree(sum(e))))
             images[e] = out.astype(np.int64) % p
         return images[e]
 
@@ -133,14 +128,6 @@ def random_invertible_matrix(seed: int, prime: int) -> list[list[int]]:
         matrix = [[rng.randrange(prime) for _ in range(NVARS)] for _ in range(NVARS)]
         if len(_row_echelon(np.array(matrix, dtype=np.int64), prime)[1]) == NVARS:
             return matrix
-
-
-def _hilbert_at(ideal: MonomialIdeal, d: int) -> int:
-    """dim_k (R/I)_d: the degree-d monomials outside the ideal."""
-    import numpy as np
-    monomials = np.array(_basis(d))
-    gens = np.array([g.exps for g in ideal.generators]).reshape(-1, NVARS)
-    return int((~(monomials[:, None, :] >= gens[None, :, :]).all(axis=2).any(axis=1)).sum())
 
 
 def gin_oracle(
@@ -172,7 +159,8 @@ def gin_oracle(
     if any(r != first for _, _, r in results):
         detail = "; ".join(f"seed {s}, p {p}: {r}" for s, p, r in results)
         raise DisagreementError(f"gin runs disagree: {detail}")
-    if _hilbert_at(first, top + 1) != _hilbert_at(ideal, top + 1):
+    # equal Hilbert functions in degree top + 1: equally many monomials of that degree in each ideal
+    if len(component_ideal(first, top + 1).generators) != len(component_ideal(ideal, top + 1).generators):
         raise DisagreementError(
             f"initial ideal of {ideal} up to degree {top} loses the Hilbert function in degree {top + 1}"
         )

@@ -305,29 +305,39 @@ def basic_double_link(ideal: MonomialIdeal, g: int | str, F: Monomial) -> Monomi
 
 @functools.lru_cache(maxsize=64)
 def monomials_of_degree(d: int) -> tuple[Monomial, ...]:
-    """All monomials of total degree d in four variables."""
-    out = []
-    for e0, e1, e2 in itertools.product(range(d + 1), repeat=3):
-        rest = d - e0 - e1 - e2
-        if rest >= 0:
-            out.append(Monomial((e0, e1, e2, rest)))
-    return tuple(out)
+    """All monomials of total degree d in four variables, in `display_key` order."""
+    return tuple(
+        Monomial((d - e3 - e2 - e1, e1, e2, e3))
+        for e3 in range(d + 1)
+        for e2 in range(d - e3 + 1)
+        for e1 in range(d - e3 - e2 + 1)
+    )
 
 
 def component_ideal(ideal: MonomialIdeal, d: int) -> MonomialIdeal:
-    """(I_d): the ideal generated by the degree-d monomials of I."""
+    """(I_d): the ideal generated by the degree-d monomials of I.
+
+    Membership is read off `exponent_box` capped at d: a degree-d exponent
+    vector clipped to the box on all four axes keeps its membership.  The
+    members are minimal as they stand, since no monomial divides another of
+    the same degree."""
+    import numpy as np
     if d < 0:
         raise ValueError("degree must be non-negative")
-    gens = tuple(m for m in monomials_of_degree(d) if ideal.contains(m))
-    return MonomialIdeal(gens)
+    least, top = exponent_box(ideal, bound=d)
+    basis = monomials_of_degree(d)
+    e = np.minimum(np.array([m.exps for m in basis]), top)
+    member = e[:, 3] >= least[e[:, 0], e[:, 1], e[:, 2]]
+    return MonomialIdeal._from_minimal(tuple(itertools.compress(basis, member.tolist())))
 
 
 def truncate(ideal: MonomialIdeal, d: int) -> MonomialIdeal:
-    """I_{>=d}: the ideal generated by all elements of I of degree at least d."""
-    if d < 0:
-        raise ValueError("degree must be non-negative")
+    """I_{>=d}: the ideal generated by all elements of I of degree at least d.
+
+    No element of I_d divides a minimal generator of higher degree, so the
+    union is minimal."""
     high = tuple(g for g in ideal.generators if g.degree > d)
-    return MonomialIdeal(high + component_ideal(ideal, d).generators)
+    return MonomialIdeal._from_minimal(component_ideal(ideal, d).generators + high)
 
 
 @dataclass(frozen=True)

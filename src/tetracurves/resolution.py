@@ -44,6 +44,7 @@ from .tuples import (
     regularity_closed_form,
     FACET_POSITIONS,
     OPPOSITE,
+    _TYPES,
 )
 
 
@@ -224,7 +225,7 @@ def ascent_candidates(
     when a degree is given, deg F equal to it.  Facet entries of the parent
     are a_i + 1 where a_i > 0 and independently 0 or 1 where a_i = 0."""
     out: set[tuple[TetTuple, ReductionType]] = set()
-    for ty in ReductionType:
+    for ty in _TYPES:
         positions = FACET_POSITIONS[ty.vertex]
         zero_positions = [i for i in positions if t[i] == 0]
         for bits in range(1 << len(zero_positions)):

@@ -277,7 +277,7 @@ def max_weight_choices(t: TetTuple) -> list[ReductionType]:
     top = max(weights)
     return [
         ty
-        for ty in ReductionType
+        for ty in _TYPES
         if weights[ty.vertex] == top and reduction_applicable(t, ty)
     ]
 

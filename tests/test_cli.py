@@ -74,7 +74,7 @@ report = {"import": "numpy" in sys.modules}
 from tetracurves.cli import main
 with contextlib.redirect_stdout(io.StringIO()):
     codes = [main(["--format", "json", c, "3,3,3,1,2,4"]) for c in ("classify", "reduce", "betti")]
-    report["commands"] = [m for m in ("numpy", "tetracurves.verify") if m in sys.modules]
+    report["commands"] = [m for m in ("numpy", "tetracurves.verify", "fractions") if m in sys.modules]
     codes.append(main(["--format", "json", "betti", "--oracle-check", "3,3,3,1,2,4"]))
 report["oracle"] = "numpy" in sys.modules
 print(json.dumps({"codes": codes, **report}))

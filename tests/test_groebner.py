@@ -10,7 +10,6 @@ from tetracurves.exceptions import DisagreementError, NotBorelFixedError
 from tetracurves.gin import gin_acm, gin_buchsbaum_minimal, gin_of_curve, is_strongly_stable
 from tetracurves.groebner import (
     DEFAULT_PRIMES,
-    _basis,
     _row_echelon,
     _substituted,
     check_primes,
@@ -18,7 +17,7 @@ from tetracurves.groebner import (
     leading_monomials,
     random_invertible_matrix,
 )
-from tetracurves.monomials import Monomial, MonomialIdeal, ideal_of_tuple
+from tetracurves.monomials import Monomial, MonomialIdeal, ideal_of_tuple, monomials_of_degree
 from tetracurves.tuples import TetTuple
 
 P = DEFAULT_PRIMES[0]
@@ -28,12 +27,17 @@ IDENTITY = [[1 if i == j else 0 for j in range(4)] for i in range(4)]
 DEGENERATE = [[1, 2, 0, 2], [0, 1, 0, 1], [1, 2, 1, 2], [1, 1, 2, 0]]
 
 
+def columns(d):
+    """Exponent vectors of the degree-d Macaulay-matrix columns."""
+    return tuple(m.exps for m in monomials_of_degree(d))
+
+
 def poly(*terms):
     """Coefficient row of a homogeneous polynomial given as (exps, coeff) pairs."""
     d = sum(terms[0][0])
-    row = [0] * len(_basis(d))
+    row = [0] * len(columns(d))
     for exps, coeff in terms:
-        row[_basis(d).index(exps)] += coeff
+        row[columns(d).index(exps)] += coeff
     return row
 
 
@@ -48,7 +52,7 @@ def determinant(m):
 
 def leads(rows, top):
     """Kernel leads of coefficient rows, each placed in the degree its length gives."""
-    degree_of = {len(_basis(d)): d for d in range(top + 1)}
+    degree_of = {len(columns(d)): d for d in range(top + 1)}
     by_degree = {}
     for row in rows:
         by_degree.setdefault(degree_of[len(row)], []).append(row)
@@ -60,7 +64,7 @@ class TestSubstitution:
         I = ideal_of_tuple((1, 0, 0, 0, 0, 1))
         rows = _substituted(I, IDENTITY, P)
         assert list(rows) == [2]
-        expected = [[1 if e == g.exps else 0 for e in _basis(2)] for g in I.generators]
+        expected = [[1 if e == g.exps else 0 for e in columns(2)] for g in I.generators]
         assert rows[2].tolist() == expected
 
     def test_deterministic_in_seed(self):
@@ -93,8 +97,8 @@ class TestGroebnerBasis:
     i.e. of a degrevlex Groebner basis truncated at the top degree."""
 
     def test_basis_is_descending_degrevlex(self):
-        assert _basis(2)[:4] == ((2, 0, 0, 0), (1, 1, 0, 0), (0, 2, 0, 0), (1, 0, 1, 0))
-        assert _basis(2)[-1] == (0, 0, 0, 2)
+        assert columns(2)[:4] == ((2, 0, 0, 0), (1, 1, 0, 0), (0, 2, 0, 0), (1, 0, 1, 0))
+        assert columns(2)[-1] == (0, 0, 0, 2)
 
     def test_lead_degrevlex(self):
         f = poly(((0, 0, 2, 0), 1), ((1, 1, 0, 0), 1))  # c^2 + ab
@@ -130,9 +134,9 @@ class TestGroebnerBasis:
         for _ in range(4):
             rows, exprs = [], []
             for degree in (2, 2, 3):
-                row = [rng.randrange(P) if rng.random() < 0.4 else 0 for _ in _basis(degree)]
+                row = [rng.randrange(P) if rng.random() < 0.4 else 0 for _ in columns(degree)]
                 rows.append(row)
-                exprs.append(sum(k * a**i * b**j * c**l * d**m for k, (i, j, l, m) in zip(row, _basis(degree))))
+                exprs.append(sum(k * a**i * b**j * c**l * d**m for k, (i, j, l, m) in zip(row, columns(degree))))
             basis = sympy.groebner(exprs, a, b, c, d, order="grevlex", modulus=P)
             expected = MonomialIdeal(
                 tuple(Monomial(sympy.Poly(g, a, b, c, d).monoms(order="grevlex")[0]) for g in basis.exprs)

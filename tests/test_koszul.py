@@ -1,4 +1,5 @@
 import itertools
+from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, strategies as st
@@ -53,6 +54,53 @@ def koszul_reference(ideal):
     return BettiTable.from_dict(table)
 
 
+def exact_rank(rows):
+    """Rank of an integer matrix by Gaussian elimination over Q."""
+    m = [[Fraction(x) for x in row] for row in rows]
+    rank = 0
+    for col in range(len(m[0]) if m else 0):
+        pivot = next((r for r in range(rank, len(m)) if m[r][col]), None)
+        if pivot is None:
+            continue
+        m[rank], m[pivot] = m[pivot], m[rank]
+        for r in range(len(m)):
+            if r != rank and m[r][col]:
+                factor = m[r][col] / m[rank][col]
+                m[r] = [x - factor * y for x, y in zip(m[r], m[rank])]
+        rank += 1
+    return rank
+
+
+def homology_reference(mask):
+    """Reduced homology ranks in dimensions -1..2 from the ranks of the
+    simplicial boundary matrices: dim C_k - rank d_k - rank d_(k+1)."""
+    by_dim = {k: [] for k in range(-2, 5)}
+    for s in range(16):
+        if mask >> s & 1:
+            by_dim[bin(s).count("1") - 1].append(tuple(v for v in range(4) if s >> v & 1))
+
+    def boundary_rank(k):
+        lower = {face: j for j, face in enumerate(by_dim[k - 1])}
+        rows = []
+        for face in by_dim[k]:
+            row = [0] * len(lower)
+            for j in range(len(face)):
+                row[lower[face[:j] + face[j + 1 :]]] = (-1) ** j
+            rows.append(row)
+        return exact_rank(rows) if lower else 0
+
+    return tuple(len(by_dim[k]) - boundary_rank(k) - boundary_rank(k + 1) for k in range(-1, 3))
+
+
+def downward_closed_masks():
+    """Every simplicial complex on {a,b,c,d}, the void one included."""
+    return [
+        mask
+        for mask in range(1 << 16)
+        if all(mask >> (s & ~(1 << v)) & 1 for s in range(16) if mask >> s & 1 for v in range(4))
+    ]
+
+
 class TestSimplicialComplex:
     def test_from_faces_closes(self):
         # faces {}, {a}, {b}, {a,b}: the subsets 0, 1, 2, 3
@@ -76,6 +124,12 @@ class TestHomology:
     def test_sphere(self):
         K = from_faces({0, 1, 2}, {0, 1, 3}, {0, 2, 3}, {1, 2, 3})
         assert reduced_homology_ranks(K) == (0, 0, 0, 1)
+
+    def test_matches_boundary_matrix_reference_on_every_complex(self):
+        masks = downward_closed_masks()
+        assert len(masks) == 168  # the Dedekind number M(4)
+        for mask in masks:
+            assert reduced_homology_ranks(mask) == homology_reference(mask), bin(mask)
 
 
 class TestUpperKoszul:

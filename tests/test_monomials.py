@@ -10,11 +10,13 @@ from tetracurves.exceptions import (
     GDividesFError,
     OracleTooLargeError,
 )
+from tetracurves.koszul import cached_betti_oracle
 from tetracurves.monomials import (
     Monomial,
     MonomialIdeal,
     basic_double_link,
     component_ideal,
+    display_key,
     EDGES,
     hilbert_data,
     ideal_of_tuple,
@@ -22,6 +24,7 @@ from tetracurves.monomials import (
     monomials_of_degree,
     truncate,
 )
+from tetracurves.verify import iter_tuples
 
 monomials = st.tuples(*[st.integers(0, 4)] * 4).map(Monomial)
 
@@ -57,6 +60,16 @@ def intersection_reference(t):
             power = edge_power_ideal(edge, a)
             ideal = MonomialIdeal(tuple(lcm(u, v) for u in ideal.generators for v in power.generators))
     return ideal
+
+
+def component_reference(ideal, d):
+    """(I_d) by testing every degree-d monomial for membership."""
+    return MonomialIdeal(tuple(m for m in monomials_of_degree(d) if ideal.contains(m)))
+
+
+def truncate_reference(ideal, d, piece):
+    """I_{>=d} from the reference piece (I_d) and I's generators of higher degree."""
+    return MonomialIdeal(tuple(g for g in ideal.generators if g.degree > d) + piece.generators)
 
 
 def hilbert_reference(ideal, upto):
@@ -211,6 +224,15 @@ class TestBasicDoubleLink:
             basic_double_link(MonomialIdeal.of("a*b"), "a", M("a*b"))
 
 
+class TestMonomialsOfDegree:
+    def test_every_monomial_once_in_display_order(self):
+        for d in range(8):
+            expected = sorted(
+                (Monomial(e) for e in itertools.product(range(d + 1), repeat=4) if sum(e) == d), key=display_key
+            )
+            assert list(monomials_of_degree(d)) == expected
+
+
 class TestComponentIdeal:
     def test_all_degree_two_members(self):
         # every degree-2 monomial divisible by a or b, not just those in a, b
@@ -232,6 +254,39 @@ class TestComponentIdeal:
             if ideal_of_tuple((1, 0, 0, 0, 0, 1)).contains(m)
         }
         assert set(piece.generators) == expected
+
+    def test_zero_ideal(self):
+        # the zero ideal's box has least = 1 at its one point, so the d axis must be clipped too
+        for d in range(4):
+            assert component_ideal(MonomialIdeal.zero(), d).is_zero
+            assert truncate(MonomialIdeal.zero(), d).is_zero
+
+    def test_unit_ideal(self):
+        for d in range(4):
+            assert component_ideal(MonomialIdeal.unit(), d) == MonomialIdeal(monomials_of_degree(d))
+            assert truncate(MonomialIdeal.unit(), d) == MonomialIdeal(monomials_of_degree(d))
+
+    def test_lcm_below_d_on_an_axis(self):
+        I = MonomialIdeal.of("a*b", "c^2", "a^3*d")
+        for d in range(7):
+            piece = component_reference(I, d)
+            assert component_ideal(I, d) == piece, d
+            assert truncate(I, d) == truncate_reference(I, d, piece), d
+
+    def test_matches_contains_reference_up_to_weight_6(self):
+        for t in iter_tuples(6):
+            ideal = ideal_of_tuple(t)
+            for d in range(cached_betti_oracle(ideal).regularity + 2):
+                piece = component_reference(ideal, d)
+                assert component_ideal(ideal, d) == piece, (t, d)
+                assert truncate(ideal, d) == truncate_reference(ideal, d, piece), (t, d)
+
+    @given(st.lists(monomials, max_size=6), st.integers(0, 6))
+    def test_matches_contains_reference(self, gens, d):
+        I = MonomialIdeal(tuple(gens))
+        piece = component_reference(I, d)
+        assert component_ideal(I, d) == piece
+        assert truncate(I, d) == truncate_reference(I, d, piece)
 
 
 class TestTruncate:
