@@ -8,24 +8,29 @@ Macaulay matrix of I_d is row-reduced mod p and its pivot columns are the
 leading monomials (Lazard 1983).  The revlex gin is generated in degrees at
 most reg(I) (Bayer-Stillman 1987), so elimination stops at the regularity
 reported by the Koszul Betti oracle, and the Hilbert function one degree
-higher must match the input's.  Runs over two seeds and two primes must
-agree and the result must be Borel-fixed, otherwise the computation reports
-failure instead of guessing.
+higher must match the input's.  The runs over two seeds and two primes
+share one elimination of stacked Macaulay matrices, each mod its own prime
+(refused beyond ORACLE_MEMORY_LIMIT bytes), and a run whose initial ideal
+is not Borel-fixed is redrawn alone.  Runs that disagree or stay unstable
+make the computation report failure instead of guessing.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import random
 
-from .exceptions import DisagreementError, NotBorelFixedError
+from .exceptions import DisagreementError, NotBorelFixedError, OracleTooLargeError
 from .gin import StableIdeal, is_strongly_stable
 from .koszul import betti_table_oracle
-from .monomials import Monomial, MonomialIdeal, NVARS, component_ideal, monomials_of_degree
+from .monomials import ORACLE_MEMORY_LIMIT, Monomial, MonomialIdeal, NVARS, component_ideal, monomials_of_degree
 
 DEFAULT_PRIMES = (32003, 31991)
 DEFAULT_SEEDS = (1, 2)
+_BYTES_PER_CELL = 32  # peak bytes per cell of the largest Macaulay stack (tracemalloc: 30)
+_PAIRS = tuple(itertools.combinations(range(NVARS), 2))
 
 
 def check_primes(primes) -> tuple[int, int]:
@@ -48,86 +53,97 @@ def _shifts(d: int) -> np.ndarray:
     return np.array([[index[m * Monomial.variable(j)] for m in monomials_of_degree(d)] for j in range(NVARS)])
 
 
-def _row_echelon(rows: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
-    """Row echelon form mod p of int64 rows with entries in [0, p), and its pivot columns."""
-    rows = rows[rows.any(axis=1)]
-    pivots: list[int] = []
-    while len(pivots) < len(rows):
-        rank = len(pivots)
-        nonzero = rows[rank:] != 0
-        occupied = nonzero.any(axis=0)
-        col = int(occupied.argmax())
-        if not occupied[col]:
+def _row_echelon(rows: np.ndarray, primes: np.ndarray) -> tuple[np.ndarray, list[list[int]]]:
+    """Row echelon forms, in place, of a stack of int64 matrices, member i
+    mod primes[i] with entries in [0, primes[i]), and each member's pivot
+    columns.  Every member takes its own leftmost occupied column and its
+    first row there, so a member of lower rank ends in zero rows."""
+    import numpy as np
+    members, pivots = np.arange(len(rows)), [[] for _ in rows]
+    for rank in range(rows.shape[1]):
+        nonzero = rows[:, rank:] != 0
+        occupied = nonzero.any(axis=1)
+        cols = occupied.argmax(axis=1)
+        if not (live := occupied[members, cols]).any():
             break
-        k = rank + int(nonzero[:, col].argmax())
-        if k != rank:
-            rows[[rank, k]] = rows[[k, rank]]
-        pivot, below = rows[rank], rows[rank + 1 :]
-        factor = below[:, col, None] * pivot  # products of entries below p stay below 2^62
-        below *= pivot[col]
+        k = rank + nonzero[members, :, cols].argmax(axis=1)
+        rows[members, k], rows[:, rank] = rows[:, rank], rows[members, k]  # swap rows rank and k
+        pivot, below = rows[:, rank], rows[:, rank + 1 :]
+        factor = below[members, :, cols][:, :, None] * pivot[:, None]  # products of entries below p stay below 2^62
+        below *= pivot[members, cols][:, None, None]
         below -= factor
-        below %= p
-        pivots.append(col)
-    return rows[: len(pivots)], pivots
+        below %= primes[:, None, None]
+        for i in np.flatnonzero(live).tolist():
+            pivots[i].append(int(cols[i]))
+    return rows[:, : max(map(len, pivots))], pivots
 
 
-def leading_monomials(polys: dict[int, np.ndarray], top: int, p: int) -> MonomialIdeal:
-    """The degrevlex initial ideal, up to degree `top`, of the ideal generated
-    by homogeneous polynomials over F_p, given as {degree d: rows of
-    coefficients over monomials_of_degree(d)}, whose display order is
-    descending degrevlex.  The degree-d Macaulay matrix holds the degree-d
-    generators and the a, b, c, d shifts of the degree-(d-1) echelon rows."""
+def leading_monomials(polys: dict[int, np.ndarray], top: int, primes: list[int]) -> list[MonomialIdeal]:
+    """The degrevlex initial ideals, up to degree `top`, of a stack of ideals,
+    member i over F_primes[i] and generated by homogeneous polynomials given
+    as {degree d: (members, rows, coefficients over monomials_of_degree(d))},
+    whose display order is descending degrevlex.  The degree-d Macaulay
+    matrix holds the degree-d generators and the a, b, c, d shifts of the
+    degree-(d-1) echelon rows."""
     import numpy as np
-    polys = {d: np.asarray(rows, dtype=np.int64) % p for d, rows in polys.items()}
-    if not any(rows.any() for rows in polys.values()):
+    primes = np.asarray(primes, dtype=np.int64)
+    polys = {d: np.asarray(rows, dtype=np.int64) % primes[:, None, None] for d, rows in polys.items()}
+    if not np.any([rows.any(axis=(1, 2)) for rows in polys.values()], axis=0).all():
         raise ValueError("need at least one non-zero polynomial")
-    leads: list[Monomial] = []
-    echelon, inherited = np.zeros((0, 0), dtype=np.int64), set()
+    leads: list[list[Monomial]] = [[] for _ in primes]
+    echelon, inherited = np.zeros((len(primes), 0, 0), dtype=np.int64), [set() for _ in primes]
     for d in range(min(polys), top + 1):
-        width = len(monomials_of_degree(d))
-        shifted = np.zeros((NVARS, len(echelon), width), dtype=np.int64)
-        if len(echelon):
-            for j, columns in enumerate(_shifts(d - 1)):
-                shifted[j][:, columns] = echelon
-        fresh = polys.get(d, np.zeros((0, width), dtype=np.int64))
-        echelon, pivots = _row_echelon(np.vstack([shifted.reshape(-1, width), fresh]), p)
-        leads += [monomials_of_degree(d)[c] for c in pivots if c not in inherited]
-        inherited = set(_shifts(d)[:, pivots].ravel().tolist())
-    return MonomialIdeal(tuple(leads))
+        width, r = len(monomials_of_degree(d)), echelon.shape[1]
+        fresh = polys.get(d, np.zeros((len(primes), 0, width), dtype=np.int64))
+        stack = np.zeros((len(primes), NVARS * r + fresh.shape[1], width), dtype=np.int64)
+        for j, columns in enumerate(_shifts(d - 1) if r else ()):
+            stack[:, j * r : (j + 1) * r, columns] = echelon
+        stack[:, NVARS * r :] = fresh
+        echelon, pivots = _row_echelon(stack, primes)
+        for lead, seen, cols in zip(leads, inherited, pivots):
+            lead += [monomials_of_degree(d)[c] for c in cols if c not in seen]
+        inherited = [set(_shifts(d)[:, cols].ravel().tolist()) for cols in pivots]
+    return [MonomialIdeal(tuple(lead)) for lead in leads]
 
 
-def _substituted(ideal: MonomialIdeal, matrix: list[list[int]], p: int) -> dict[int, np.ndarray]:
-    """Coefficient rows, by degree, of the minimal generators after the
-    substitution x_i -> sum_j matrix[i][j] x_j."""
+def _substituted(ideal: MonomialIdeal, matrices: list[list[list[int]]], primes: list[int]) -> dict[int, np.ndarray]:
+    """Coefficient rows, by degree and stacked over the members, of the
+    minimal generators after the substitution x_i -> sum_j matrix[i][j] x_j,
+    member k taking matrices[k] over F_primes[k]."""
     import numpy as np
-    coeffs = np.array(matrix, dtype=np.int64)[:, :, None]
-    images = {(0, 0, 0, 0): np.ones(1, dtype=np.int64)}
+    coeffs = np.array(matrices, dtype=np.int64)[:, :, :, None]
+    primes = np.asarray(primes, dtype=np.int64)[:, None]
+    members = np.arange(len(coeffs))[:, None, None]
+    images = {(0, 0, 0, 0): np.ones((len(coeffs), 1), dtype=np.int64)}
 
     def image(e: tuple[int, ...]) -> np.ndarray:
         if e not in images:
             i = next(k for k in range(NVARS) if e[k])
             parent = e[:i] + (e[i] - 1,) + e[i + 1 :]
-            terms = coeffs[i] * image(parent) % p
+            terms = coeffs[:, i] * image(parent)[:, None] % primes[:, None]
             # each column of x_i * parent sums at most 4 terms below 2^31: exact in float64
-            out = np.bincount(_shifts(sum(parent)).ravel(), terms.ravel(), len(monomials_of_degree(sum(e))))
-            images[e] = out.astype(np.int64) % p
+            width = len(monomials_of_degree(sum(e)))
+            out = np.bincount((members * width + _shifts(sum(parent))).ravel(), terms.ravel(), len(coeffs) * width)
+            images[e] = out.astype(np.int64).reshape(-1, width) % primes
         return images[e]
 
     by_degree: dict[int, list[np.ndarray]] = {}
     for g in ideal.generators:
         by_degree.setdefault(g.degree, []).append(image(g.exps))
-    return {d: np.array(rows) for d, rows in by_degree.items()}
+    return {d: np.stack(rows, axis=1) for d, rows in by_degree.items()}
 
 
 def random_invertible_matrix(seed: int, prime: int) -> list[list[int]]:
     """A uniformly sampled invertible 4x4 matrix over F_p, deterministic in
-    the seed (resampled until it has full rank)."""
-    import numpy as np
+    the seed (resampled until its determinant is non-zero mod p: the exact
+    Laplace expansion in the 2x2 minors of the first two rows, whose
+    complements in the last two rows come in reverse order)."""
     rng = random.Random(seed)
     while True:
-        matrix = [[rng.randrange(prime) for _ in range(NVARS)] for _ in range(NVARS)]
-        if len(_row_echelon(np.array(matrix, dtype=np.int64), prime)[1]) == NVARS:
-            return matrix
+        m = [[rng.randrange(prime) for _ in range(NVARS)] for _ in range(NVARS)]
+        minors = [[m[r][i] * m[r + 1][j] - m[r][j] * m[r + 1][i] for i, j in _PAIRS] for r in (0, 2)]
+        if sum((-1) ** (i + j + 1) * a * b for (i, j), a, b in zip(_PAIRS, minors[0], reversed(minors[1]))) % prime:
+            return m
 
 
 def gin_oracle(
@@ -144,20 +160,24 @@ def gin_oracle(
     if ideal.is_zero or ideal.is_unit:
         raise ValueError("gin oracle needs a proper non-zero ideal")
     top = betti_table_oracle(ideal).regularity
-    results: list[tuple[int, int, MonomialIdeal]] = []
-    for seed in seeds:
-        for prime in primes:
-            for attempt in range(3):
-                matrix = random_invertible_matrix(seed + 7919 * attempt, prime)
-                lead = leading_monomials(_substituted(ideal, matrix, prime), top, prime)
-                if is_strongly_stable(lead):
-                    break
-            else:
-                raise NotBorelFixedError(f"no Borel-fixed initial ideal for seed {seed}, prime {prime}")
-            results.append((seed, prime, lead))
-    first = results[0][2]
-    if any(r != first for _, _, r in results):
-        detail = "; ".join(f"seed {s}, p {p}: {r}" for s, p, r in results)
+    runs = [(seed, prime) for seed in seeds for prime in primes]
+    # the largest stack sits at degree top: the shifts of I_(top-1) and the degree-top generators
+    height = NVARS * len(component_ideal(ideal, top - 1).generators) + sum(g.degree == top for g in ideal.generators)
+    if (estimate := len(runs) * height * math.comb(top + 3, 3) * _BYTES_PER_CELL) > ORACLE_MEMORY_LIMIT:
+        raise OracleTooLargeError(f"the stacked degree-{top} Macaulay matrices need about {estimate >> 20} MiB")
+    found, stable, pending = {}, {}, runs
+    for attempt in range(3):
+        matrices = [random_invertible_matrix(seed + 7919 * attempt, prime) for seed, prime in pending]
+        got = leading_monomials(_substituted(ideal, matrices, [p for _, p in pending]), top, [p for _, p in pending])
+        stable.update({lead: is_strongly_stable(lead) for lead in set(got) - stable.keys()})
+        found.update({run: lead for run, lead in zip(pending, got) if stable[lead]})
+        if not (pending := [run for run in pending if run not in found]):
+            break
+    else:
+        raise NotBorelFixedError(f"no Borel-fixed initial ideal for seed {pending[0][0]}, prime {pending[0][1]}")
+    first = found[runs[0]]
+    if any(found[run] != first for run in runs):
+        detail = "; ".join(f"seed {s}, p {p}: {found[s, p]}" for s, p in runs)
         raise DisagreementError(f"gin runs disagree: {detail}")
     # equal Hilbert functions in degree top + 1: equally many monomials of that degree in each ideal
     if len(component_ideal(first, top + 1).generators) != len(component_ideal(ideal, top + 1).generators):

@@ -267,6 +267,15 @@ class TestGinCommand:
         assert report["result"]["supported"] is True
         assert report["result"]["oracle_match"] is True
 
+    @pytest.mark.parametrize("t", ["16,16,16,16,16,16", "40,0,0,0,0,40"])
+    def test_oracle_over_memory_limit_is_typed_error(self, capsys, t):
+        # the stacked Macaulay matrices would take GiBs: refused, not a 20 s+ run
+        start = time.perf_counter()
+        code, report = run_json(capsys, "gin", t, "--oracle-check")
+        assert time.perf_counter() - start < 10
+        assert code == 1
+        assert report["result"]["error"] == "OracleTooLargeError"
+
     def test_unsupported_curve(self, capsys):
         code, report = run_json(capsys, "gin", "4,1,2,1,1,5")
         assert code == 0
