@@ -9,8 +9,8 @@ from collections import Counter
 
 from tetracurves.koszul import cached_betti_oracle
 from tetracurves.monomials import ideal_of_tuple
-from tetracurves.resolution import betti_table, enumerate_linear_in_class
-from tetracurves.tuples import TetTuple, canonicalize, is_cwl, is_minimal, reduction_trace
+from tetracurves.resolution import classify, enumerate_linear_in_class
+from tetracurves.tuples import TetTuple, canonicalize
 from tetracurves.verify import iter_tuples
 
 
@@ -22,16 +22,16 @@ def main() -> None:
     counts = Counter()
     orbits_seen = set()
     for t in iter_tuples(args.bound):
-        canon = canonicalize(t)[0]
+        canon = canonicalize(t)
         if canon in orbits_seen:
             continue
         orbits_seen.add(canon)
         counts["orbits"] += 1
-        trace = reduction_trace(canon)
-        counts["acm"] += trace.is_acm
-        counts["minimal"] += is_minimal(canon)
-        counts["cwl"] += is_cwl(canon)
-        counts["linear"] += betti_table(canon).is_linear
+        report = classify(canon)
+        counts["acm"] += report.acm
+        counts["minimal"] += report.minimal
+        counts["cwl"] += report.componentwise_linear
+        counts["linear"] += report.linear_resolution
 
     print(f"orbits with weight sum <= {args.bound}: {counts['orbits']}")
     for key in ("acm", "cwl", "linear", "minimal"):

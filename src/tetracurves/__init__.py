@@ -31,7 +31,6 @@ from .gin import (
     StableIdeal,
     ek_betti,
     gin_acm,
-    gin_bdl_step,
     gin_buchsbaum_minimal,
     gin_of_curve,
     is_strongly_stable,
@@ -50,7 +49,6 @@ from .tuples import (
     facet_weights,
     is_cwl,
     is_minimal,
-    max_weight_reduction,
     reduction_applicable,
     reduction_trace,
     regularity_closed_form,

@@ -26,7 +26,7 @@ from math import comb
 from .exceptions import NotACMError, NotStableError, TrivialCurveError
 from .koszul import BettiTable
 from .monomials import Monomial, MonomialIdeal
-from .resolution import _trace_recipe
+from .resolution import resolution_recipe
 from .tuples import ReductionTrace, TetTuple, buchsbaum_minimal_r, reduction_trace
 
 
@@ -82,7 +82,7 @@ def _lex_gin(trace: ReductionTrace) -> StableIdeal:
     ideal's minimal generators in degree d are a^(d-i) b^i for i from
     k_(d-1) + 2 (or 0 when k_(d-1) < 0) to k_d."""
     numerator = Counter({0: 1})
-    for i, j, r in _trace_recipe(trace).assemble().entries:
+    for i, j, r in resolution_recipe(trace).assemble().entries:
         numerator[j] += (-1) ** (i + 1) * r
     h = list(accumulate(accumulate(numerator[d] for d in range(max(numerator) + 1))))
     while h and h[-1] == 0:
@@ -126,15 +126,6 @@ def gin_buchsbaum_minimal(r: int) -> StableIdeal:
     return StableIdeal(tuple(_buchsbaum_generators(r)))
 
 
-def gin_bdl_step(gin_ideal: MonomialIdeal, e: int) -> StableIdeal:
-    """gin of a maximal-weight basic double link: a * gin(I) + (b^e), where
-    e is the maximal facet weight of the parent curve."""
-    stepped = gin_ideal.scaled(Monomial.of(1, 0, 0, 0)) + MonomialIdeal(
-        (Monomial((0, e, 0, 0)),)
-    )
-    return StableIdeal(stepped.generators)
-
-
 def gin_of_curve(t: TetTuple) -> StableIdeal | None:
     """gin of a tetrahedral curve where it is known: ACM curves via the
     h-vector, non-ACM curves whose minimal curve is Buchsbaum via the basic
@@ -148,7 +139,8 @@ def gin_of_curve(t: TetTuple) -> StableIdeal | None:
     r = buchsbaum_minimal_r(trace.terminal)
     if r is None:
         return None
-    # gin_bdl_step folded: the j-th step from the top multiplies by a^j
+    # gin(J) = a * gin(I) + (b^e) folded along the chain: the j-th step from
+    # the top multiplies by a^j
     gens = _buchsbaum_generators(r, len(trace.weights))
     gens += (Monomial((j, e, 0, 0)) for j, e in enumerate(trace.weights))
     return StableIdeal(tuple(gens))

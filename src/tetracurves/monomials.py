@@ -63,14 +63,6 @@ class Monomial:
             raise ValueError(f"bad exponent vector {self.exps}")
 
     @classmethod
-    def of(cls, *exps: int) -> "Monomial":
-        return cls(tuple(exps))
-
-    @classmethod
-    def one(cls) -> "Monomial":
-        return cls((0, 0, 0, 0))
-
-    @classmethod
     def variable(cls, g: int | str) -> "Monomial":
         i = variable_index(g)
         return cls(tuple(1 if j == i else 0 for j in range(NVARS)))
@@ -100,11 +92,6 @@ class Monomial:
 
     def __mul__(self, other: "Monomial") -> "Monomial":
         return Monomial(tuple(s + o for s, o in zip(self.exps, other.exps)))
-
-    def __truediv__(self, other: "Monomial") -> "Monomial":
-        if not other.divides(self):
-            raise ValueError(f"{other} does not divide {self}")
-        return Monomial(tuple(s - o for s, o in zip(self.exps, other.exps)))
 
     def __str__(self) -> str:
         if self.degree == 0:
@@ -185,14 +172,6 @@ class MonomialIdeal:
     def of(cls, *texts: str) -> "MonomialIdeal":
         return cls(tuple(Monomial.parse(t) for t in texts))
 
-    @classmethod
-    def unit(cls) -> "MonomialIdeal":
-        return cls((Monomial.one(),))
-
-    @classmethod
-    def zero(cls) -> "MonomialIdeal":
-        return cls(())
-
     @property
     def is_unit(self) -> bool:
         return len(self.generators) == 1 and self.generators[0].degree == 0
@@ -256,7 +235,8 @@ def ideal_of_tuple(t: Sequence[int]) -> MonomialIdeal:
     minimal[:, 1:] &= least[:, :-1] > least[:, 1:]
     minimal[:, :, 1:] &= least[:, :, :-1] > least[:, :, 1:]
     exps = np.column_stack((np.argwhere(minimal), least[minimal]))
-    # display order: ascending degree, then descending e3, e2, e1, e0
+    # display order (`display_key`): ascending degree, then ascending e3, e2,
+    # e1, e0, which is descending degrevlex
     order = np.lexsort((exps[:, 0], exps[:, 1], exps[:, 2], exps[:, 3], exps.sum(axis=1)))
     return MonomialIdeal._from_minimal(
         tuple(Monomial(tuple(e)) for e in exps[order].tolist())

@@ -16,7 +16,6 @@ from __future__ import annotations
 import operator
 from collections import Counter
 from dataclasses import dataclass
-from enum import Enum
 
 from .exceptions import (
     EnumerationCapError,
@@ -30,7 +29,6 @@ from .tuples import (
     ReductionTrace,
     ReductionType,
     TetTuple,
-    TerminalKind,
     apply_reduction,
     buchsbaum_minimal_r,
     canonicalize,
@@ -80,12 +78,6 @@ def ci_power_betti(r: int) -> BettiTable:
     return BettiTable.from_dict({(0, 2 * r): r + 1, (1, 2 * r + 2): r})
 
 
-class BaseKind(Enum):
-    TRIVIAL = "trivial"
-    MINIMAL_CURVE = "minimal"
-    CI_POWER = "ci-power"
-
-
 @dataclass(frozen=True)
 class ResolutionRecipe:
     """Assembly plan for a Betti table from a reduction chain: a base table
@@ -93,7 +85,6 @@ class ResolutionRecipe:
     at (F degree + shift, F degree + shift + 1), where the k-th step from
     the top has shift k."""
 
-    base_kind: BaseKind
     base: TetTuple
     base_betti: BettiTable
     weights: tuple[int, ...]  # F degrees, top first
@@ -122,14 +113,11 @@ def _recipe(
     """The plan for a chain with these step weights (top first) and this
     terminal; ci is the topmost CI-power element with its chain index."""
     if not terminal.is_trivial:
-        kind, base, base_betti = BaseKind.MINIMAL_CURVE, terminal, minimal_curve_betti(terminal)
-    elif ci is None:
-        kind, base, base_betti = BaseKind.TRIVIAL, terminal, BettiTable.from_dict({(0, 0): 1})
-    else:
-        index, base = ci
-        weights = weights[:index]
-        kind, base_betti = BaseKind.CI_POWER, ci_power_betti(ci_power_form(base))
-    return ResolutionRecipe(kind, base, base_betti, weights)
+        return ResolutionRecipe(terminal, minimal_curve_betti(terminal), weights)
+    if ci is None:
+        return ResolutionRecipe(terminal, BettiTable.from_dict({(0, 0): 1}), weights)
+    index, base = ci
+    return ResolutionRecipe(base, ci_power_betti(ci_power_form(base)), weights[:index])
 
 
 def recipe_from_chain(chain: tuple[TetTuple, ...]) -> ResolutionRecipe:
@@ -142,25 +130,22 @@ def recipe_from_chain(chain: tuple[TetTuple, ...]) -> ResolutionRecipe:
     return _recipe(weights, chain[-1], ci)
 
 
-def _trace_recipe(trace: ReductionTrace) -> ResolutionRecipe:
+def resolution_recipe(trace: ReductionTrace) -> ResolutionRecipe:
+    """The assembly plan of the traced curve's maximal-weight chain."""
     ci = trace.first_ci_power and (trace.first_ci_power[0], trace.ci_power_element)
     return _recipe(trace.weights, trace.terminal, ci)
 
 
-def resolution_recipe(t: TetTuple) -> ResolutionRecipe:
-    if t.is_trivial:
-        raise TrivialCurveError("the trivial curve has no resolution recipe")
-    return _trace_recipe(reduction_trace(t))
-
-
 def betti_table(t: TetTuple) -> BettiTable:
     """Graded Betti table of a non-trivial tetrahedral curve."""
-    return resolution_recipe(t).assemble()
+    if t.is_trivial:
+        raise TrivialCurveError("the trivial curve has no resolution recipe")
+    return resolution_recipe(reduction_trace(t)).assemble()
 
 
 # (tag, sorted entries, canonical form) of each fixed family's model
 _FIXED_LINEAR_ACM_FAMILIES = tuple(
-    (tag, sorted(model), canonicalize(model)[0])
+    (tag, sorted(model), canonicalize(model))
     for tag, model in (
         ("b", (1, 1, 0, 1, 0, 0)),
         ("c", (1, 1, 1, 1, 1, 1)),
@@ -168,8 +153,6 @@ _FIXED_LINEAR_ACM_FAMILIES = tuple(
         ("e", (2, 1, 1, 1, 1, 2)),
     )
 )
-
-ACM_LINEAR_FAMILY_TAGS = ("a", "b", "c", "d", "e", "f")
 
 
 def _cycle_family_degree(t: TetTuple) -> int | None:
@@ -213,7 +196,7 @@ def acm_linear_family(t: TetTuple) -> tuple[str, int | None] | None:
     # S4 only permutes the entries, so other sorted entries mean another orbit
     key = sorted(t)
     for tag, model_key, model in _FIXED_LINEAR_ACM_FAMILIES:
-        if key == model_key and canonicalize(t)[0] == model:
+        if key == model_key and canonicalize(t) == model:
             return (tag, None)
     return None
 
@@ -261,7 +244,7 @@ def enumerate_linear_in_class(minimal: TetTuple) -> set[TetTuple]:
         raise IsACMError(f"({minimal}) is arithmetically Cohen-Macaulay")
     if not is_minimal(minimal):
         raise NotMinimalError(f"({minimal}) is not a minimal curve")
-    found = {canonicalize(minimal)[0]}
+    found = {canonicalize(minimal)}
     level = set(found)
     generator_degree = minimal_curve_betti(minimal).min_generator_degree
     rounds = 0
@@ -275,7 +258,7 @@ def enumerate_linear_in_class(minimal: TetTuple) -> set[TetTuple]:
         next_level: set[TetTuple] = set()
         for t in level:
             for parent, _ in ascent_candidates(t, generator_degree + 1):
-                canon = canonicalize(parent)[0]
+                canon = canonicalize(parent)
                 if canon not in found and betti_table(parent).is_linear:
                     found.add(canon)
                     next_level.add(canon)
@@ -292,8 +275,8 @@ def gin_betti_prediction(t: TetTuple) -> BettiTable:
     if t.is_trivial:
         raise TrivialCurveError("gin is undefined for the trivial curve")
     trace = reduction_trace(t)
-    table = _trace_recipe(trace).assemble()
-    if trace.terminal_kind is TerminalKind.MINIMAL or trace.first_ci_power is None:
+    table = resolution_recipe(trace).assemble()
+    if trace.is_cwl:
         return table
     r = trace.first_ci_power[1]
     p = table.min_generator_degree
@@ -317,17 +300,15 @@ def classify(t: TetTuple) -> ClassificationReport:
             regularity=None,
         )
     trace = reduction_trace(t)
-    acm = trace.is_acm
-    cwl = True if not acm else trace.first_ci_power is None
     minimal = not trace.weights  # t is its own terminal
     return ClassificationReport(
         trivial=False,
-        acm=acm,
+        acm=trace.is_acm,
         minimal=minimal,
         buchsbaum_minimal_r=buchsbaum_minimal_r(t) if minimal else None,
         schwartau=t[1] == 0 and t[4] == 0,
-        componentwise_linear=cwl,
-        linear_resolution=_trace_recipe(trace).is_linear,
+        componentwise_linear=trace.is_cwl,
+        linear_resolution=resolution_recipe(trace).is_linear,
         ci_power_r=ci_power_form(t),
         degree=degree_of_tuple(t),
         regularity=regularity_closed_form(t),

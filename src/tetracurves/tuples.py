@@ -115,14 +115,9 @@ def permute(t: Sequence[int], pi: tuple[int, ...]) -> TetTuple:
     return TetTuple([t[i] for i in _PERMUTED_EDGES[pi]])
 
 
-def canonicalize(t: Sequence[int]) -> tuple[TetTuple, tuple[int, ...]]:
-    """Lexicographically smallest tuple in the 24-element orbit, with the
-    first permutation (in `VERTEX_PERMUTATIONS` order) that achieves it."""
-    # a tie falls to the smaller pi, which comes first: the order is lexicographic
-    best, best_pi = min(
-        (tuple([t[i] for i in row]), pi) for pi, row in _PERMUTED_EDGES.items()
-    )
-    return TetTuple(best), best_pi
+def canonicalize(t: Sequence[int]) -> TetTuple:
+    """Lexicographically smallest tuple in the 24-element orbit."""
+    return TetTuple(min(tuple([t[i] for i in row]) for row in _PERMUTED_EDGES.values()))
 
 
 class ReductionType(Enum):
@@ -261,16 +256,6 @@ def _max_weight_type(t: Sequence[int]) -> ReductionType | None:
     return None
 
 
-def max_weight_reduction(t: TetTuple) -> ReductionStep:
-    """Reduce an applicable facet of maximal weight, ties broken A < B < C < D."""
-    if t.is_trivial:
-        raise NotApplicableError("the trivial curve admits no reduction")
-    ty = _max_weight_type(t)
-    if ty is None:
-        raise NotApplicableError(f"({t}) is minimal")
-    return apply_reduction(t, ty)
-
-
 def max_weight_choices(t: TetTuple) -> list[ReductionType]:
     """All applicable reductions along facets of maximal weight."""
     weights = facet_weights(t)
@@ -357,6 +342,12 @@ class ReductionTrace:
     def is_acm(self) -> bool:
         return self.terminal_kind is TerminalKind.TRIVIAL
 
+    @property
+    def is_cwl(self) -> bool:
+        """Componentwise linearity: every non-ACM curve is componentwise
+        linear; an ACM curve is iff its chain avoids CI-power curves."""
+        return not self.is_acm or self.first_ci_power is None
+
 
 def _periods_ahead(states, drift, period, watch_ci: bool) -> int:
     """How many more times the period just run repeats exactly: the largest K
@@ -441,14 +432,10 @@ def is_acm(t: TetTuple) -> bool:
 
 
 def is_cwl(t: TetTuple) -> bool:
-    """Componentwise linearity: every non-ACM curve is componentwise linear;
-    an ACM curve is iff its reduction chain avoids CI-power curves."""
+    """Componentwise linearity of a non-trivial curve (`ReductionTrace.is_cwl`)."""
     if t.is_trivial:
         raise TrivialCurveError("componentwise linearity is undefined for the trivial curve")
-    trace = reduction_trace(t)
-    if trace.terminal_kind is TerminalKind.MINIMAL:
-        return True
-    return trace.first_ci_power is None
+    return reduction_trace(t).is_cwl
 
 
 def schwartau_status(t: TetTuple) -> tuple[bool, bool]:
@@ -479,7 +466,7 @@ def buchsbaum_minimal_r(t: TetTuple) -> int | None:
     # S4 only permutes the entries, so other sorted entries mean another orbit
     if sorted(t) != [0, 0, r - 1, r - 1, r, r]:
         return None
-    if canonicalize(t)[0] == canonicalize((r, 0, r - 1, r - 1, 0, r))[0]:
+    if canonicalize(t) == canonicalize((r, 0, r - 1, r - 1, 0, r)):
         return r
     return None
 

@@ -183,18 +183,18 @@ def check_builder_vs_oracle_all_choices(bound: int) -> CheckResult:
     return _sweep("assembled table equals oracle for every tie-break", cases, fails)
 
 
-def check_random_builder_vs_oracle(count: int, max_entry: int, seed: int) -> CheckResult:
+def check_random_builder_vs_oracle(seed: int) -> CheckResult:
     rng = random.Random(seed)
-    draws = (TetTuple(rng.randint(0, max_entry) for _ in range(6)) for _ in itertools.count())
-    cases = itertools.islice((t for t in draws if not t.is_trivial), count)
-    return _sweep(f"random builder vs oracle (entries <= {max_entry})", cases,
+    draws = (TetTuple(rng.randint(0, 4) for _ in range(6)) for _ in itertools.count())
+    cases = itertools.islice((t for t in draws if not t.is_trivial), 200)
+    return _sweep("random builder vs oracle (entries <= 4)", cases,
                   lambda t: resolution.betti_table(t) != oracle_table(t))
 
 
-def check_minimal_formula(max_entry: int) -> CheckResult:
+def check_minimal_formula() -> CheckResult:
     spot = TetTuple((4, 1, 2, 1, 1, 5))
     expected = BettiTable.from_dict({(0, 9): 24, (1, 10): 37, (2, 11): 14})
-    grid = map(TetTuple, itertools.product(range(max_entry + 1), repeat=6))
+    grid = map(TetTuple, itertools.product(range(4), repeat=6))  # entries <= 3
     cases = itertools.chain((t for t in grid if tuples.is_minimal(t)), [spot])
     return _sweep("minimal-curve formulas equal oracle", cases, lambda t: resolution.minimal_curve_betti(t)
                   != oracle_table(t) or t == spot and oracle_table(t) != expected)
@@ -332,7 +332,7 @@ def check_gin_vs_oracle(bound: int, seeds: tuple[int, int], primes: tuple[int, i
     return _sweep("gin_of_curve equals the Groebner oracle", _gin_tuples(bound), fails)
 
 
-def check_buchsbaum_gin(r_max: int, seeds: tuple[int, int], primes: tuple[int, int]) -> CheckResult:
+def check_buchsbaum_gin(seeds: tuple[int, int], primes: tuple[int, int]) -> CheckResult:
     def fails(case):
         r, side = case
         built = gin_mod.gin_buchsbaum_minimal(r)
@@ -344,7 +344,7 @@ def check_buchsbaum_gin(r_max: int, seeds: tuple[int, int], primes: tuple[int, i
             bad = gin_mod.ek_betti(built) != expected
         return bad and f"r={r} {side}"
 
-    cases = itertools.product(range(1, r_max + 1), ("oracle", "ek"))
+    cases = itertools.product(range(1, 4), ("oracle", "ek"))  # r = 1..3
     return _sweep("Buchsbaum gin recursion matches the oracle", cases, fails)
 
 
@@ -386,22 +386,22 @@ TWO_SKEW_LINES = TetTuple((1, 0, 0, 0, 0, 1))
 
 def brute_force_linear_in_class(minimal: TetTuple, max_entry: int) -> set[TetTuple]:
     """Independent of the ascent: scan all tuples up to an entry bound."""
-    target = tuples.canonicalize(minimal)[0]
+    target = tuples.canonicalize(minimal)
     grid = map(TetTuple, itertools.product(range(max_entry + 1), repeat=6))
     return {
-        tuples.canonicalize(t)[0]
+        tuples.canonicalize(t)
         for t in grid
         if not t.is_trivial
         and (trace := tuples.reduction_trace(t)).terminal_kind is TerminalKind.MINIMAL
-        and tuples.canonicalize(trace.terminal)[0] == target
+        and tuples.canonicalize(trace.terminal) == target
         and resolution.betti_table(t).is_linear
     }
 
 
-def check_two_skew_vs_brute_force(max_entry: int = 4) -> CheckResult:
+def check_two_skew_vs_brute_force() -> CheckResult:
     name = "two-skew-lines ascent equals brute force, oracle-linear"
     got = resolution.enumerate_linear_in_class(TWO_SKEW_LINES)
-    brute = brute_force_linear_in_class(TWO_SKEW_LINES, max_entry)
+    brute = brute_force_linear_in_class(TWO_SKEW_LINES, 4)
     if got == brute and all(oracle_table(c).is_linear for c in got):
         return CheckResult(name, True, f"{len(got)} orbits")
     return CheckResult(name, False, f"ascent {sorted(map(str, got))} vs brute {sorted(map(str, brute))}")
@@ -419,23 +419,21 @@ def _erratum_evidence(action: str, t: TetTuple, listed: bool) -> str | None:
         not listed
         and table.is_linear
         and table.projective_dimension == 2
-        and tuples.canonicalize(terminal)[0] == tuples.canonicalize(TWO_SKEW_LINES)[0]
+        and tuples.canonicalize(terminal) == tuples.canonicalize(TWO_SKEW_LINES)
     )
     return f"added {t} (oracle: linear, pd 2)" if holds else None
 
 
-def check_two_skew_vs_published(
-    published_orbits=PUBLISHED_TWO_SKEW_ORBITS, errata=TWO_SKEW_ERRATA
-) -> CheckResult:
+def check_two_skew_vs_published() -> CheckResult:
     """The ascent's orbits equal the published list amended by the errata,
     and the oracle confirms every erratum."""
     name = "two-skew-lines orbits match the published list"
     got = resolution.enumerate_linear_in_class(TWO_SKEW_LINES)
-    published = {tuples.canonicalize(TetTuple(e))[0] for e in published_orbits}
+    published = {tuples.canonicalize(TetTuple(e)) for e in PUBLISHED_TWO_SKEW_ORBITS}
     amended, evidence, refuted = set(published), [], []
-    for action, entries in errata:
+    for action, entries in TWO_SKEW_ERRATA:
         t = TetTuple(entries)
-        canon = tuples.canonicalize(t)[0]
+        canon = tuples.canonicalize(t)
         note = _erratum_evidence(action, t, canon in published)
         if action == "remove":
             amended.discard(canon)
@@ -447,7 +445,7 @@ def check_two_skew_vs_published(
             evidence.append(note)
     if got == amended and not refuted:
         return CheckResult(name, True, f"{len(got)} orbits = {len(published)} published with "
-                           f"{len(errata)} errata: {'; '.join(evidence)}")
+                           f"{len(TWO_SKEW_ERRATA)} errata: {'; '.join(evidence)}")
     extra, missing = sorted(map(str, got - amended)), sorted(map(str, amended - got))
     refuted_note = f", errata that do not hold {refuted}" if refuted else ""
     return CheckResult(name, False, f"extra {extra}, missing {missing}{refuted_note}")
@@ -462,7 +460,7 @@ def check_acm_linear_families(bound: int) -> CheckResult:
     def fails(t):
         is_family = resolution.acm_linear_family(t) is not None
         bad = [t] if is_family != (tuples.is_acm(t) and resolution.betti_table(t).is_linear) else []
-        if is_family and (canon := tuples.canonicalize(t)[0]) not in oracle_checked:
+        if is_family and (canon := tuples.canonicalize(t)) not in oracle_checked:
             oracle_checked.add(canon)
             table = oracle_table(canon)
             if table.projective_dimension > 1 or not table.is_linear:
@@ -475,7 +473,7 @@ def check_acm_linear_families(bound: int) -> CheckResult:
     return result
 
 
-def check_no_nonmin(bound: int = 12) -> CheckResult:
+def check_no_nonmin() -> CheckResult:
     def deep(t):
         top = max(t)
         return any(
@@ -484,13 +482,13 @@ def check_no_nonmin(bound: int = 12) -> CheckResult:
         )
 
     return _sweep("deep minimal curves admit only minimal ascents",
-                  (t for t in iter_tuples(bound) if tuples.is_minimal(t) and deep(t)),
+                  (t for t in iter_tuples(12) if tuples.is_minimal(t) and deep(t)),
                   lambda t: any(not tuples.is_minimal(parent) for parent, _ in resolution.ascent_candidates(t)))
 
 
 # ---------------------------------------------------------------- liaison addition
 
-def check_liaison_addition(r_max: int = 4) -> CheckResult:
+def check_liaison_addition(r_max: int) -> CheckResult:
     ac = monomials.Monomial.parse("a*c")
     base = ideal_of_tuple((1, 0, 0, 0, 0, 1))
 
@@ -499,7 +497,7 @@ def check_liaison_addition(r_max: int = 4) -> CheckResult:
         combined = ideal_of_tuple((r, 0, r - 1, r - 1, 0, r)).scaled(ac) + base.scaled(bd_r)
         return combined != ideal_of_tuple((r + 1, 0, r, r, 0, r + 1))
 
-    return _sweep("liaison addition identity for r = 1..4", range(1, r_max + 1), fails)
+    return _sweep(f"liaison addition identity for r = 1..{r_max}", range(1, r_max + 1), fails)
 
 
 # ---------------------------------------------------------------- truncation
@@ -537,8 +535,8 @@ SUITES = {
     )),
     "betti": (7, (
         lambda b, s, p: check_builder_vs_oracle_all_choices(b),
-        lambda b, s, p: check_random_builder_vs_oracle(200, 4, s[0]),
-        lambda b, s, p: check_minimal_formula(3),
+        lambda b, s, p: check_random_builder_vs_oracle(s[0]),
+        lambda b, s, p: check_minimal_formula(),
         lambda b, s, p: check_sum_rule(min(b, 6)),
         lambda b, s, p: check_projective_dimension(b),
         lambda b, s, p: check_non_acm_shape(b),
@@ -553,7 +551,7 @@ SUITES = {
         lambda b, s, p: check_gin_acm_examples(),
         lambda b, s, p: check_ek_vs_prediction(b),
         lambda b, s, p: check_gin_acm_wellformed(min(b, 6)),
-        lambda b, s, p: check_buchsbaum_gin(3, s, p),
+        lambda b, s, p: check_buchsbaum_gin(s, p),
         lambda b, s, p: check_gin_vs_oracle(min(b, 6), s, p),
         lambda b, s, p: check_gin_regularity(min(b, 5), s, p),
     )),
@@ -561,7 +559,7 @@ SUITES = {
         lambda b, s, p: check_two_skew_vs_brute_force(),
         lambda b, s, p: check_two_skew_vs_published(),
         lambda b, s, p: check_acm_linear_families(b),
-        lambda b, s, p: check_no_nonmin(12),
+        lambda b, s, p: check_no_nonmin(),
     )),
     "liaison-addition": (4, (lambda b, s, p: check_liaison_addition(b),)),
     "truncation": (6, (lambda b, s, p: check_truncation(b),)),

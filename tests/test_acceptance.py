@@ -14,7 +14,7 @@ import time
 from tetracurves.cli import main as cli_main
 from tetracurves.gin import ek_betti, gin_acm
 from tetracurves.koszul import BettiTable
-from tetracurves.resolution import ACM_LINEAR_FAMILY_TAGS, betti_table, gin_betti_prediction
+from tetracurves.resolution import betti_table, gin_betti_prediction
 from tetracurves.tuples import TetTuple, is_cwl, reduction_trace
 from tetracurves.verify import (
     PUBLISHED_TWO_SKEW_ORBITS,
@@ -103,7 +103,7 @@ def test_criterion_02_worked_betti_tables(capsys):
 
 def test_criterion_03_minimal_curve_formulas(capsys):
     start = time.perf_counter()
-    result = check_minimal_formula(3)
+    result = check_minimal_formula()
     elapsed = time.perf_counter() - start
     with capsys.disabled():
         _criterion(
@@ -177,7 +177,7 @@ def test_criterion_07_gin_examples(capsys):
 
 def test_criterion_08_buchsbaum_gin(capsys):
     start = time.perf_counter()
-    result = check_buchsbaum_gin(3, seeds=(1, 2), primes=(32003, 31991))
+    result = check_buchsbaum_gin(seeds=(1, 2), primes=(32003, 31991))
     elapsed = time.perf_counter() - start
     with capsys.disabled():
         _criterion(
@@ -215,7 +215,7 @@ def test_criterion_10_classification_lists(capsys):
         _criterion(
             10,
             f"published classification lists ({len(PUBLISHED_TWO_SKEW_ORBITS)} orbits, "
-            f"{len(TWO_SKEW_ERRATA)} errata, {len(ACM_LINEAR_FAMILY_TAGS)} families)",
+            f"{len(TWO_SKEW_ERRATA)} errata, 6 families)",
             skew.passed and families.passed and elapsed < 300,
             "; ".join(detail) or f"{elapsed:.1f}s",
         )

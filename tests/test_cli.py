@@ -101,6 +101,19 @@ class TestPublicApi:
         for name in tetracurves.__all__:
             assert not isinstance(getattr(tetracurves, name), types.ModuleType), name
 
+    def test_all_is_the_pinned_list(self):
+        assert tetracurves.__all__ == [
+            "BettiTable", "ClassificationReport", "HilbertData", "Monomial", "MonomialIdeal",
+            "ReductionStep", "ReductionTrace", "ReductionType", "StableIdeal", "TetTuple",
+            "acm_linear_family", "apply_reduction", "ascent_candidates", "basic_double_link",
+            "betti_table", "betti_table_oracle", "canonicalize", "ci_power_betti", "ci_power_form",
+            "classify", "component_ideal", "degree_of_tuple", "ek_betti", "enumerate_linear_in_class",
+            "facet_weights", "gin_acm", "gin_betti_prediction", "gin_buchsbaum_minimal", "gin_of_curve",
+            "gin_oracle", "hilbert_data", "ideal_of_tuple", "is_cwl", "is_minimal", "is_strongly_stable",
+            "minimal_curve_betti", "reduced_homology_ranks", "reduction_applicable", "reduction_trace",
+            "regularity_closed_form", "schwartau_status", "truncate",
+        ]
+
 
 class TestReduceCommand:
     def test_trace(self, capsys):

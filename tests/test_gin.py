@@ -7,7 +7,6 @@ from tetracurves.gin import (
     StableIdeal,
     ek_betti,
     gin_acm,
-    gin_bdl_step,
     gin_buchsbaum_minimal,
     gin_of_curve,
     is_strongly_stable,
@@ -42,10 +41,18 @@ def stepwise_gin_buchsbaum_minimal(r):
     """Test-only copy of the former recursion: one ideal per step."""
     gin = MonomialIdeal.of("a^2", "a*b", "b^2", "a*c")
     for k in range(1, r):
-        gin = gin.scaled(Monomial.of(2, 0, 0, 0)) + MonomialIdeal(
+        gin = gin.scaled(Monomial((2, 0, 0, 0))) + MonomialIdeal(
             (Monomial((1, 2 * k + 1, 0, 0)), Monomial((0, 2 * k + 2, 0, 0)), Monomial((k + 1, k, 1, 0)))
         )
     return StableIdeal(gin.generators)
+
+
+def gin_bdl_step(gin_ideal, e):
+    """Test-only reference for one basic double link of the gin, which
+    `gin_of_curve` folds along the chain: a * gin(I) + (b^e), where e is the
+    maximal facet weight of the parent curve."""
+    stepped = gin_ideal.scaled(Monomial((1, 0, 0, 0))) + MonomialIdeal((Monomial((0, e, 0, 0)),))
+    return StableIdeal(stepped.generators)
 
 
 def stepwise_gin_of_curve(t):
@@ -62,7 +69,7 @@ class TestStability:
     def test_stable_examples(self):
         assert is_strongly_stable(MonomialIdeal.of("a^2", "a*b", "b^2", "a*c"))
         assert is_strongly_stable(MonomialIdeal.of("a", "b"))
-        assert is_strongly_stable(MonomialIdeal.unit())
+        assert is_strongly_stable(MonomialIdeal.of("1"))
 
     def test_unstable_examples(self):
         assert not is_strongly_stable(MonomialIdeal.of("b"))

@@ -329,11 +329,11 @@ class TestGinOracle:
 
     def test_rejects_unit(self):
         with pytest.raises(ValueError):
-            gin_oracle(MonomialIdeal.unit())
+            gin_oracle(MonomialIdeal.of("1"))
 
     def test_rejects_zero(self):
         with pytest.raises(ValueError):
-            gin_oracle(MonomialIdeal.zero())
+            gin_oracle(MonomialIdeal(()))
 
 
 class TestOracleFailures:

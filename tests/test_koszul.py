@@ -215,9 +215,9 @@ class TestBettiOracle:
 
     def test_rejects_unit_and_zero(self):
         with pytest.raises(ValueError):
-            betti_table_oracle(MonomialIdeal.unit())
+            betti_table_oracle(MonomialIdeal.of("1"))
         with pytest.raises(ValueError):
-            betti_table_oracle(MonomialIdeal.zero())
+            betti_table_oracle(MonomialIdeal(()))
 
     def test_cache_returns_same_table(self):
         I = ideal_of_tuple((1, 0, 0, 0, 0, 1))

@@ -54,7 +54,7 @@ def edge_power_ideal(edge, n):
 def intersection_reference(t):
     """The tetrahedral ideal by intersecting the powers of the edge ideals;
     two monomial ideals meet in the ideal of their generators' pairwise lcms."""
-    ideal = MonomialIdeal.unit()
+    ideal = MonomialIdeal.of("1")
     for edge, a in zip(EDGES, t):
         if a > 0:
             power = edge_power_ideal(edge, a)
@@ -104,15 +104,12 @@ def M(text):
 class TestMonomial:
     def test_parse_and_str(self):
         assert str(M("a^2*b*c^3")) == "a^2*b*c^3"
-        assert M("1") == Monomial.one()
-        assert str(Monomial.one()) == "1"
+        assert M("1") == Monomial((0, 0, 0, 0))
+        assert str(Monomial((0, 0, 0, 0))) == "1"
         assert M("b^2").exps == (0, 2, 0, 0)
 
     def test_arith(self):
         assert M("a*b") * M("b*c") == M("a*b^2*c")
-        assert M("a*b^2*c") / M("b*c") == M("a*b")
-        with pytest.raises(ValueError):
-            M("a") / M("b")
 
     def test_divides(self):
         assert M("a*b").divides(M("a^2*b"))
@@ -203,10 +200,10 @@ class TestContains:
 
 class TestBasicDoubleLink:
     def test_line_from_trivial(self):
-        assert basic_double_link(MonomialIdeal.unit(), "a", M("b")) == MonomialIdeal.of("a", "b")
+        assert basic_double_link(MonomialIdeal.of("1"), "a", M("b")) == MonomialIdeal.of("a", "b")
 
     def test_from_worked_chain(self):
-        assert basic_double_link(MonomialIdeal.unit(), "c", M("b*d")) == MonomialIdeal.of(
+        assert basic_double_link(MonomialIdeal.of("1"), "c", M("b*d")) == MonomialIdeal.of(
             "c", "b*d"
         )
 
@@ -258,13 +255,13 @@ class TestComponentIdeal:
     def test_zero_ideal(self):
         # the zero ideal's box has least = 1 at its one point, so the d axis must be clipped too
         for d in range(4):
-            assert component_ideal(MonomialIdeal.zero(), d).is_zero
-            assert truncate(MonomialIdeal.zero(), d).is_zero
+            assert component_ideal(MonomialIdeal(()), d).is_zero
+            assert truncate(MonomialIdeal(()), d).is_zero
 
     def test_unit_ideal(self):
         for d in range(4):
-            assert component_ideal(MonomialIdeal.unit(), d) == MonomialIdeal(monomials_of_degree(d))
-            assert truncate(MonomialIdeal.unit(), d) == MonomialIdeal(monomials_of_degree(d))
+            assert component_ideal(MonomialIdeal.of("1"), d) == MonomialIdeal(monomials_of_degree(d))
+            assert truncate(MonomialIdeal.of("1"), d) == MonomialIdeal(monomials_of_degree(d))
 
     def test_lcm_below_d_on_an_axis(self):
         I = MonomialIdeal.of("a*b", "c^2", "a^3*d")
@@ -319,14 +316,14 @@ class TestHilbertData:
         assert hilbert_data(ideal_of_tuple((2, 0, 1, 1, 0, 2)), 8).degree == 8
 
     def test_unit_ideal(self):
-        data = hilbert_data(MonomialIdeal.unit(), 2)
+        data = hilbert_data(MonomialIdeal.of("1"), 2)
         assert data.values == (0, 0, 0)
         assert data.degree == 0
         assert data.h_vector == ()
 
     def test_bound_too_small(self):
         with pytest.raises(BoundTooSmallError):
-            hilbert_data(MonomialIdeal.zero(), 6)
+            hilbert_data(MonomialIdeal(()), 6)
         with pytest.raises(BoundTooSmallError):
             hilbert_data(MonomialIdeal.of("a", "b"), 0)
 
@@ -336,9 +333,9 @@ class TestHilbertData:
             hilbert_data(ideal_of_tuple((1, 0, 0, 0, 0, 1)), 10**9)
 
     @given(ideals(), st.integers(0, 12))
-    @example(MonomialIdeal.zero(), 3)
-    @example(MonomialIdeal.unit(), 0)
-    @example(MonomialIdeal.unit(), 4)
+    @example(MonomialIdeal(()), 3)
+    @example(MonomialIdeal.of("1"), 0)
+    @example(MonomialIdeal.of("1"), 4)
     @example(MonomialIdeal.of("a^9", "b^9", "c^9", "d^9"), 5)
     @example(MonomialIdeal.of("a^9*b", "c^2"), 7)
     def test_matches_brute_force_count(self, ideal, upto):

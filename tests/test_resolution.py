@@ -1,18 +1,17 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from tetracurves import resolution
+from tetracurves import resolution, verify
 from tetracurves.exceptions import (
     EnumerationCapError,
     IsACMError,
     NotMinimalError,
     TrivialCurveError,
 )
-from tetracurves.gin import gin_bdl_step, gin_buchsbaum_minimal, gin_of_curve
+from tetracurves.gin import gin_buchsbaum_minimal, gin_of_curve
 from tetracurves.koszul import BettiTable, cached_betti_oracle
-from tetracurves.monomials import ideal_of_tuple
+from tetracurves.monomials import Monomial, MonomialIdeal, ideal_of_tuple
 from tetracurves.resolution import (
-    BaseKind,
     acm_linear_family,
     all_max_weight_chains,
     ascent_candidates,
@@ -33,8 +32,8 @@ from tetracurves.tuples import (
     canonicalize,
     ci_power_form,
     facet_weights,
-    is_minimal,
-    max_weight_reduction,
+    max_weight_choices,
+    reduction_trace,
 )
 from tetracurves.verify import (
     PUBLISHED_TWO_SKEW_ORBITS,
@@ -51,7 +50,7 @@ def T(text):
 
 
 def orbits(*texts):
-    return {canonicalize(T(s))[0] for s in texts}
+    return {canonicalize(T(s)) for s in texts}
 
 
 class TestMinimalCurveBetti:
@@ -121,21 +120,21 @@ class TestBettiTableAssembly:
             betti_table(T("0,0,0,0,0,0"))
 
     def test_recipe_structure_non_acm(self):
-        recipe = resolution_recipe(T("7,5,5,2,1,6"))
-        assert recipe.base_kind is BaseKind.MINIMAL_CURVE
+        recipe = resolution_recipe(reduction_trace(T("7,5,5,2,1,6")))
         assert recipe.base == T("4,1,2,1,1,5")
+        assert recipe.base_betti == minimal_curve_betti(recipe.base)
         assert recipe.weights == (17, 14, 11, 10)
 
     def test_recipe_structure_acm_cwl(self):
-        recipe = resolution_recipe(T("1,2,1,2,0,2"))
-        assert recipe.base_kind is BaseKind.TRIVIAL
+        recipe = resolution_recipe(reduction_trace(T("1,2,1,2,0,2")))
+        assert recipe.base.is_trivial
         assert recipe.base_betti.as_dict() == {(0, 0): 1}
         assert len(recipe.weights) == 3
 
     def test_recipe_structure_acm_not_cwl(self):
-        recipe = resolution_recipe(T("1,3,4,2,3,0"))
-        assert recipe.base_kind is BaseKind.CI_POWER
+        recipe = resolution_recipe(reduction_trace(T("1,3,4,2,3,0")))
         assert recipe.base == T("0,2,2,2,2,0")
+        assert recipe.base_betti == ci_power_betti(2)
         assert len(recipe.weights) == 2
 
     @given(small_tuples)
@@ -167,10 +166,10 @@ def pairwise_assemble(recipe):
 
 
 def stepwise_chain(t):
-    """Test-only reference chain: one `max_weight_reduction` per step."""
+    """Test-only reference chain: the first maximal-weight choice at each step."""
     chain = [t]
-    while not chain[-1].is_trivial and not is_minimal(chain[-1]):
-        chain.append(max_weight_reduction(chain[-1]).child)
+    while choices := max_weight_choices(chain[-1]):
+        chain.append(apply_reduction(chain[-1], choices[0]).child)
     return tuple(chain)
 
 
@@ -183,7 +182,7 @@ class TestLinearAssembly:
         chain = stepwise_chain(t)
         table = pairwise_assemble(recipe_from_chain(chain))
         assert betti_table(t) == table
-        assert resolution_recipe(t).is_linear is table.is_linear
+        assert resolution_recipe(reduction_trace(t)).is_linear is table.is_linear
         prediction = table
         ci = next((c for c in chain if ci_power_form(c) is not None), None)
         if chain[-1].is_trivial and ci is not None:
@@ -193,8 +192,9 @@ class TestLinearAssembly:
         if not chain[-1].is_trivial:  # ACM curves take gin_acm on both sides
             r = buchsbaum_minimal_r(chain[-1])
             gin = r and gin_buchsbaum_minimal(r)
-            for c in reversed(chain[:-1] if r else ()):
-                gin = gin_bdl_step(gin, max(facet_weights(c)))
+            for c in reversed(chain[:-1] if r else ()):  # gin(J) = a * gin(I) + (b^e)
+                b_e = Monomial((0, max(facet_weights(c)), 0, 0))
+                gin = gin.scaled(Monomial((1, 0, 0, 0))) + MonomialIdeal((b_e,))
             assert gin_of_curve(t) == gin
 
     def test_up_to_weight_9(self):
@@ -347,17 +347,19 @@ class TestEnumerateLinearInClass:
 
 class TestTwoSkewPublishedCheck:
     @pytest.mark.parametrize("dropped", range(len(TWO_SKEW_ERRATA)))
-    def test_fails_when_an_erratum_is_dropped(self, dropped):
+    def test_fails_when_an_erratum_is_dropped(self, monkeypatch, dropped):
         errata = TWO_SKEW_ERRATA[:dropped] + TWO_SKEW_ERRATA[dropped + 1:]
-        result = check_two_skew_vs_published(errata=errata)
+        monkeypatch.setattr(verify, "TWO_SKEW_ERRATA", errata)
+        result = check_two_skew_vs_published()
         assert not result.passed
         action, entries = TWO_SKEW_ERRATA[dropped]
         side = "missing" if action == "remove" else "extra"
-        assert f"{side} ['{canonicalize(TetTuple(entries))[0]}']" in result.detail
+        assert f"{side} ['{canonicalize(TetTuple(entries))}']" in result.detail
 
-    def test_fails_on_an_unlisted_published_tuple(self):
+    def test_fails_on_an_unlisted_published_tuple(self, monkeypatch):
         published = PUBLISHED_TWO_SKEW_ORBITS + ((2, 1, 1, 1, 1, 1),)
-        result = check_two_skew_vs_published(published_orbits=published)
+        monkeypatch.setattr(verify, "PUBLISHED_TWO_SKEW_ORBITS", published)
+        result = check_two_skew_vs_published()
         assert not result.passed
         assert "missing ['1,1,1,1,1,2']" in result.detail
 
@@ -369,8 +371,9 @@ class TestTwoSkewPublishedCheck:
             ("add", (2, 1, 1, 1, 0, 1)),  # ACM, projective dimension 1
         ],
     )
-    def test_fails_on_an_erratum_the_oracle_refutes(self, erratum):
-        result = check_two_skew_vs_published(errata=TWO_SKEW_ERRATA + (erratum,))
+    def test_fails_on_an_erratum_the_oracle_refutes(self, monkeypatch, erratum):
+        monkeypatch.setattr(verify, "TWO_SKEW_ERRATA", TWO_SKEW_ERRATA + (erratum,))
+        result = check_two_skew_vs_published()
         assert not result.passed
         assert f"{erratum[0]} {TetTuple(erratum[1])}" in result.detail
 
@@ -419,6 +422,12 @@ class TestClassify:
         assert report.minimal and not report.acm
         assert report.buchsbaum_minimal_r == 2
         assert report.linear_resolution and report.componentwise_linear
+
+    def test_traces_once(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(resolution, "reduction_trace", lambda t: calls.append(t) or reduction_trace(t))
+        classify(T("1,3,4,2,3,0"))
+        assert calls == [T("1,3,4,2,3,0")]
 
     def test_flag_implications(self):
         for text in ("1,0,0,0,0,1", "1,2,1,2,0,2", "0,2,2,2,2,0", "4,1,2,1,1,5"):

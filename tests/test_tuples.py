@@ -19,7 +19,6 @@ from tetracurves.tuples import (
     facet_weights,
     is_cwl,
     is_minimal,
-    max_weight_reduction,
     minimal_by_weight_test,
     permute,
     reduction_applicable,
@@ -126,24 +125,29 @@ class TestApplyReduction:
             apply_reduction(T("0,0,0,0,0,0"), ReductionType.A)
 
 
+def max_weight_reduction(t):
+    """Test-only reference for one step of `reduction_trace`: reduce an
+    applicable facet of maximal weight, ties broken A < B < C < D; None at
+    the trivial curve and at minimal curves."""
+    weights = facet_weights(t)
+    for ty in ReductionType:
+        if weights[ty.vertex] == max(weights) and reduction_applicable(t, ty):
+            return apply_reduction(t, ty)
+    return None
+
+
 class TestMaxWeightReduction:
+    """The first step of a trace is the maximal-weight choice."""
+
     def test_tie_break_prefers_a(self):
-        step = max_weight_reduction(T("3,3,3,1,2,4"))
+        step = reduction_trace(T("3,3,3,1,2,4")).steps[0]
         assert step.type is ReductionType.A
         assert step.child == T("2,2,2,1,2,4")
 
     def test_chain_element(self):
-        step = max_weight_reduction(T("2,2,1,1,1,3"))
+        step = reduction_trace(T("2,2,1,1,1,3")).steps[0]
         assert step.type is ReductionType.C
         assert step.child == T("2,1,1,0,1,2")
-
-    def test_minimal_raises(self):
-        with pytest.raises(NotApplicableError, match="is minimal"):
-            max_weight_reduction(T("1,0,0,0,0,1"))
-
-    def test_trivial_raises(self):
-        with pytest.raises(NotApplicableError, match="trivial curve"):
-            max_weight_reduction(T("0,0,0,0,0,0"))
 
 
 class TestReductionTrace:
@@ -188,9 +192,8 @@ def stepwise_trace(t):
     while True:
         if ci is None and (r := ci_power_form(cur)) is not None:
             ci = ((len(vertices), r), cur)
-        try:
-            step = max_weight_reduction(cur)
-        except NotApplicableError:
+        step = max_weight_reduction(cur)
+        if step is None:
             break
         vertices.append(step.type.vertex)
         weights.append(step.weight)
@@ -225,9 +228,9 @@ class TestCompressedTrace:
     def test_steps_and_chain_match_stepwise(self):
         for t in iter_tuples(6):
             steps, cur = [], t
-            while not cur.is_trivial and not is_minimal(cur):
-                steps.append(max_weight_reduction(cur))
-                cur = steps[-1].child
+            while (step := max_weight_reduction(cur)) is not None:
+                steps.append(step)
+                cur = step.child
             trace = reduction_trace(t)
             assert trace.steps == tuple(steps)
             assert trace.chain == tuple(s.parent for s in steps) + (cur,)
@@ -269,32 +272,29 @@ def reference_permute(t, pi):
 
 class TestCanonicalize:
     def test_two_skew_lines(self):
-        canon, pi = canonicalize(T("0,1,0,0,1,0"))
-        assert canon == T("0,0,1,1,0,0")
-        assert permute(T("0,1,0,0,1,0"), pi) == canon
+        canon = canonicalize(T("0,1,0,0,1,0"))
+        assert canon == T("0,0,1,1,0,0") and type(canon) is TetTuple
 
     def test_trivial_fixed(self):
-        assert canonicalize(T("0,0,0,0,0,0"))[0] == T("0,0,0,0,0,0")
+        assert canonicalize(T("0,0,0,0,0,0")) == T("0,0,0,0,0,0")
 
     def test_buchsbaum_orbit(self):
         model = T("3,0,2,2,0,3")
-        expected = canonicalize(model)[0]
+        expected = canonicalize(model)
         for pi in VERTEX_PERMUTATIONS:
-            assert canonicalize(permute(model, pi))[0] == expected
+            assert canonicalize(permute(model, pi)) == expected
 
     @given(tet_tuples, permutations)
     def test_orbit_invariant(self, t, pi):
-        assert canonicalize(permute(t, pi))[0] == canonicalize(t)[0]
+        assert canonicalize(permute(t, pi)) == canonicalize(t)
 
     def test_matches_brute_force_up_to_weight_8(self):
         for t in iter_tuples(8, include_trivial=True):
-            images = [reference_permute(t, pi) for pi in VERTEX_PERMUTATIONS]
-            best = min(images)
-            assert canonicalize(t) == (best, VERTEX_PERMUTATIONS[images.index(best)]), t
+            assert canonicalize(t) == min(reference_permute(t, pi) for pi in VERTEX_PERMUTATIONS), t
 
     @given(tet_tuples)
     def test_is_orbit_minimum(self, t):
-        canon = canonicalize(t)[0]
+        canon = canonicalize(t)
         assert all(canon <= permute(t, pi) for pi in VERTEX_PERMUTATIONS)
 
 
@@ -337,7 +337,7 @@ class TestBuchsbaumDetection:
                 return None
             r = max(t.entries)
             model = TetTuple((r, 0, r - 1, r - 1, 0, r))
-            return r if canonicalize(t)[0] == canonicalize(model)[0] else None
+            return r if canonicalize(t) == canonicalize(model) else None
 
         for t in iter_tuples(8, include_trivial=True):
             assert buchsbaum_minimal_r(t) == canonical_r(t)
@@ -350,6 +350,7 @@ class TestComponentwiseLinearity:
     )
     def test_examples(self, text, expected):
         assert is_cwl(T(text)) is expected
+        assert reduction_trace(T(text)).is_cwl is expected
 
     def test_trivial_raises(self):
         with pytest.raises(TrivialCurveError):

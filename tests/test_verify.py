@@ -82,6 +82,13 @@ def test_failing_check_names_its_first_failing_inputs(monkeypatch, mutate, check
     assert result.detail == detail
 
 
+def test_liaison_addition_names_its_bound():
+    result = verify.run_suite("liaison-addition", bound=2)
+    assert [(c.name, c.passed, c.detail) for c in result.checks] == [
+        ("liaison addition identity for r = 1..2", True, "2 cases"),
+    ]
+
+
 def test_abort_keeps_the_earlier_checks(monkeypatch):
     def refuse(*args):
         raise FNotInIdealError("refused")
