@@ -89,7 +89,7 @@ def _run_reduce(args) -> tuple[dict, int]:
     result = {
         "terminal": str(trace.terminal),
         "terminal_kind": trace.terminal_kind.value,
-        "step_count": len(trace.steps),
+        "step_count": trace.step_count,
         "first_ci_power": (
             None
             if trace.first_ci_power is None

@@ -56,4 +56,5 @@ class EnumerationCapError(TetracurvesError):
 
 
 class OracleTooLargeError(TetracurvesError):
-    """An oracle input would need more memory than the oracle's fixed limit."""
+    """An oracle input, or an answer large by nature (a Betti table, a gin,
+    a trace's steps), would need more memory than ORACLE_MEMORY_LIMIT."""

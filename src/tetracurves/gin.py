@@ -23,11 +23,14 @@ from dataclasses import dataclass
 from itertools import accumulate
 from math import comb
 
-from .exceptions import NotACMError, NotStableError, TrivialCurveError
+from .exceptions import NotACMError, NotStableError, OracleTooLargeError, TrivialCurveError
 from .koszul import BettiTable
-from .monomials import Monomial, MonomialIdeal
+from .monomials import ORACLE_MEMORY_LIMIT, Monomial, MonomialIdeal
 from .resolution import resolution_recipe
 from .tuples import ReductionTrace, TetTuple, buchsbaum_minimal_r, reduction_trace
+
+
+_BYTES_PER_GENERATOR = 240  # peak per generator or h-vector entry up to minimalizing (tracemalloc: 232)
 
 
 def is_strongly_stable(ideal: MonomialIdeal) -> bool:
@@ -84,6 +87,8 @@ def _lex_gin(trace: ReductionTrace) -> StableIdeal:
     numerator = Counter({0: 1})
     for i, j, r in resolution_recipe(trace).assemble().entries:
         numerator[j] += (-1) ** (i + 1) * r
+    if (estimate := (max(numerator) + 1) * _BYTES_PER_GENERATOR) > ORACLE_MEMORY_LIMIT:
+        raise OracleTooLargeError(f"an h-vector of length {max(numerator) + 1} needs about {estimate >> 20} MiB")
     h = list(accumulate(accumulate(numerator[d] for d in range(max(numerator) + 1))))
     while h and h[-1] == 0:
         h.pop()
@@ -139,8 +144,10 @@ def gin_of_curve(t: TetTuple) -> StableIdeal | None:
     r = buchsbaum_minimal_r(trace.terminal)
     if r is None:
         return None
+    if (estimate := (trace.step_count + 3 * r + 1) * _BYTES_PER_GENERATOR) > ORACLE_MEMORY_LIMIT:
+        raise OracleTooLargeError(f"{trace.step_count + 3 * r + 1} gin generators need about {estimate >> 20} MiB")
     # gin(J) = a * gin(I) + (b^e) folded along the chain: the j-th step from
     # the top multiplies by a^j
-    gens = _buchsbaum_generators(r, len(trace.weights))
+    gens = _buchsbaum_generators(r, trace.step_count)
     gens += (Monomial((j, e, 0, 0)) for j, e in enumerate(trace.weights))
     return StableIdeal(tuple(gens))

@@ -40,9 +40,15 @@ def check_primes(primes) -> tuple[int, int]:
     if len(primes) != 2 or primes[0] == primes[1]:
         raise ValueError(f"need two distinct primes, got {primes}")
     for p in primes:
-        if not (isinstance(p, int) and 2**14 < p < 2**31 and all(p % k for k in range(2, math.isqrt(p) + 1))):
+        if not (isinstance(p, int) and 2**14 < p < 2**31 and _is_prime(p)):
             raise ValueError(f"{p} is not a prime strictly between 2^14 and 2^31")
     return primes
+
+
+@functools.lru_cache(maxsize=64)
+def _is_prime(p: int) -> bool:
+    """Trial division, proved once per distinct p."""
+    return all(p % k for k in range(2, math.isqrt(p) + 1))
 
 
 @functools.lru_cache(maxsize=64)

@@ -16,18 +16,22 @@ from __future__ import annotations
 import operator
 from collections import Counter
 from dataclasses import dataclass
+from itertools import accumulate
 
 from .exceptions import (
     EnumerationCapError,
     IsACMError,
     NotMinimalError,
+    OracleTooLargeError,
     TrivialCurveError,
 )
 from .koszul import BettiTable
+from .monomials import ORACLE_MEMORY_LIMIT
 from .tuples import (
     ClassificationReport,
     ReductionTrace,
     ReductionType,
+    Run,
     TetTuple,
     apply_reduction,
     buchsbaum_minimal_r,
@@ -44,6 +48,8 @@ from .tuples import (
     OPPOSITE,
     _TYPES,
 )
+
+_BYTES_PER_ENTRY = 530  # peak of `betti --format json` per entry (tracemalloc: 514-523)
 
 
 def minimal_curve_betti(t: TetTuple) -> BettiTable:
@@ -83,41 +89,69 @@ class ResolutionRecipe:
     """Assembly plan for a Betti table from a reduction chain: a base table
     shifted by the number of steps, plus one generator/syzygy pair per step
     at (F degree + shift, F degree + shift + 1), where the k-th step from
-    the top has shift k."""
+    the top has shift k.  The F degrees come as `Run`s, top first."""
 
     base: TetTuple
     base_betti: BettiTable
-    weights: tuple[int, ...]  # F degrees, top first
+    runs: tuple[Run, ...]
+
+    @property
+    def weights(self) -> tuple[int, ...]:  # the F degrees, top first
+        return tuple(w + m * d for ws, ds, count, _ in self.runs for m in range(count) for w, d in zip(ws, ds))
 
     def assemble(self) -> BettiTable:
-        n = len(self.weights)
-        table = Counter({(i, j + n): r for i, j, r in self.base_betti.entries})
-        for degree, count in Counter(map(operator.add, self.weights, range(n))).items():
-            table[(0, degree)] += count
-            table[(1, degree + 1)] += count
-        return BettiTable.from_dict(table)
+        """The table, counted run by run: position q of a run of period p at
+        shift n has generator degrees w_q + n + q + m (p + drift_q).  Raises
+        OracleTooLargeError before a run takes it past ORACLE_MEMORY_LIMIT."""
+        degrees, n = Counter(), 0
+        for weights, drift, count, _ in self.runs:
+            p = len(weights)
+            firsts = map(operator.add, weights, range(n, n + p))
+            if count == 1:
+                degrees.update(firsts)
+            for first, d in zip(firsts, drift) if count > 1 else ():
+                if not p + d:
+                    degrees[first] += count
+                elif (estimate := 2 * (len(degrees) + count) * _BYTES_PER_ENTRY) > ORACLE_MEMORY_LIMIT:
+                    raise OracleTooLargeError(f"a Betti table of over {2 * count} entries needs about {estimate >> 20} MiB")
+                else:
+                    degrees.update(range(first, first + count * (p + d), p + d))
+            n += p * count
+        rows = (degrees, {j + 1: r for j, r in degrees.items()}, {})
+        for i, j, r in self.base_betti.entries:
+            rows[i][j + n] = rows[i].get(j + n, 0) + r
+        entries = tuple((i, j, row[j]) for i, row in enumerate(rows) for j in sorted(row))
+        if any(r < 0 for _, _, r in entries):
+            raise ValueError("negative Betti number")
+        return BettiTable(entries)
 
     @property
     def is_linear(self) -> bool:
-        """`assemble().is_linear`, without assembling: every entry of the
-        table lies on one strand j - i."""
-        n = len(self.weights)
-        strands = set(map(operator.add, self.weights, range(n)))
+        """`assemble().is_linear` read off the runs: every entry lies on one
+        strand j - i, so no repeated position changes degree (drift -p)."""
+        strands, n = set(), 0
+        for weights, drift, count, _ in self.runs:
+            if count > 1 and any(len(weights) + d for d in drift):
+                return False
+            strands.update(map(operator.add, weights, range(n, n + len(weights))))
+            n += len(weights) * count
         strands.update(j + n - i for i, j, _ in self.base_betti.entries)
         return len(strands) == 1
 
 
 def _recipe(
-    weights: tuple[int, ...], terminal: TetTuple, ci: tuple[int, TetTuple] | None
+    runs: tuple[Run, ...], terminal: TetTuple, ci: tuple[int, TetTuple] | None
 ) -> ResolutionRecipe:
-    """The plan for a chain with these step weights (top first) and this
-    terminal; ci is the topmost CI-power element with its chain index."""
+    """The plan for a chain with these runs of step weights (top first) and
+    this terminal; ci is the topmost CI-power element with its chain index,
+    where a run starts."""
     if not terminal.is_trivial:
-        return ResolutionRecipe(terminal, minimal_curve_betti(terminal), weights)
+        return ResolutionRecipe(terminal, minimal_curve_betti(terminal), runs)
     if ci is None:
-        return ResolutionRecipe(terminal, BettiTable.from_dict({(0, 0): 1}), weights)
+        return ResolutionRecipe(terminal, BettiTable(((0, 0, 1),)), runs)
     index, base = ci
-    return ResolutionRecipe(base, ci_power_betti(ci_power_form(base)), weights[:index])
+    head = list(accumulate((len(run.weights) * run.count for run in runs), initial=0)).index(index)
+    return ResolutionRecipe(base, ci_power_betti(ci_power_form(base)), runs[:head])
 
 
 def recipe_from_chain(chain: tuple[TetTuple, ...]) -> ResolutionRecipe:
@@ -126,14 +160,13 @@ def recipe_from_chain(chain: tuple[TetTuple, ...]) -> ResolutionRecipe:
     ci = next(
         ((k, c) for k, c in enumerate(chain) if ci_power_form(c) is not None), None
     )
-    weights = tuple(max(facet_weights(c)) for c in chain[:-1])
-    return _recipe(weights, chain[-1], ci)
+    return _recipe(tuple(Run((max(facet_weights(c)),), (0,), 1) for c in chain[:-1]), chain[-1], ci)
 
 
 def resolution_recipe(trace: ReductionTrace) -> ResolutionRecipe:
     """The assembly plan of the traced curve's maximal-weight chain."""
     ci = trace.first_ci_power and (trace.first_ci_power[0], trace.ci_power_element)
-    return _recipe(trace.weights, trace.terminal, ci)
+    return _recipe(trace.runs, trace.terminal, ci)
 
 
 def betti_table(t: TetTuple) -> BettiTable:
@@ -300,7 +333,7 @@ def classify(t: TetTuple) -> ClassificationReport:
             regularity=None,
         )
     trace = reduction_trace(t)
-    minimal = not trace.weights  # t is its own terminal
+    minimal = not trace.runs  # t is its own terminal
     return ClassificationReport(
         trivial=False,
         acm=trace.is_acm,

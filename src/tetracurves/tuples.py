@@ -25,8 +25,12 @@ lowered edge, and, until a CI-power curve is seen, each opposite-pair sum
 and, beside a zero pair, one nonzero difference of the other four.  The
 decisions repeat while each of these keeps its sign at k = 0 (zero
 counting as non-negative); the least k where one would lose it is solved
-by floor division and jumped at once, and the step weights of the jump
-are arithmetic sequences.
+by floor division and jumped at once.  A jump is recorded as one `Run`:
+the period's vertices, its first step weights, their drift per repetition
+and the repeat count, so the trace's record does not grow with the
+weights.  Its views `vertices`, `weights`, `steps` and `chain` are expanded
+from the runs when read; the classification flags, the linearity of the
+Betti table and `len(steps)` are read off the runs alone.
 """
 
 from __future__ import annotations
@@ -36,9 +40,10 @@ import itertools
 from collections.abc import Sequence
 from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
-from .exceptions import NotApplicableError, TrivialCurveError
-from .monomials import EDGES, Monomial, VARIABLES
+from .exceptions import NotApplicableError, OracleTooLargeError, TrivialCurveError
+from .monomials import EDGES, ORACLE_MEMORY_LIMIT, Monomial, VARIABLES
 
 OPPOSITE = (5, 4, 3, 2, 1, 0)  # opposite edge pairs: (1,6), (2,5), (3,4)
 OPPOSITE_PAIRS = ((0, 5), (1, 4), (2, 3))
@@ -284,22 +289,40 @@ def ci_power_form(t: Sequence[int]) -> int | None:
     return None
 
 
-class _TraceSteps(Sequence):
-    """The steps of a trace, made from its record when an item is first read;
-    `len` reads the record and makes no `ReductionStep`."""
+class Run(NamedTuple):
+    """A period of a trace repeated `count` times: the step weights of its
+    first repetition, per position their drift from one repetition to the
+    next, and its reduced vertices (none for a chain given without them).
+    Steps that do not repeat make a run of one."""
 
-    def __init__(self, start: TetTuple, vertices: tuple[int, ...]):
-        self._start, self._vertices = start, vertices
+    weights: tuple[int, ...]
+    drift: tuple[int, ...]
+    count: int
+    vertices: tuple[int, ...] = ()
+
+
+_BYTES_PER_STEP = 1900  # peak of `reduce --trace --format json` per step (tracemalloc: 1,840-1,863)
+
+
+class _TraceSteps(Sequence):
+    """The steps of a trace, made from its runs when an item is first read;
+    `len` makes no `ReductionStep`."""
+
+    def __init__(self, start: TetTuple, runs: tuple[Run, ...], count: int):
+        self._start, self._runs, self._count = start, runs, count
 
     def __len__(self) -> int:
-        return len(self._vertices)
+        return self._count
 
     @functools.cached_property
     def _items(self) -> tuple[ReductionStep, ...]:
+        if (estimate := self._count * _BYTES_PER_STEP) > ORACLE_MEMORY_LIMIT:
+            raise OracleTooLargeError(f"a trace of {self._count} steps needs about {estimate >> 20} MiB")
         steps, cur = [], self._start
-        for v in self._vertices:
-            steps.append(apply_reduction(cur, ReductionType(v)))
-            cur = steps[-1].child
+        for run in self._runs:
+            for v in run.vertices * run.count:
+                steps.append(apply_reduction(cur, ReductionType(v)))
+                cur = steps[-1].child
         return tuple(steps)
 
     def __getitem__(self, index):
@@ -313,26 +336,34 @@ class _TraceSteps(Sequence):
 class ReductionTrace:
     """The maximal-weight reduction chain from a curve down to its terminal.
 
-    The record holds the reduced vertex and the step weight (the maximal
-    facet weight of the parent) of every step, top first.  `first_ci_power`
-    records the topmost chain element of complete-intersection-power shape,
-    as (chain index, r), and `ci_power_element` is that element: the base of
-    the Betti-table assembly for ACM curves that are not componentwise
-    linear.  `steps` and `chain` (which includes the terminal) are rebuilt
-    from the record when read.
+    The record holds its runs, top first.  `first_ci_power` records the
+    topmost chain element of complete-intersection-power shape, as (chain
+    index, r), where a run starts, and `ci_power_element` is that element:
+    the base of the Betti-table assembly for ACM curves that are not
+    componentwise linear.  The views `vertices`, `weights` (the maximal
+    facet weight of each parent), `steps` and `chain` (which includes the
+    terminal) are expanded from the runs when read.
     """
 
     start: TetTuple
-    vertices: tuple[int, ...]
-    weights: tuple[int, ...]
+    runs: tuple[Run, ...]
+    step_count: int  # len(steps), also past sys.maxsize, where len overflows
     terminal: TetTuple
     terminal_kind: TerminalKind
     first_ci_power: tuple[int, int] | None
     ci_power_element: TetTuple | None
 
+    @property
+    def vertices(self) -> tuple[int, ...]:
+        return tuple(v for run in self.runs for v in run.vertices * run.count)
+
+    @property
+    def weights(self) -> tuple[int, ...]:
+        return tuple(w + m * d for ws, ds, count, _ in self.runs for m in range(count) for w, d in zip(ws, ds))
+
     @functools.cached_property
     def steps(self) -> _TraceSteps:
-        return _TraceSteps(self.start, self.vertices)
+        return _TraceSteps(self.start, self.runs, self.step_count)
 
     @property
     def chain(self) -> tuple[TetTuple, ...]:
@@ -382,18 +413,28 @@ def _periods_ahead(states, drift, period, watch_ci: bool) -> int:
     return min(bounds, default=0)
 
 
+def _stretch(vertices: list[int], weights: list[int]) -> list[Run]:
+    """Steps that do not repeat: one run of count 1, or none."""
+    return [Run(tuple(weights), (0,) * len(weights), 1, tuple(vertices))] if vertices else []
+
+
 def reduction_trace(t: TetTuple) -> ReductionTrace:
     """Iterate maximal-weight reductions down to the trivial or a minimal
     curve, jumping over repeated periods."""
     e = list(t)
+    runs: list[Run] = []
+    done = 0  # steps in runs
+    # the steps since the last run: reduced vertices, step weights and parents
     vertices: list[int] = []
     weights: list[int] = []
-    states: list[tuple[int, ...]] = []  # parents of the steps since the last jump
+    states: list[tuple[int, ...]] = []
     ci = None  # ((chain index, r), element) of the first CI-power element
     while (ty := _max_weight_type(e)) is not None:
         v = ty.vertex
         if ci is None and (r := ci_power_form(e)) is not None:
-            ci = (len(vertices), r), TetTuple(e)
+            ci = (done + len(vertices), r), TetTuple(e)
+            runs += _stretch(vertices, weights)  # a run starts at the CI-power element
+            done, vertices, weights, states = done + len(vertices), [], [], []
         states.append(tuple(e))
         vertices.append(v)
         weights.append(facet_weights(e)[v])
@@ -405,17 +446,18 @@ def reduction_trace(t: TetTuple) -> ReductionTrace:
             drift = [b - a for a, b in zip(states[-p], e)]
             ahead = _periods_ahead(states[-p:], drift, vertices[-p:], ci is None)
             if ahead:
-                fd, last = facet_weights(drift), list(zip(weights[-p:], vertices[-p:]))
-                weights.extend(w + m * fd[u] for m in range(1, ahead + 1) for w, u in last)
-                vertices.extend(vertices[-p:] * ahead)
+                fd, period = facet_weights(drift), tuple(vertices[-p:])
+                runs += _stretch(vertices[:-p], weights[:-p])
+                runs.append(Run(tuple(weights[-p:]), tuple(fd[u] for u in period), ahead + 1, period))
+                done += len(vertices) + ahead * p
                 e = [a + ahead * s for a, s in zip(e, drift)]
-                states.clear()
+                vertices, weights, states = [], [], []
             break
     terminal = TetTuple(e)
     return ReductionTrace(
         start=t,
-        vertices=tuple(vertices),
-        weights=tuple(weights),
+        runs=tuple(runs + _stretch(vertices, weights)),
+        step_count=done + len(vertices),
         terminal=terminal,
         terminal_kind=TerminalKind.TRIVIAL if terminal.is_trivial else TerminalKind.MINIMAL,
         first_ci_power=ci and ci[0],

@@ -143,14 +143,15 @@ def check_fdegree(bound: int) -> CheckResult:
 
 def check_s4_invariance(bound: int) -> CheckResult:
     def invariants(t):
+        trace = tuples.reduction_trace(t)
         return (
             tuples.is_minimal(t),
-            tuples.is_acm(t),
-            tuples.is_cwl(t),
+            trace.is_acm,
+            trace.is_cwl,
             tuples.degree_of_tuple(t),
             tuples.regularity_closed_form(t),
             tuples.ci_power_form(t),
-            resolution.betti_table(t).entries,
+            resolution.resolution_recipe(trace).assemble().entries,
         )
 
     def fails(t):

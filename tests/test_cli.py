@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 import os
+import resource
 import subprocess
 import sys
 import time
@@ -181,6 +182,49 @@ class TestHugeWeights:
         assert time.perf_counter() - start < 10
         assert done.returncode == 1
         assert json.loads(done.stdout)["result"]["error"] == "OracleTooLargeError"
+
+
+class TestBoundedAnswers:
+    """The run-length trace answers classify and reduce at any weight; the
+    answers that are large by nature are refused before they are built."""
+
+    HUGE = "100000000,100000000,100000000,1,1,1"  # 10^8 steps, 2 * 10^8 Betti entries
+
+    @staticmethod
+    def cli(*argv, limit=None):
+        def cap():  # an address-space limit on the child only
+            resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+        env = dict(os.environ, PYTHONPATH=str(Path(tetracurves.__file__).parents[1]))
+        return subprocess.run(
+            [sys.executable, "-m", "tetracurves.cli", "--format", "json", *argv],
+            env=env, capture_output=True, text=True, timeout=60, preexec_fn=cap if limit else None,
+        )
+
+    def test_classify_fits_in_one_gib(self):
+        # the step-by-step record took 1.04 GB at 10^7 and ran out at 10^8
+        done = self.cli("classify", self.HUGE, limit=1 << 30)
+        assert done.returncode == 0, done.stderr
+        assert json.loads(done.stdout)["result"]["regularity"] == 3 * 10**8
+
+    def test_googol_weights(self):
+        w = str(10**100)
+        for argv, key, expected in [
+            (["classify", f"{w},{w},{w},1,1,1"], "acm", True),
+            (["reduce", f"{w},{w},{w},1,1,1"], "step_count", 10**100 + 2),
+        ]:
+            done = self.cli(*argv, limit=1 << 30)
+            assert done.returncode == 0, done.stderr
+            assert json.loads(done.stdout)["result"][key] == expected
+
+    @pytest.mark.parametrize("argv", [["betti"], ["gin"], ["reduce", "--trace"]])
+    def test_large_answers_are_typed_errors(self, argv):
+        start = time.perf_counter()
+        done = self.cli(*argv, self.HUGE)
+        assert time.perf_counter() - start < 10
+        assert done.returncode == 1
+        assert json.loads(done.stdout)["result"]["error"] == "OracleTooLargeError"
+        assert "Traceback" not in done.stderr
 
 
 _small = st.integers(0, 6).map(str)

@@ -286,6 +286,15 @@ class TestCheckPrimes:
         with pytest.raises(ValueError):
             check_primes(primes)
 
+    def test_each_prime_is_proved_once(self):
+        groebner._is_prime.cache_clear()
+        for _ in range(3):
+            check_primes(DEFAULT_PRIMES)
+        assert groebner._is_prime.cache_info().misses == 2
+        # a float equal to a proved prime is still refused
+        with pytest.raises(ValueError):
+            check_primes((float(DEFAULT_PRIMES[0]), DEFAULT_PRIMES[1]))
+
     def test_oracle_checks_primes(self):
         with pytest.raises(ValueError):
             gin_oracle(MonomialIdeal.of("a", "b"), primes=(32003, 32003))

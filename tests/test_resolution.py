@@ -1,3 +1,6 @@
+import itertools
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -6,6 +9,7 @@ from tetracurves.exceptions import (
     EnumerationCapError,
     IsACMError,
     NotMinimalError,
+    OracleTooLargeError,
     TrivialCurveError,
 )
 from tetracurves.gin import gin_buchsbaum_minimal, gin_of_curve
@@ -41,6 +45,8 @@ from tetracurves.verify import (
     check_two_skew_vs_published,
     iter_tuples,
 )
+
+from deep_digests import deep_tuples, digest, recorded
 
 small_tuples = st.tuples(*[st.integers(0, 3)] * 6).map(TetTuple)
 
@@ -204,6 +210,46 @@ class TestLinearAssembly:
     @pytest.mark.parametrize("entries", [(7, 5, 5, 2, 1, 6), (20, 18, 17, 9, 8, 20)])
     def test_ladder(self, entries):
         self.check(TetTuple(entries))
+
+
+class TestRunAssembly:
+    """Assembly and linearity read off the runs of long traces."""
+
+    def test_run_read_is_linear_matches_assembly(self):
+        rng = random.Random(20261019)
+        seeded = [TetTuple(tuple(rng.randint(0, 300) for _ in range(6))) for _ in range(1000)]
+        for t in itertools.chain(iter_tuples(10), seeded):
+            recipe = resolution_recipe(reduction_trace(t))
+            assert recipe.is_linear is recipe.assemble().is_linear, t
+
+    def test_matches_pairwise_above_a_ci_power_base(self):
+        rng = random.Random(5)
+        checked = 0
+        for _ in range(3000):
+            t = TetTuple(tuple(rng.randint(0, 60) for _ in range(6)))
+            trace = reduction_trace(t)
+            if trace.is_acm and trace.first_ci_power is not None:
+                # a run starts at the CI-power element, where the recipe's base cuts the runs
+                starts = itertools.accumulate((len(run.vertices) * run.count for run in trace.runs), initial=0)
+                assert trace.first_ci_power[0] in set(starts)
+                assert betti_table(t) == pairwise_assemble(recipe_from_chain(stepwise_chain(t))), t
+                checked += 1
+        assert checked >= 20
+
+    def test_huge_table_is_typed_error(self):
+        t = TetTuple((10**8, 10**8, 10**8, 1, 1, 1))
+        assert classify(t).acm
+        with pytest.raises(OracleTooLargeError):
+            betti_table(t)
+        with pytest.raises(OracleTooLargeError):
+            gin_of_curve(t)
+
+    def test_deep_digests_match_the_recorded_snapshot(self):
+        # 200 seeded tuples with entries in [0, 300], recorded before the
+        # trace became a run record
+        expected = recorded()
+        assert len(expected) == 200
+        assert [t for t in deep_tuples() if digest(t) != expected[t]] == []
 
 
 class TestLinearResolution:

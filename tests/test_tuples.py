@@ -3,8 +3,8 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
-from tetracurves.exceptions import NotApplicableError, TrivialCurveError
-from tetracurves import tuples
+from tetracurves.exceptions import NotApplicableError, OracleTooLargeError, TrivialCurveError
+from tetracurves import resolution, tuples
 from tetracurves.monomials import EDGES, Monomial
 from tetracurves.tuples import (
     ReductionType,
@@ -412,3 +412,46 @@ class TestRegularityClosedForm:
         if t.is_trivial:
             return
         assert regularity_closed_form(t) == regularity_closed_form(permute(t, pi))
+
+
+class TestRunRecord:
+    """The trace record is a tuple of runs whose length does not grow with
+    the weights; only the expanded views do."""
+
+    def test_runs_expand_to_the_stepwise_trace(self):
+        rng = random.Random(20261019)
+        for _ in range(30):
+            t = TetTuple(tuple(rng.randint(0, 300) for _ in range(6)))
+            trace = reduction_trace(t)
+            vertices, weights = stepwise_trace(t)[:2]
+            assert trace.vertices == vertices and trace.weights == weights
+            assert trace.step_count == len(trace.steps) == len(vertices)
+            assert len(trace.runs) <= 25
+
+    def test_huge_weights_build_no_step(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("a ReductionStep was built")
+
+        monkeypatch.setattr(tuples, "apply_reduction", refuse)
+        # (w,w,w,1,1,1) takes w + 2 steps, stepwise for small w
+        for w in range(1, 30):
+            assert len(stepwise_trace(TetTuple((w, w, w, 1, 1, 1)))[0]) == w + 2
+        for w in (10**18, 10**100):
+            t = TetTuple((w, w, w, 1, 1, 1))
+            report = resolution.classify(t)
+            trace = reduction_trace(t)
+            assert report.acm and not report.linear_resolution
+            assert trace.step_count == w + 2 and len(trace.runs) == 3
+            # deg F is additive along the chain of an ACM curve, so the step
+            # weights, summed run by run, give the degree
+            total = sum(
+                run.count * sum(run.weights) + sum(run.drift) * run.count * (run.count - 1) // 2
+                for run in trace.runs
+            )
+            assert total == degree_of_tuple(t) == report.degree
+        assert len(reduction_trace(TetTuple((10**18, 10**18, 10**18, 1, 1, 1))).steps) == 10**18 + 2
+
+    def test_huge_step_list_is_typed_error(self):
+        trace = reduction_trace(TetTuple((10**8, 10**8, 10**8, 1, 1, 1)))
+        with pytest.raises(OracleTooLargeError):
+            trace.steps[0]

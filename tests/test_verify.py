@@ -89,6 +89,15 @@ def test_liaison_addition_names_its_bound():
     ]
 
 
+def test_symmetry_check_traces_each_image_once(monkeypatch):
+    calls = []
+    trace = tuples.reduction_trace
+    monkeypatch.setattr(tuples, "reduction_trace", lambda t: calls.append(t) or trace(t))
+    result = verify.check_s4_invariance(2)
+    assert result.passed and result.detail == "27 cases"
+    assert len(calls) == 27 * 25  # each tuple and its 24 images
+
+
 def test_abort_keeps_the_earlier_checks(monkeypatch):
     def refuse(*args):
         raise FNotInIdealError("refused")
