@@ -1,4 +1,9 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the one size guard: each
+computation whose memory grows with its input estimates its peak bytes from
+a per-item cost measured where it runs, and calls `refuse_over_limit`
+before it allocates."""
+
+ORACLE_MEMORY_LIMIT = 1 << 30
 
 
 class TetracurvesError(Exception):
@@ -57,4 +62,12 @@ class EnumerationCapError(TetracurvesError):
 
 class OracleTooLargeError(TetracurvesError):
     """An oracle input, or an answer large by nature (a Betti table, a gin,
-    a trace's steps), would need more memory than ORACLE_MEMORY_LIMIT."""
+    a trace's steps or weights), would need more memory than
+    ORACLE_MEMORY_LIMIT."""
+
+
+def refuse_over_limit(estimate: int, what: str) -> None:
+    """Raise OracleTooLargeError, "<what> about <estimate in MiB> MiB", when
+    an estimate of `estimate` bytes exceeds ORACLE_MEMORY_LIMIT."""
+    if estimate > ORACLE_MEMORY_LIMIT:
+        raise OracleTooLargeError(f"{what} about {estimate >> 20} MiB")

@@ -23,9 +23,9 @@ from dataclasses import dataclass
 from itertools import accumulate
 from math import comb
 
-from .exceptions import NotACMError, NotStableError, OracleTooLargeError, TrivialCurveError
+from .exceptions import NotACMError, NotStableError, TrivialCurveError, refuse_over_limit
 from .koszul import BettiTable
-from .monomials import ORACLE_MEMORY_LIMIT, Monomial, MonomialIdeal
+from .monomials import Monomial, MonomialIdeal
 from .resolution import resolution_recipe
 from .tuples import ReductionTrace, TetTuple, buchsbaum_minimal_r, reduction_trace
 
@@ -87,9 +87,9 @@ def _lex_gin(trace: ReductionTrace) -> StableIdeal:
     numerator = Counter({0: 1})
     for i, j, r in resolution_recipe(trace).assemble().entries:
         numerator[j] += (-1) ** (i + 1) * r
-    if (estimate := (max(numerator) + 1) * _BYTES_PER_GENERATOR) > ORACLE_MEMORY_LIMIT:
-        raise OracleTooLargeError(f"an h-vector of length {max(numerator) + 1} needs about {estimate >> 20} MiB")
-    h = list(accumulate(accumulate(numerator[d] for d in range(max(numerator) + 1))))
+    n = max(numerator) + 1
+    refuse_over_limit(n * _BYTES_PER_GENERATOR, f"an h-vector of length {n} needs")
+    h = list(accumulate(accumulate(numerator[d] for d in range(n))))
     while h and h[-1] == 0:
         h.pop()
     gens, last = [], -1
@@ -128,6 +128,7 @@ def gin_buchsbaum_minimal(r: int) -> StableIdeal:
     recursion gin(r+1) = (a^2)*gin(r) + (a b^(2r+1), b^(2r+2), a^(r+1) b^r c)."""
     if r < 1:
         raise ValueError("r must be at least 1")
+    refuse_over_limit((3 * r + 1) * _BYTES_PER_GENERATOR, f"{3 * r + 1} gin generators need")
     return StableIdeal(tuple(_buchsbaum_generators(r)))
 
 
@@ -144,8 +145,8 @@ def gin_of_curve(t: TetTuple) -> StableIdeal | None:
     r = buchsbaum_minimal_r(trace.terminal)
     if r is None:
         return None
-    if (estimate := (trace.step_count + 3 * r + 1) * _BYTES_PER_GENERATOR) > ORACLE_MEMORY_LIMIT:
-        raise OracleTooLargeError(f"{trace.step_count + 3 * r + 1} gin generators need about {estimate >> 20} MiB")
+    n = trace.step_count + 3 * r + 1
+    refuse_over_limit(n * _BYTES_PER_GENERATOR, f"{n} gin generators need")
     # gin(J) = a * gin(I) + (b^e) folded along the chain: the j-th step from
     # the top multiplies by a^j
     gens = _buchsbaum_generators(r, trace.step_count)

@@ -10,9 +10,10 @@ most reg(I) (Bayer-Stillman 1987), so elimination stops at the regularity
 reported by the Koszul Betti oracle, and the Hilbert function one degree
 higher must match the input's.  The runs over two seeds and two primes
 share one elimination of stacked Macaulay matrices, each mod its own prime
-(refused beyond ORACLE_MEMORY_LIMIT bytes), and a run whose initial ideal
-is not Borel-fixed is redrawn alone.  Runs that disagree or stay unstable
-make the computation report failure instead of guessing.
+(`refuse_over_limit` refuses them beyond ORACLE_MEMORY_LIMIT bytes), and a
+run whose initial ideal is not Borel-fixed is redrawn alone.  Runs that
+disagree or stay unstable make the computation report failure instead of
+guessing.
 """
 
 from __future__ import annotations
@@ -22,10 +23,10 @@ import itertools
 import math
 import random
 
-from .exceptions import DisagreementError, NotBorelFixedError, OracleTooLargeError
+from .exceptions import DisagreementError, NotBorelFixedError, refuse_over_limit
 from .gin import StableIdeal, is_strongly_stable
 from .koszul import betti_table_oracle
-from .monomials import ORACLE_MEMORY_LIMIT, Monomial, MonomialIdeal, NVARS, component_ideal, monomials_of_degree
+from .monomials import Monomial, MonomialIdeal, NVARS, component_ideal, monomials_of_degree
 
 DEFAULT_PRIMES = (32003, 31991)
 DEFAULT_SEEDS = (1, 2)
@@ -169,8 +170,8 @@ def gin_oracle(
     runs = [(seed, prime) for seed in seeds for prime in primes]
     # the largest stack sits at degree top: the shifts of I_(top-1) and the degree-top generators
     height = NVARS * len(component_ideal(ideal, top - 1).generators) + sum(g.degree == top for g in ideal.generators)
-    if (estimate := len(runs) * height * math.comb(top + 3, 3) * _BYTES_PER_CELL) > ORACLE_MEMORY_LIMIT:
-        raise OracleTooLargeError(f"the stacked degree-{top} Macaulay matrices need about {estimate >> 20} MiB")
+    refuse_over_limit(len(runs) * height * math.comb(top + 3, 3) * _BYTES_PER_CELL,
+                      f"the stacked degree-{top} Macaulay matrices need")
     found, stable, pending = {}, {}, runs
     for attempt in range(3):
         matrices = [random_invertible_matrix(seed + 7919 * attempt, prime) for seed, prime in pending]

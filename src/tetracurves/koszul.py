@@ -25,8 +25,8 @@ import math
 from dataclasses import dataclass
 from typing import Mapping
 
-from .exceptions import OracleTooLargeError
-from .monomials import ORACLE_MEMORY_LIMIT, MonomialIdeal, NVARS, exponent_box
+from .exceptions import refuse_over_limit
+from .monomials import MonomialIdeal, NVARS, exponent_box
 
 # the oracle's peak bytes per cell of the padded box (uint16 face masks,
 # int64 degree index, boolean temporaries; 11.5 measured)
@@ -135,11 +135,8 @@ def betti_table_oracle(ideal: MonomialIdeal) -> BettiTable:
     if ideal.is_zero or ideal.is_unit:
         raise ValueError("Betti oracle needs a proper non-zero ideal")
     least, top = exponent_box(ideal)
-    estimate = math.prod(k + 2 for k in top.tolist()) * _BYTES_PER_CELL
-    if estimate > ORACLE_MEMORY_LIMIT:
-        raise OracleTooLargeError(
-            f"the Koszul oracle box {(top + 1).tolist()} needs about {estimate >> 20} MiB"
-        )
+    refuse_over_limit(math.prod(k + 2 for k in top.tolist()) * _BYTES_PER_CELL,
+                      f"the Koszul oracle box {(top + 1).tolist()} needs")
     # bit s of masks[m + 1] is set when m - (the 0/1 vector of s) is in I;
     # the zero layer below the box makes a negative coordinate read "not in I"
     masks = np.zeros(top + 2, dtype=np.uint16)

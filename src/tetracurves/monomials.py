@@ -17,12 +17,7 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .exceptions import (
-    BoundTooSmallError,
-    FNotInIdealError,
-    GDividesFError,
-    OracleTooLargeError,
-)
+from .exceptions import BoundTooSmallError, FNotInIdealError, GDividesFError, refuse_over_limit
 
 VARIABLES = "abcd"
 NVARS = 4
@@ -31,12 +26,9 @@ NVARS = 4
 # edges are at positions (0,5), (1,4), (2,3).
 EDGES = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
 
-# the memory limit of ideal_of_tuple's grid, hilbert_data's degree lists,
-# minimalize's pairwise comparison and the Koszul oracle's box; the grid's
-# peak bytes per cell (two int64 arrays of the least d-exponent and boolean
-# masks; 17.0 measured) and hilbert_data's per degree up to the bound (Python
-# lists of ints; 65.4 measured)
-ORACLE_MEMORY_LIMIT = 1 << 30
+# the grid's peak bytes per cell (two int64 arrays of the least d-exponent
+# and boolean masks; 17.0 measured) and hilbert_data's per degree up to the
+# bound (Python lists of ints; 65.4 measured)
 _GRID_BYTES_PER_CELL = 17
 _HILBERT_BYTES_PER_DEGREE = 66
 
@@ -129,8 +121,7 @@ def minimalize(monomials: Iterable[Monomial]) -> list[Monomial]:
 def _minimalize_bulk(ms: list[Monomial]) -> list[Monomial]:
     import numpy as np
     # the (n, n, 4) comparison and its (n, n) reduction: 5 bytes per pair (5.0 measured)
-    if (estimate := 5 * len(ms) ** 2) > ORACLE_MEMORY_LIMIT:
-        raise OracleTooLargeError(f"minimalizing {len(ms)} monomials needs about {estimate >> 20} MiB")
+    refuse_over_limit(5 * len(ms) ** 2, f"minimalizing {len(ms)} monomials needs")
     # ms is deduplicated, so "divisible by a different element" marks exactly
     # the non-minimal ones.
     E = np.array([m.exps for m in ms], dtype=np.int32)
@@ -223,9 +214,7 @@ def ideal_of_tuple(t: Sequence[int]) -> MonomialIdeal:
         raise ValueError(f"need six non-negative weights, got {entries}")
     a01, a02, a03, a12, a13, a23 = entries
     shape = (max(a01, a02, a03) + 1, max(a01, a12, a13) + 1, max(a02, a12, a23) + 1)
-    estimate = math.prod(shape) * _GRID_BYTES_PER_CELL
-    if estimate > ORACLE_MEMORY_LIMIT:
-        raise OracleTooLargeError(f"the ideal's exponent grid {list(shape)} needs about {estimate >> 20} MiB")
+    refuse_over_limit(math.prod(shape) * _GRID_BYTES_PER_CELL, f"the ideal's exponent grid {list(shape)} needs")
     e0, e1, e2 = np.indices(shape, sparse=True)
     meets = (e0 + e1 >= a01) & (e0 + e2 >= a02) & (e1 + e2 >= a12)
     least = np.maximum(np.maximum(a03 - e0, a13 - e1), np.maximum(a23 - e2, 0))
@@ -356,8 +345,7 @@ def hilbert_data(ideal: MonomialIdeal, upto: int) -> HilbertData:
     import numpy as np
     if upto < 0:
         raise ValueError("upto must be non-negative")
-    if (estimate := (upto + 1) * _HILBERT_BYTES_PER_DEGREE) > ORACLE_MEMORY_LIMIT:
-        raise OracleTooLargeError(f"the Hilbert function up to degree {upto} needs about {estimate >> 20} MiB")
+    refuse_over_limit((upto + 1) * _HILBERT_BYTES_PER_DEGREE, f"the Hilbert function up to degree {upto} needs")
     least, top = exponent_box(ideal, bound=upto)
     axes = np.indices(least.shape, sparse=True)
     start = sum(axes)

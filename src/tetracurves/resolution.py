@@ -22,11 +22,10 @@ from .exceptions import (
     EnumerationCapError,
     IsACMError,
     NotMinimalError,
-    OracleTooLargeError,
     TrivialCurveError,
+    refuse_over_limit,
 )
 from .koszul import BettiTable
-from .monomials import ORACLE_MEMORY_LIMIT
 from .tuples import (
     ClassificationReport,
     ReductionTrace,
@@ -49,7 +48,7 @@ from .tuples import (
     _TYPES,
 )
 
-_BYTES_PER_ENTRY = 530  # peak of `betti --format json` per entry (tracemalloc: 514-523)
+_BYTES_PER_ENTRY = 610  # peak RSS of `betti --format json` per entry (slope over two sizes: 606-607)
 
 
 def minimal_curve_betti(t: TetTuple) -> BettiTable:
@@ -95,10 +94,6 @@ class ResolutionRecipe:
     base_betti: BettiTable
     runs: tuple[Run, ...]
 
-    @property
-    def weights(self) -> tuple[int, ...]:  # the F degrees, top first
-        return tuple(w + m * d for ws, ds, count, _ in self.runs for m in range(count) for w, d in zip(ws, ds))
-
     def assemble(self) -> BettiTable:
         """The table, counted run by run: position q of a run of period p at
         shift n has generator degrees w_q + n + q + m (p + drift_q).  Raises
@@ -112,9 +107,9 @@ class ResolutionRecipe:
             for first, d in zip(firsts, drift) if count > 1 else ():
                 if not p + d:
                     degrees[first] += count
-                elif (estimate := 2 * (len(degrees) + count) * _BYTES_PER_ENTRY) > ORACLE_MEMORY_LIMIT:
-                    raise OracleTooLargeError(f"a Betti table of over {2 * count} entries needs about {estimate >> 20} MiB")
                 else:
+                    refuse_over_limit(2 * (len(degrees) + count) * _BYTES_PER_ENTRY,
+                                      f"a Betti table of over {2 * count} entries needs")
                     degrees.update(range(first, first + count * (p + d), p + d))
             n += p * count
         rows = (degrees, {j + 1: r for j, r in degrees.items()}, {})

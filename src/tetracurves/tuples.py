@@ -28,9 +28,10 @@ counting as non-negative); the least k where one would lose it is solved
 by floor division and jumped at once.  A jump is recorded as one `Run`:
 the period's vertices, its first step weights, their drift per repetition
 and the repeat count, so the trace's record does not grow with the
-weights.  Its views `vertices`, `weights`, `steps` and `chain` are expanded
-from the runs when read; the classification flags, the linearity of the
-Betti table and `len(steps)` are read off the runs alone.
+weights.  Its views `weights`, `steps` and `chain` are expanded from the
+runs when read, each refused with OracleTooLargeError beyond the memory
+limit; the classification flags, the linearity of the Betti table and
+`len(steps)` are read off the runs alone.
 """
 
 from __future__ import annotations
@@ -42,8 +43,8 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import NamedTuple
 
-from .exceptions import NotApplicableError, OracleTooLargeError, TrivialCurveError
-from .monomials import EDGES, ORACLE_MEMORY_LIMIT, Monomial, VARIABLES
+from .exceptions import NotApplicableError, TrivialCurveError, refuse_over_limit
+from .monomials import EDGES, Monomial, VARIABLES
 
 OPPOSITE = (5, 4, 3, 2, 1, 0)  # opposite edge pairs: (1,6), (2,5), (3,4)
 OPPOSITE_PAIRS = ((0, 5), (1, 4), (2, 3))
@@ -301,7 +302,10 @@ class Run(NamedTuple):
     vertices: tuple[int, ...] = ()
 
 
-_BYTES_PER_STEP = 1900  # peak of `reduce --trace --format json` per step (tracemalloc: 1,840-1,863)
+# peak RSS per step of `reduce --trace --format json` (slope over two sizes:
+# 2,022-2,026) and per weight of `ReductionTrace.weights` (40.0-40.1)
+_BYTES_PER_STEP = 2030
+_BYTES_PER_WEIGHT = 41
 
 
 class _TraceSteps(Sequence):
@@ -316,8 +320,7 @@ class _TraceSteps(Sequence):
 
     @functools.cached_property
     def _items(self) -> tuple[ReductionStep, ...]:
-        if (estimate := self._count * _BYTES_PER_STEP) > ORACLE_MEMORY_LIMIT:
-            raise OracleTooLargeError(f"a trace of {self._count} steps needs about {estimate >> 20} MiB")
+        refuse_over_limit(self._count * _BYTES_PER_STEP, f"a trace of {self._count} steps needs")
         steps, cur = [], self._start
         for run in self._runs:
             for v in run.vertices * run.count:
@@ -340,9 +343,9 @@ class ReductionTrace:
     topmost chain element of complete-intersection-power shape, as (chain
     index, r), where a run starts, and `ci_power_element` is that element:
     the base of the Betti-table assembly for ACM curves that are not
-    componentwise linear.  The views `vertices`, `weights` (the maximal
-    facet weight of each parent), `steps` and `chain` (which includes the
-    terminal) are expanded from the runs when read.
+    componentwise linear.  The views `weights` (the maximal facet weight of
+    each parent), `steps` and `chain` (which includes the terminal) are
+    expanded from the runs when read, behind the size guard.
     """
 
     start: TetTuple
@@ -354,11 +357,9 @@ class ReductionTrace:
     ci_power_element: TetTuple | None
 
     @property
-    def vertices(self) -> tuple[int, ...]:
-        return tuple(v for run in self.runs for v in run.vertices * run.count)
-
-    @property
     def weights(self) -> tuple[int, ...]:
+        n = self.step_count
+        refuse_over_limit(n * _BYTES_PER_WEIGHT, f"the weights of a trace of {n} steps need")
         return tuple(w + m * d for ws, ds, count, _ in self.runs for m in range(count) for w, d in zip(ws, ds))
 
     @functools.cached_property

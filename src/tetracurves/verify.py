@@ -220,8 +220,7 @@ def check_non_acm_shape(bound: int) -> CheckResult:
     """Non-ACM tables: one generator/syzygy pair per step at strictly
     decreasing facet weights, all above the shifted minimal-curve block."""
     def fails(trace):
-        recipe = resolution.recipe_from_chain(trace.chain)
-        weights = recipe.weights
+        recipe, weights = resolution.resolution_recipe(trace), trace.weights
         e0 = recipe.base_betti.min_generator_degree
         strictly_decreasing = all(a > b for a, b in zip(weights, weights[1:]))
         above_base = not weights or weights[-1] > e0

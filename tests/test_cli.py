@@ -217,10 +217,14 @@ class TestBoundedAnswers:
             assert done.returncode == 0, done.stderr
             assert json.loads(done.stdout)["result"][key] == expected
 
-    @pytest.mark.parametrize("argv", [["betti"], ["gin"], ["reduce", "--trace"]])
+    @pytest.mark.parametrize("argv", [
+        ["betti", HUGE], ["gin", HUGE], ["reduce", "--trace", HUGE],
+        # 2,000,004 entries: about 1.17 GB of RSS, which the guard once let through
+        ["betti", "1000000,1000000,1000000,1,1,1"],
+    ])
     def test_large_answers_are_typed_errors(self, argv):
         start = time.perf_counter()
-        done = self.cli(*argv, self.HUGE)
+        done = self.cli(*argv, limit=1 << 30)
         assert time.perf_counter() - start < 10
         assert done.returncode == 1
         assert json.loads(done.stdout)["result"]["error"] == "OracleTooLargeError"

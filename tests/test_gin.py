@@ -187,6 +187,11 @@ class TestBuchsbaumGin:
         with pytest.raises(ValueError):
             gin_buchsbaum_minimal(0)
 
+    def test_huge_r_is_typed_error(self, capped_python):
+        # 3 * 10^8 + 1 generators ran out of memory before the guard
+        done = capped_python("from tetracurves.gin import gin_buchsbaum_minimal; gin_buchsbaum_minimal(10**8)")
+        assert "OracleTooLargeError: 300000001 gin generators need" in done.stderr
+
 
 class TestGinBdlStep:
     def test_example(self):

@@ -1,18 +1,24 @@
 """Cross-module invariants tying the closed-form theory to the oracles."""
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
-from tetracurves.koszul import cached_betti_oracle
+from tetracurves import exceptions
+from tetracurves.exceptions import OracleTooLargeError
+from tetracurves.groebner import gin_oracle
+from tetracurves.koszul import betti_table_oracle, cached_betti_oracle
 from tetracurves.monomials import (
     MonomialIdeal,
     basic_double_link,
     component_ideal,
     hilbert_data,
     ideal_of_tuple,
+    minimalize,
+    monomials_of_degree,
     truncate,
 )
 from tetracurves.resolution import betti_table, gin_betti_prediction
-from tetracurves.gin import ek_betti, gin_acm
+from tetracurves.gin import ek_betti, gin_acm, gin_buchsbaum_minimal, gin_of_curve
 from tetracurves.tuples import (
     ReductionType,
     TetTuple,
@@ -107,3 +113,26 @@ def test_trace_is_a_valid_reduction_chain(t):
     if trace.steps:
         assert trace.steps[-1].child == trace.terminal
         assert trace.steps[0].parent == t
+
+
+_IDEAL = ideal_of_tuple(TetTuple((1, 2, 1, 2, 0, 2)))
+
+
+@pytest.mark.parametrize("call", [
+    lambda: ideal_of_tuple(TetTuple((1, 2, 1, 2, 0, 2))),
+    lambda: hilbert_data(_IDEAL, 5),
+    lambda: minimalize(monomials_of_degree(12)),  # 455 monomials: the bulk path
+    lambda: betti_table_oracle(_IDEAL),
+    lambda: gin_oracle(_IDEAL),
+    lambda: betti_table(TetTuple((50, 50, 50, 1, 1, 1))),  # a run of 48 with degree drift -2
+    lambda: gin_of_curve(TetTuple((1, 2, 1, 2, 0, 2))),  # ACM
+    lambda: gin_of_curve(TetTuple((3, 3, 3, 1, 2, 4))),  # Buchsbaum-rooted
+    lambda: reduction_trace(TetTuple((3, 3, 3, 1, 2, 4))).steps[0],
+    lambda: reduction_trace(TetTuple((3, 3, 3, 1, 2, 4))).weights,
+    lambda: gin_buchsbaum_minimal(2),
+])
+def test_memory_limit_has_one_home(monkeypatch, call):
+    """Every size guard reads the one limit in `exceptions`."""
+    monkeypatch.setattr(exceptions, "ORACLE_MEMORY_LIMIT", 0)
+    with pytest.raises(OracleTooLargeError):
+        call()

@@ -125,23 +125,28 @@ class TestBettiTableAssembly:
         with pytest.raises(TrivialCurveError):
             betti_table(T("0,0,0,0,0,0"))
 
+    @staticmethod
+    def steps_above_base(recipe):
+        return sum(len(run.weights) * run.count for run in recipe.runs)
+
     def test_recipe_structure_non_acm(self):
-        recipe = resolution_recipe(reduction_trace(T("7,5,5,2,1,6")))
+        trace = reduction_trace(T("7,5,5,2,1,6"))
+        recipe = resolution_recipe(trace)
         assert recipe.base == T("4,1,2,1,1,5")
         assert recipe.base_betti == minimal_curve_betti(recipe.base)
-        assert recipe.weights == (17, 14, 11, 10)
+        assert recipe.runs == trace.runs and trace.weights == (17, 14, 11, 10)
 
     def test_recipe_structure_acm_cwl(self):
         recipe = resolution_recipe(reduction_trace(T("1,2,1,2,0,2")))
         assert recipe.base.is_trivial
         assert recipe.base_betti.as_dict() == {(0, 0): 1}
-        assert len(recipe.weights) == 3
+        assert self.steps_above_base(recipe) == 3
 
     def test_recipe_structure_acm_not_cwl(self):
         recipe = resolution_recipe(reduction_trace(T("1,3,4,2,3,0")))
         assert recipe.base == T("0,2,2,2,2,0")
         assert recipe.base_betti == ci_power_betti(2)
-        assert len(recipe.weights) == 2
+        assert self.steps_above_base(recipe) == 2
 
     @given(small_tuples)
     @settings(max_examples=40)
@@ -161,10 +166,12 @@ class TestBettiTableAssembly:
 
 def pairwise_assemble(recipe):
     """Test-only copy of the former `ResolutionRecipe.assemble`: one
-    `BettiTable` sum per step."""
-    n = len(recipe.weights)
+    `BettiTable` sum per step of a chain recipe, whose runs are single steps."""
+    assert all(run.count == 1 for run in recipe.runs)
+    weights = [w for run in recipe.runs for w in run.weights]
+    n = len(weights)
     table = BettiTable(tuple((i, j + n, r) for i, j, r in recipe.base_betti.entries))
-    for shift, f_degree in enumerate(recipe.weights):
+    for shift, f_degree in enumerate(weights):
         table = table + BettiTable.from_dict(
             {(0, f_degree + shift): 1, (1, f_degree + shift + 1): 1}
         )

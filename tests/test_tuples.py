@@ -205,7 +205,7 @@ def stepwise_trace(t):
 def trace_record(t):
     trace = reduction_trace(t)
     return (
-        trace.vertices,
+        tuple(step.type.vertex for step in trace.steps),
         trace.weights,
         trace.terminal,
         trace.terminal_kind,
@@ -424,7 +424,7 @@ class TestRunRecord:
             t = TetTuple(tuple(rng.randint(0, 300) for _ in range(6)))
             trace = reduction_trace(t)
             vertices, weights = stepwise_trace(t)[:2]
-            assert trace.vertices == vertices and trace.weights == weights
+            assert tuple(step.type.vertex for step in trace.steps) == vertices and trace.weights == weights
             assert trace.step_count == len(trace.steps) == len(vertices)
             assert len(trace.runs) <= 25
 
@@ -455,3 +455,9 @@ class TestRunRecord:
         trace = reduction_trace(TetTuple((10**8, 10**8, 10**8, 1, 1, 1)))
         with pytest.raises(OracleTooLargeError):
             trace.steps[0]
+
+    def test_huge_weights_are_typed_error(self, capped_python):
+        # 10^8 weights ran out of memory before the guard
+        done = capped_python("from tetracurves.tuples import TetTuple, reduction_trace; "
+                             "reduction_trace(TetTuple((10**8,) * 3 + (1, 1, 1))).weights")
+        assert "OracleTooLargeError: the weights of a trace of 100000002 steps need" in done.stderr
