@@ -16,7 +16,12 @@ facets of maximal weight drives every curve down to the trivial curve or
 to a minimal one, and the shape of that chain decides ACM-ness,
 componentwise linearity, and regularity.
 
-`reduction_trace` works on the six integers and jumps over periods.  When
+`reduction_trace` works on the six integers and jumps over periods.  Each
+step's vertex comes from `_max_weight_vertex`, which forms the four facet
+weights once.  Two cheap tests are exact: `ci_power_form` runs only beside a
+zero opposite-pair sum, which every CI-power shape has, and a period p is
+compared in full only when the newest vertex equals the one p steps back, a
+pair the full comparison reads.  When
 the last 2p reduced vertices repeat with period p, every quantity a step's
 decision reads is affine in the number k of further periods: the reduced
 vertex's triangle slacks, its facet-weight gaps to the other facets (and,
@@ -246,20 +251,25 @@ def minimal_by_weight_test(t: TetTuple) -> bool:
     return False
 
 
-def _max_weight_type(t: Sequence[int]) -> ReductionType | None:
-    """An applicable reduction of maximal facet weight at t, ties broken
-    A < B < C < D, or None when t is trivial or minimal."""
-    fw = facet_weights(t)
+def _max_weight_vertex(e: Sequence[int]) -> tuple[int | None, tuple[int, int, int, int]]:
+    """The vertex of an applicable reduction of maximal facet weight at e,
+    ties broken A < B < C < D (None when e is trivial or minimal), and the
+    four facet weights."""
+    e0, e1, e2, e3, e4, e5 = e
+    fw = (e0 + e1 + e2, e0 + e3 + e4, e1 + e3 + e5, e2 + e4 + e5)
     top = max(fw)
-    if not top:
-        return None
-    for ty, w in zip(_TYPES, fw):
-        if w == top and reduction_applicable(t, ty):
-            return ty
-    # a non-minimal curve can always be reduced along a maximal-weight facet
-    if any(reduction_applicable(t, ty) for ty in _TYPES):
-        raise AssertionError(f"no maximal-weight reduction found for {t}")
-    return None
+    if top:
+        for v, rows in enumerate(TRIANGLE_ROWS):
+            if fw[v] == top:
+                for i, j, k in rows:
+                    if e[i] + e[j] < e[k]:
+                        break
+                else:
+                    return v, fw
+        # a non-minimal curve can always be reduced along a maximal-weight facet
+        if any(reduction_applicable(e, ty) for ty in _TYPES):
+            raise AssertionError(f"no maximal-weight reduction found for {tuple(e)}")
+    return None, fw
 
 
 def max_weight_choices(t: TetTuple) -> list[ReductionType]:
@@ -430,19 +440,21 @@ def reduction_trace(t: TetTuple) -> ReductionTrace:
     weights: list[int] = []
     states: list[tuple[int, ...]] = []
     ci = None  # ((chain index, r), element) of the first CI-power element
-    while (ty := _max_weight_type(e)) is not None:
-        v = ty.vertex
-        if ci is None and (r := ci_power_form(e)) is not None:
+    v, fw = _max_weight_vertex(e)
+    while v is not None:
+        # every CI-power shape has a zero opposite pair
+        if ci is None and not (e[0] + e[5] and e[1] + e[4] and e[2] + e[3]) and (r := ci_power_form(e)):
             ci = (done + len(vertices), r), TetTuple(e)
             runs += _stretch(vertices, weights)  # a run starts at the CI-power element
             done, vertices, weights, states = done + len(vertices), [], [], []
         states.append(tuple(e))
         vertices.append(v)
-        weights.append(facet_weights(e)[v])
+        weights.append(fw[v])
         for i in FACET_POSITIONS[v]:
-            e[i] = max(0, e[i] - 1)
+            if e[i]:
+                e[i] -= 1
         for p in range(1, min(6, len(states) // 2) + 1):
-            if vertices[-p:] != vertices[-2 * p : -p]:
+            if vertices[-1] != vertices[-1 - p] or vertices[-p:] != vertices[-2 * p : -p]:
                 continue
             drift = [b - a for a, b in zip(states[-p], e)]
             ahead = _periods_ahead(states[-p:], drift, vertices[-p:], ci is None)
@@ -454,6 +466,7 @@ def reduction_trace(t: TetTuple) -> ReductionTrace:
                 e = [a + ahead * s for a, s in zip(e, drift)]
                 vertices, weights, states = [], [], []
             break
+        v, fw = _max_weight_vertex(e)
     terminal = TetTuple(e)
     return ReductionTrace(
         start=t,

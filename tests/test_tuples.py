@@ -3,7 +3,7 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
-from tetracurves.exceptions import NotApplicableError, OracleTooLargeError, TrivialCurveError
+from tetracurves.exceptions import NotApplicableError, TrivialCurveError
 from tetracurves import resolution, tuples
 from tetracurves.monomials import EDGES, Monomial
 from tetracurves.tuples import (
@@ -224,6 +224,21 @@ class TestCompressedTrace:
         for _ in range(50):
             t = TetTuple(tuple(rng.randint(0, 10**4) for _ in range(6)))
             assert trace_record(t) == stepwise_trace(t), t
+
+    def test_matches_stepwise_beside_a_zero_opposite_pair(self):
+        # the trace tests for a CI power only beside a zero opposite pair,
+        # which uniform draws almost never have
+        rng = random.Random(20261020)
+        ci_powers = 0
+        for _ in range(150):
+            i, j = rng.choice(tuples.OPPOSITE_PAIRS)
+            r = rng.randint(1, 200)
+            for e in ([max(0, r + rng.randint(-2, 2)) for _ in range(6)], [rng.randint(0, 300) for _ in range(6)]):
+                e[i] = e[j] = 0
+                t = TetTuple(e)
+                assert trace_record(t) == stepwise_trace(t), t
+                ci_powers += reduction_trace(t).first_ci_power is not None
+        assert ci_powers >= 10
 
     def test_steps_and_chain_match_stepwise(self):
         for t in iter_tuples(6):
@@ -451,10 +466,10 @@ class TestRunRecord:
             assert total == degree_of_tuple(t) == report.degree
         assert len(reduction_trace(TetTuple((10**18, 10**18, 10**18, 1, 1, 1))).steps) == 10**18 + 2
 
-    def test_huge_step_list_is_typed_error(self):
-        trace = reduction_trace(TetTuple((10**8, 10**8, 10**8, 1, 1, 1)))
-        with pytest.raises(OracleTooLargeError):
-            trace.steps[0]
+    def test_huge_step_list_is_typed_error(self, capped_python):
+        done = capped_python("from tetracurves.tuples import TetTuple, reduction_trace; "
+                             "reduction_trace(TetTuple((10**8,) * 3 + (1, 1, 1))).steps[0]")
+        assert "OracleTooLargeError: a trace of 100000002 steps needs" in done.stderr
 
     def test_huge_weights_are_typed_error(self, capped_python):
         # 10^8 weights ran out of memory before the guard
