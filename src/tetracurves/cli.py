@@ -17,11 +17,6 @@ import time
 
 from . import __version__
 from .exceptions import TetracurvesError
-from .gin import ek_betti, gin_of_curve
-from .groebner import DEFAULT_PRIMES, check_primes, gin_oracle
-from .koszul import cached_betti_oracle
-from .monomials import hilbert_data, ideal_of_tuple
-from .resolution import betti_table, classify, enumerate_linear_in_class
 from .tuples import TetTuple, reduction_trace
 
 
@@ -65,8 +60,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _primes_from(args) -> tuple[int, int]:
-    given = getattr(args, "prime", None) or []
+def _primes_from(args) -> tuple[int, int] | None:
+    """The primes of the commands that take --prime (gin, verify); None for
+    the others, which then load no Groebner code."""
+    if not hasattr(args, "prime"):
+        return None
+    from .groebner import DEFAULT_PRIMES, check_primes
+
+    given = args.prime or []
     if not given:
         return DEFAULT_PRIMES
     if len(given) == 1:
@@ -80,6 +81,8 @@ def _betti_payload(table) -> dict:
 
 
 def _run_classify(args) -> tuple[dict, int]:
+    from .resolution import classify
+
     report = classify(args.t)
     return dataclasses.asdict(report), 0
 
@@ -112,10 +115,15 @@ def _run_reduce(args) -> tuple[dict, int]:
 
 
 def _run_betti(args) -> tuple[dict, int]:
+    from .resolution import betti_table
+
     table = betti_table(args.t)
     result = _betti_payload(table)
     code = 0
     if args.oracle_check:
+        from .koszul import cached_betti_oracle
+        from .monomials import ideal_of_tuple
+
         oracle = cached_betti_oracle(ideal_of_tuple(args.t))
         result["oracle_entries"] = oracle.json_entries()
         result["oracle_match"] = oracle == table
@@ -125,6 +133,8 @@ def _run_betti(args) -> tuple[dict, int]:
 
 
 def _run_gin(args) -> tuple[dict, int]:
+    from .gin import ek_betti, gin_of_curve
+
     built = gin_of_curve(args.t)
     result: dict = {"supported": built is not None}
     if built is not None:
@@ -136,6 +146,9 @@ def _run_gin(args) -> tuple[dict, int]:
         )
     code = 0
     if args.oracle_check:
+        from .groebner import gin_oracle
+        from .monomials import ideal_of_tuple
+
         oracle = gin_oracle(
             ideal_of_tuple(args.t), seeds=(args.seed, args.seed + 1), primes=args.primes
         )
@@ -150,6 +163,8 @@ def _run_gin(args) -> tuple[dict, int]:
 def _run_hilbert(args) -> tuple[dict, int]:
     if args.upto < 0:
         raise argparse.ArgumentError(None, "--upto must be non-negative")
+    from .monomials import hilbert_data, ideal_of_tuple
+
     data = hilbert_data(ideal_of_tuple(args.t), args.upto)
     return (
         {"values": list(data.values), "h_vector": list(data.h_vector), "degree": data.degree},
@@ -158,6 +173,8 @@ def _run_hilbert(args) -> tuple[dict, int]:
 
 
 def _run_enumerate(args) -> tuple[dict, int]:
+    from .resolution import enumerate_linear_in_class
+
     orbits = enumerate_linear_in_class(args.t)
     return {"orbits": sorted(str(c) for c in orbits), "count": len(orbits)}, 0
 

@@ -35,16 +35,19 @@ _BYTES_PER_GENERATOR = 240  # peak per generator or h-vector entry up to minimal
 
 def is_strongly_stable(ideal: MonomialIdeal) -> bool:
     """Closed under swapping any variable of a generator for an earlier one
-    (order a > b > c > d)."""
-    for u in ideal.generators:
+    (order a > b > c > d).  A swap that is itself a generator is found in a
+    set; only the other swaps scan the generators for a divisor."""
+    exponents = {g.exps for g in ideal.generators}
+    for u in exponents:
         for k in range(1, 4):
-            if u.exps[k] == 0:
+            if u[k] == 0:
                 continue
             for j in range(k):
-                swapped = list(u.exps)
+                swapped = list(u)
                 swapped[k] -= 1
                 swapped[j] += 1
-                if not ideal.contains(Monomial(tuple(swapped))):
+                swapped = tuple(swapped)
+                if swapped not in exponents and not ideal.contains(Monomial(swapped)):
                     return False
     return True
 

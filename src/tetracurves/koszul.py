@@ -23,10 +23,13 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Mapping
+from typing import TYPE_CHECKING, Mapping
 
 from .exceptions import refuse_over_limit
-from .monomials import MonomialIdeal, NVARS, exponent_box
+from .tuples import NVARS
+
+if TYPE_CHECKING:
+    from .monomials import MonomialIdeal
 
 # the oracle's peak bytes per cell of the padded box (uint16 face masks,
 # int64 degree index, boolean temporaries; 11.5 measured)
@@ -132,6 +135,9 @@ def betti_table_oracle(ideal: MonomialIdeal) -> BettiTable:
     summing homology ranks of the upper Koszul complex over all candidate
     multidegrees below the componentwise maximum of the generators."""
     import numpy as np
+
+    from .monomials import exponent_box
+
     if ideal.is_zero or ideal.is_unit:
         raise ValueError("Betti oracle needs a proper non-zero ideal")
     least, top = exponent_box(ideal)

@@ -18,13 +18,7 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .exceptions import BoundTooSmallError, FNotInIdealError, GDividesFError, refuse_over_limit
-
-VARIABLES = "abcd"
-NVARS = 4
-
-# Edge i of the tetrahedron (0-based) joins these two vertices; opposite
-# edges are at positions (0,5), (1,4), (2,3).
-EDGES = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
+from .tuples import EDGES, NVARS, VARIABLES  # EDGES: read as monomials.EDGES too
 
 # the grid's peak bytes per cell (two int64 arrays of the least d-exponent
 # and boolean masks; 17.0 measured) and hilbert_data's per degree up to the

@@ -46,11 +46,19 @@ import itertools
 from collections.abc import Sequence
 from dataclasses import dataclass
 from enum import Enum
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
 from .exceptions import NotApplicableError, TrivialCurveError, refuse_over_limit
-from .monomials import EDGES, Monomial, VARIABLES
 
+if TYPE_CHECKING:
+    from .monomials import Monomial
+
+VARIABLES = "abcd"
+NVARS = 4
+
+# Edge i of the tetrahedron (0-based) joins these two vertices; opposite
+# edges are at positions (0,5), (1,4), (2,3).
+EDGES = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
 OPPOSITE = (5, 4, 3, 2, 1, 0)  # opposite edge pairs: (1,6), (2,5), (3,4)
 OPPOSITE_PAIRS = ((0, 5), (1, 4), (2, 3))
 
@@ -187,6 +195,8 @@ def reduction_applicable(t: Sequence[int], ty: ReductionType) -> bool:
 
 
 def _reduction_form(t: TetTuple, v: int) -> Monomial:
+    from .monomials import Monomial  # the monomial engine loads only when steps are built
+
     exps = [0, 0, 0, 0]
     for u in range(4):
         if u != v:

@@ -55,7 +55,7 @@ class TestClassifyCommand:
         def broken(t):
             raise ValueError("max() arg is an empty sequence")
 
-        monkeypatch.setattr(cli, "classify", broken)
+        monkeypatch.setattr(resolution, "classify", broken)
         code = main(["--format", "json", "classify", "3,3,3,1,2,4"])
         captured = capsys.readouterr()
         assert code == 1
@@ -94,6 +94,65 @@ print(json.dumps({"codes": codes, **report}))
             # positive control: the Koszul oracle does load numpy
             "oracle": True,
         }
+
+    def test_package_import_loads_no_submodule(self):
+        loaded = fresh_json(
+            "import json, sys, tetracurves\n"
+            "print(json.dumps([m for m in sys.modules if m.startswith('tetracurves.')]))"
+        )
+        assert loaded == []
+
+    def test_closed_form_commands_load_only_the_calculus(self):
+        loaded = fresh_json("""
+import contextlib, io, json, sys
+from tetracurves.cli import main
+layers = ("numpy", "tetracurves.monomials", "tetracurves.gin", "tetracurves.groebner", "tetracurves.verify")
+loaded = {}
+with contextlib.redirect_stdout(io.StringIO()):
+    for command in ("classify", "reduce", "betti", "betti --oracle-check", "gin"):
+        code = main(["--format", "json", *command.split(), "3,3,3,1,2,4"])
+        loaded[command] = [code] + [m for m in layers if m in sys.modules]
+print(json.dumps(loaded))
+""")
+        assert loaded["classify"] == loaded["reduce"] == loaded["betti"] == [0]
+        # positive controls: the oracle loads the monomial engine and numpy,
+        # and gin its own layer
+        assert {"numpy", "tetracurves.monomials"} <= set(loaded["betti --oracle-check"][1:])
+        assert "tetracurves.gin" in loaded["gin"][1:]
+        assert loaded["betti --oracle-check"][0] == loaded["gin"][0] == 0
+
+
+def fresh_json(source: str):
+    """Run Python source in a fresh interpreter and parse what it prints."""
+    env = dict(os.environ, PYTHONPATH=str(Path(tetracurves.__file__).parents[1]))
+    done = subprocess.run([sys.executable, "-c", source], env=env, capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    return json.loads(done.stdout)
+
+
+class TestLazyNamespace:
+    def test_dir_lists_every_public_name(self):
+        assert set(tetracurves.__all__) <= set(dir(tetracurves))
+
+    def test_unknown_name_is_attribute_error(self):
+        with pytest.raises(AttributeError, match="no_such_name"):
+            tetracurves.no_such_name
+
+    def test_star_import_binds_exactly_all(self):
+        names = fresh_json(
+            "import json, tetracurves\n"
+            "ns = {}\n"
+            "exec('from tetracurves import *', ns)\n"
+            "print(json.dumps([sorted(set(ns) - {'__builtins__'}), tetracurves.__all__]))"
+        )
+        assert names[0] == names[1] == tetracurves.__all__
+
+    def test_from_import_of_a_submodule(self):
+        assert fresh_json(
+            "import json, types\n"
+            "from tetracurves import gin\n"
+            "print(json.dumps([isinstance(gin, types.ModuleType), gin.__name__]))"
+        ) == [True, "tetracurves.gin"]
 
 
 class TestPublicApi:

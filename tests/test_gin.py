@@ -55,6 +55,22 @@ def gin_bdl_step(gin_ideal, e):
     return StableIdeal(stepped.generators)
 
 
+def scan_is_strongly_stable(ideal):
+    """Test-only copy of the former stability test: every swap is looked up
+    by scanning the generators for a divisor."""
+    for u in ideal.generators:
+        for k in range(1, 4):
+            if u.exps[k] == 0:
+                continue
+            for j in range(k):
+                swapped = list(u.exps)
+                swapped[k] -= 1
+                swapped[j] += 1
+                if not ideal.contains(Monomial(tuple(swapped))):
+                    return False
+    return True
+
+
 def stepwise_gin_of_curve(t):
     """Test-only copy of the former non-ACM route: `gin_bdl_step` folded
     along the trace, one `StableIdeal` per step."""
@@ -74,6 +90,47 @@ class TestStability:
     def test_unstable_examples(self):
         assert not is_strongly_stable(MonomialIdeal.of("b"))
         assert not is_strongly_stable(MonomialIdeal.of("a*b", "c*d"))
+
+    @pytest.mark.parametrize(
+        "ideal",
+        [
+            MonomialIdeal.of("a^2", "a*b", "b^2", "a*c"),
+            MonomialIdeal.of("a", "b"),
+            MonomialIdeal.of("1"),
+            MonomialIdeal.of("b"),
+            MonomialIdeal.of("a*b", "c*d"),
+            MonomialIdeal.of("a^2", "b^2"),
+            MonomialIdeal.of("a^2", "a*b", "b^3", "a*c^2"),
+            *(gin_buchsbaum_minimal(r) for r in (1, 2, 5)),
+            gin_acm(TetTuple.parse("1,2,2,2,1,2")),
+        ],
+        ids=str,
+    )
+    def test_matches_the_scan(self, ideal):
+        assert is_strongly_stable(ideal) == scan_is_strongly_stable(ideal)
+
+    def test_swap_below_a_proper_multiple_scans(self, monkeypatch):
+        # b^2 -> a*b is no generator of (a, b^2) but a multiple of a
+        ideal = MonomialIdeal.of("a", "b^2")
+        calls = []
+        contains = MonomialIdeal.contains
+        monkeypatch.setattr(MonomialIdeal, "contains", lambda self, m: calls.append(m) or contains(self, m))
+        assert is_strongly_stable(ideal) and scan_is_strongly_stable(ideal)
+        assert Monomial.parse("a*b") in calls
+
+    @settings(max_examples=200)
+    @given(st.lists(st.tuples(*[st.integers(0, 3)] * 4), min_size=1, max_size=6))
+    def test_matches_the_scan_on_random_ideals(self, exps):
+        ideal = MonomialIdeal(tuple(Monomial(e) for e in exps))
+        assert is_strongly_stable(ideal) == scan_is_strongly_stable(ideal)
+
+    def test_buchsbaum_gins_need_no_divisor_scan(self, monkeypatch):
+        calls = []
+        contains = MonomialIdeal.contains
+        monkeypatch.setattr(MonomialIdeal, "contains", lambda self, m: calls.append(m) or contains(self, m))
+        for r in range(1, 31):
+            gin_buchsbaum_minimal(r)
+        assert calls == []
 
     def test_stable_ideal_guard(self):
         with pytest.raises(NotStableError):
