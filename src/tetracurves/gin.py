@@ -25,29 +25,29 @@ from math import comb
 
 from .exceptions import NotACMError, NotStableError, TrivialCurveError, refuse_over_limit
 from .koszul import BettiTable
-from .monomials import Monomial, MonomialIdeal
+from .monomials import DivisorIndex, Monomial, MonomialIdeal
 from .resolution import resolution_recipe
 from .tuples import ReductionTrace, TetTuple, buchsbaum_minimal_r, reduction_trace
 
 
-_BYTES_PER_GENERATOR = 240  # peak per generator or h-vector entry up to minimalizing (tracemalloc: 232)
+# peak per generator or h-vector entry of a whole gin build (tracemalloc: 263, 345, 392
+# for gin_of_curve((r,0,r-1,r-1,0,r)), 254, 350, 384 for gin_buchsbaum_minimal(r); r = 10^3, 4*10^3, 10^4)
+_BYTES_PER_GENERATOR = 400
 
 
 def is_strongly_stable(ideal: MonomialIdeal) -> bool:
     """Closed under swapping any variable of a generator for an earlier one
-    (order a > b > c > d).  A swap that is itself a generator is found in a
-    set; only the other swaps scan the generators for a divisor."""
-    exponents = {g.exps for g in ideal.generators}
-    for u in exponents:
+    (order a > b > c > d).  Adjacent swaps suffice: every swap is a chain of
+    them, and an adjacent swap of a multiple u*w of a generator u moves a
+    variable of u (in the ideal by the check) or of w (a multiple of u)."""
+    index = DivisorIndex(g.exps for g in ideal.generators)
+    for g in ideal.generators:
         for k in range(1, 4):
-            if u[k] == 0:
-                continue
-            for j in range(k):
-                swapped = list(u)
+            if g.exps[k]:
+                swapped = list(g.exps)
                 swapped[k] -= 1
-                swapped[j] += 1
-                swapped = tuple(swapped)
-                if swapped not in exponents and not ideal.contains(Monomial(swapped)):
+                swapped[k - 1] += 1
+                if not index.divides(swapped):
                     return False
     return True
 

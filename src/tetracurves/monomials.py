@@ -11,6 +11,7 @@ Hilbert-function data for the quotient ring.
 
 from __future__ import annotations
 
+import bisect
 import functools
 import itertools
 import math
@@ -100,29 +101,44 @@ def display_key(m: Monomial) -> tuple:
     return (sum(e), e[3], e[2], e[1], e[0])
 
 
+class DivisorIndex:
+    """An antichain of exponent vectors, each kept as a pair (b, a) in a
+    sorted list per (c, d).  No pair of a list bounds another, so with the
+    b's ascending the a's strictly descend: of the pairs with b' <= b, the
+    last has the least a'.  `display_key` order, which puts b ascending
+    within a degree, mostly appends."""
+
+    def __init__(self, antichain: Iterable[Sequence[int]] = ()):
+        self._groups: dict[tuple[int, int], list[tuple[int, int]]] = {}
+        for e in antichain:
+            self.add(e)
+
+    def divides(self, e: Sequence[int]) -> bool:
+        """Whether a member divides x^e: some list (c', d') <= (c, d) has a
+        pair with b' <= b and a' <= a."""
+        a, b, c, d = e
+        for (gc, gd), pairs in self._groups.items():
+            if gc <= c and gd <= d:
+                i = bisect.bisect_right(pairs, (b, math.inf))
+                if i and pairs[i - 1][1] <= a:
+                    return True
+        return False
+
+    def add(self, e: Sequence[int]) -> None:
+        """Add x^e, which must neither divide nor be divisible by a member."""
+        bisect.insort(self._groups.setdefault((e[2], e[3]), []), (e[1], e[0]))
+
+
 def minimalize(monomials: Iterable[Monomial]) -> list[Monomial]:
-    """Drop every monomial divisible by another one; keep the minimal set."""
-    ms = sorted(set(monomials), key=display_key)
-    if len(ms) > 400:
-        return _minimalize_bulk(ms)
-    kept: list[Monomial] = []
-    for m in ms:
-        if not any(k.divides(m) for k in kept):
+    """Drop every monomial divisible by another one; keep the minimal set.
+    A proper divisor has lower degree, so it comes first in `display_key`
+    order, and the monomials kept on one walk stay an antichain."""
+    index, kept = DivisorIndex(), []
+    for m in sorted(set(monomials), key=display_key):
+        if not index.divides(m.exps):
+            index.add(m.exps)
             kept.append(m)
     return kept
-
-
-def _minimalize_bulk(ms: list[Monomial]) -> list[Monomial]:
-    import numpy as np
-    # the (n, n, 4) comparison and its (n, n) reduction: 5 bytes per pair (5.0 measured)
-    refuse_over_limit(5 * len(ms) ** 2, f"minimalizing {len(ms)} monomials needs")
-    # ms is deduplicated, so "divisible by a different element" marks exactly
-    # the non-minimal ones.
-    E = np.array([m.exps for m in ms], dtype=np.int32)
-    div = (E[:, None, :] <= E[None, :, :]).all(axis=2)
-    np.fill_diagonal(div, False)
-    redundant = div.any(axis=0)
-    return [m for m, r in zip(ms, redundant) if not r]
 
 
 @dataclass(frozen=True, eq=False)

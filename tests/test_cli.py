@@ -121,6 +121,17 @@ print(json.dumps(loaded))
         assert "tetracurves.gin" in loaded["gin"][1:]
         assert loaded["betti --oracle-check"][0] == loaded["gin"][0] == 0
 
+    def test_large_closed_form_gin_loads_no_numpy(self):
+        # 3,001 generators, minimalized and checked for stability in pure Python
+        loaded = fresh_json("""
+import contextlib, io, json, sys
+from tetracurves.cli import main
+with contextlib.redirect_stdout(io.StringIO()):
+    code = main(["--format", "json", "gin", "1000,0,999,999,0,1000"])
+print(json.dumps([code, "numpy" in sys.modules]))
+""")
+        assert loaded == [0, False]
+
 
 def fresh_json(source: str):
     """Run Python source in a fresh interpreter and parse what it prints."""

@@ -71,6 +71,23 @@ def scan_is_strongly_stable(ideal):
     return True
 
 
+def borel_closure(exps):
+    """Every exponent vector reached from `exps` by moving one unit of an
+    exponent to the one before it, any number of times."""
+    seen, todo = set(exps), list(exps)
+    while todo:
+        e = todo.pop()
+        for k in range(1, 4):
+            if e[k]:
+                moved = list(e)
+                moved[k] -= 1
+                moved[k - 1] += 1
+                if tuple(moved) not in seen:
+                    seen.add(tuple(moved))
+                    todo.append(tuple(moved))
+    return seen
+
+
 def stepwise_gin_of_curve(t):
     """Test-only copy of the former non-ACM route: `gin_bdl_step` folded
     along the trace, one `StableIdeal` per step."""
@@ -123,6 +140,26 @@ class TestStability:
     def test_matches_the_scan_on_random_ideals(self, exps):
         ideal = MonomialIdeal(tuple(Monomial(e) for e in exps))
         assert is_strongly_stable(ideal) == scan_is_strongly_stable(ideal)
+
+    @settings(max_examples=200)
+    @given(st.lists(st.tuples(*[st.integers(0, 4)] * 4), min_size=1, max_size=8),
+           st.sampled_from(["raw", "closed", "closed less one generator"]), st.data())
+    def test_matches_the_scan_up_to_exponent_4(self, exps, form, data):
+        # closed under the swaps, the ideal is strongly stable; less one of
+        # its generators, or as drawn, it often is not
+        gens = [Monomial(e) for e in (exps if form == "raw" else borel_closure(exps))]
+        if form == "closed less one generator":
+            gens = list(MonomialIdeal(tuple(gens)).generators)
+            gens.pop(data.draw(st.integers(0, len(gens) - 1)))
+        ideal = MonomialIdeal(tuple(gens))
+        assert is_strongly_stable(ideal) == scan_is_strongly_stable(ideal)
+        assert is_strongly_stable(ideal) or form != "closed"
+
+    def test_matches_the_scan_on_gins_up_to_weight_8(self):
+        gins = {gin_of_curve(t) for t in iter_tuples(8)} - {None}
+        assert len(gins) > 50
+        for g in gins:
+            assert is_strongly_stable(g) and scan_is_strongly_stable(g), g
 
     def test_buchsbaum_gins_need_no_divisor_scan(self, monkeypatch):
         calls = []

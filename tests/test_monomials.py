@@ -10,6 +10,8 @@ from tetracurves.exceptions import (
     GDividesFError,
     OracleTooLargeError,
 )
+from tetracurves import monomials as monomials_module
+from tetracurves.gin import _buchsbaum_generators, gin_of_curve
 from tetracurves.koszul import cached_betti_oracle
 from tetracurves.monomials import (
     Monomial,
@@ -38,6 +40,16 @@ KOSZUL_LADDER = (
 
 def lcm(u, v):
     return Monomial(tuple(map(max, u.exps, v.exps)))
+
+
+def pairwise_minimalize(ms):
+    """Test-only copy of the former small-input path: each monomial in
+    `display_key` order is kept unless a kept one divides it."""
+    kept = []
+    for m in sorted(set(ms), key=display_key):
+        if not any(k.divides(m) for k in kept):
+            kept.append(m)
+    return kept
 
 
 def edge_power_ideal(edge, n):
@@ -139,14 +151,14 @@ class TestMinimalize:
                 if i != j:
                     assert not u.divides(v)
 
-    def test_bulk_over_memory_limit_is_typed_error(self):
-        # 15,000 monomials would need a 1.05 GiB pairwise comparison
+    def test_large_antichain_minimalizes_in_bounded_memory(self):
+        # 15,000 monomials of one degree in one (c, d) group; a pairwise
+        # comparison of them would need about 1 GiB
         ms = [Monomial((k, 15_000 - k, 0, 0)) for k in range(15_000)]
         tracemalloc.start()
         try:
-            with pytest.raises(OracleTooLargeError):
-                minimalize(ms)
-            assert tracemalloc.get_traced_memory()[1] < 2**25
+            assert minimalize(ms) == sorted(ms, key=display_key)
+            assert tracemalloc.get_traced_memory()[1] < 2**22
         finally:
             tracemalloc.stop()
 
@@ -157,6 +169,42 @@ class TestMinimalize:
         small = minimalize(ms[:50])
         assert set(minimalize(ms)) <= set(ms)
         assert minimalize(small) == small
+
+    @given(st.lists(monomials, max_size=40), st.data())
+    def test_matches_pairwise_with_duplicates(self, ms, data):
+        ms = ms + (data.draw(st.lists(st.sampled_from(ms), max_size=10)) if ms else [])
+        assert minimalize(ms) == pairwise_minimalize(ms)
+
+    @pytest.mark.parametrize("d", [0, 1, 5, 12])
+    def test_matches_pairwise_on_single_degree_antichains(self, d):
+        ms = monomials_of_degree(d)
+        assert minimalize(ms) == pairwise_minimalize(ms) == list(ms)
+
+    @given(st.lists(st.tuples(st.integers(0, 3), st.integers(0, 3), st.integers(0, 7), st.integers(0, 7)).map(Monomial),
+                    max_size=60))
+    def test_matches_pairwise_over_many_groups(self, ms):
+        assert minimalize(ms) == pairwise_minimalize(ms)
+
+    def test_matches_pairwise_on_groups_that_divide_each_other(self):
+        # (c, d) groups in a chain and an antichain, each with an (a, b) staircase
+        ms = [Monomial((i, 6 - i, c, d)) for i in range(7) for c in range(4) for d in range(4)]
+        ms += [Monomial((1, 1, i, 9 - i)) for i in range(10)]
+        assert minimalize(ms) == pairwise_minimalize(ms)
+
+    @pytest.mark.parametrize("r", [1, 2, 5, 12, 100, 1000])
+    def test_matches_pairwise_on_buchsbaum_generators(self, r):
+        gens = _buchsbaum_generators(r)
+        assert minimalize(gens) == pairwise_minimalize(gens)
+
+    def test_matches_pairwise_on_raw_gin_generators(self, monkeypatch):
+        # every generator list gin_of_curve minimalizes, up to weight 8
+        raw = []
+        monkeypatch.setattr(monomials_module, "minimalize", lambda ms: raw.append(list(ms)) or minimalize(raw[-1]))
+        for t in iter_tuples(8):
+            gin_of_curve(t)
+        assert len(raw) > 1000
+        for gens in raw:
+            assert minimalize(gens) == pairwise_minimalize(gens), gens
 
 
 class TestIdealOfTuple:

@@ -13,8 +13,6 @@ from tetracurves.monomials import (
     component_ideal,
     hilbert_data,
     ideal_of_tuple,
-    minimalize,
-    monomials_of_degree,
     truncate,
 )
 from tetracurves.resolution import betti_table, gin_betti_prediction
@@ -121,7 +119,6 @@ _IDEAL = ideal_of_tuple(TetTuple((1, 2, 1, 2, 0, 2)))
 @pytest.mark.parametrize("call", [
     lambda: ideal_of_tuple(TetTuple((1, 2, 1, 2, 0, 2))),
     lambda: hilbert_data(_IDEAL, 5),
-    lambda: minimalize(monomials_of_degree(12)),  # 455 monomials: the bulk path
     lambda: betti_table_oracle(_IDEAL),
     lambda: gin_oracle(_IDEAL),
     lambda: betti_table(TetTuple((50, 50, 50, 1, 1, 1))),  # a run of 48 with degree drift -2
