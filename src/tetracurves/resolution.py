@@ -16,7 +16,7 @@ from __future__ import annotations
 import operator
 from collections import Counter
 from dataclasses import dataclass
-from itertools import accumulate
+from itertools import accumulate, product
 
 from .exceptions import (
     EnumerationCapError,
@@ -234,28 +234,20 @@ def ascent_candidates(
 ) -> set[tuple[TetTuple, ReductionType]]:
     """All (parent, type) with apply_reduction(parent, type).child == t and,
     when a degree is given, deg F equal to it.  Facet entries of the parent
-    are a_i + 1 where a_i > 0 and independently 0 or 1 where a_i = 0."""
+    are a_i + 1 where a_i > 0 and independently 0 or 1 where a_i = 0, and
+    deg F is their sum."""
     out: set[tuple[TetTuple, ReductionType]] = set()
     for ty in _TYPES:
         positions = FACET_POSITIONS[ty.vertex]
-        zero_positions = [i for i in positions if t[i] == 0]
-        for bits in range(1 << len(zero_positions)):
+        for raised in product(*((t[i] + 1,) if t[i] else (0, 1) for i in positions)):
+            if required_F_degree is not None and sum(raised) != required_F_degree:
+                continue
             parent = list(t)
-            for i in positions:
-                if t[i] > 0:
-                    parent[i] += 1
-            for k, i in enumerate(zero_positions):
-                if bits & (1 << k):
-                    parent[i] = 1
-            p = TetTuple(parent)
-            if p == t or not reduction_applicable(p, ty):
-                continue
-            step = apply_reduction(p, ty)
-            if step.child != t:
-                continue
-            if required_F_degree is not None and step.weight != required_F_degree:
-                continue
-            out.add((p, ty))
+            for i, a in zip(positions, raised):
+                parent[i] = a
+            # a parent equal to t has a zero facet, which no reduction applies to
+            if reduction_applicable(parent, ty):
+                out.add((TetTuple(parent), ty))
     return out
 
 

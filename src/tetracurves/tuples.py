@@ -11,7 +11,9 @@ and so on the edges, through one table of 24 edge-index rows, which
 Each vertex v determines a reduction: when the three edges at v dominate
 the opposite triangle, the curve is a basic double link ``G*I + (F)`` of
 the curve with those three edge weights lowered by one, where G is the
-vertex variable and F collects the edge weights at v.  Iterating along
+vertex variable and F collects the edge weights at v.  A `ReductionStep`
+holds the type, parent and child; G, F and deg F are read off them, and F,
+the one `Monomial`, is formed only when read.  Iterating along
 facets of maximal weight drives every curve down to the trivial curve or
 to a minimal one, and the shape of that chain decides ACM-ness,
 componentwise linearity, and regularity.
@@ -194,45 +196,46 @@ def reduction_applicable(t: Sequence[int], ty: ReductionType) -> bool:
     return all(_slack(t, row) >= 0 for row in TRIANGLE_ROWS[ty.vertex]) and any(t)
 
 
-def _reduction_form(t: TetTuple, v: int) -> Monomial:
-    from .monomials import Monomial  # the monomial engine loads only when steps are built
-
-    exps = [0, 0, 0, 0]
-    for u in range(4):
-        if u != v:
-            exps[u] = t[_EDGE_INDEX[frozenset((v, u))]]
-    return Monomial(tuple(exps))
-
-
 @dataclass(frozen=True)
 class ReductionStep:
-    """One basic double link: parent = G * I(child) + (F)."""
+    """One basic double link: parent = G * I(child) + (F), with G and F read
+    off the type and the parent."""
 
     type: ReductionType
     parent: TetTuple
     child: TetTuple
-    F: Monomial
-    G: int
+
+    @property
+    def G(self) -> int:
+        return self.type.vertex
+
+    @property
+    def G_name(self) -> str:
+        return VARIABLES[self.type.vertex]
 
     @property
     def weight(self) -> int:
         """deg F, the facet weight of the reduced facet on the parent."""
-        return self.F.degree
+        return sum(self.parent[i] for i in FACET_POSITIONS[self.type.vertex])
 
     @property
-    def G_name(self) -> str:
-        return VARIABLES[self.G]
+    def F(self) -> Monomial:
+        from .monomials import Monomial  # the monomial engine loads only when F is read
+
+        v, exps = self.type.vertex, [0] * NVARS
+        for i in FACET_POSITIONS[v]:
+            exps[sum(EDGES[i]) - v] = self.parent[i]  # the edge's other end
+        return Monomial(tuple(exps))
 
 
 def apply_reduction(t: TetTuple, ty: ReductionType) -> ReductionStep:
     """Reduce the facet of type ty, lowering its three edge weights by one."""
     if not reduction_applicable(t, ty):
         raise NotApplicableError(f"reduction {ty.name} not applicable to ({t})")
-    v = ty.vertex
     child = list(t)
-    for i in FACET_POSITIONS[v]:
+    for i in FACET_POSITIONS[ty.vertex]:
         child[i] = max(0, child[i] - 1)
-    return ReductionStep(type=ty, parent=t, child=TetTuple(child), F=_reduction_form(t, v), G=v)
+    return ReductionStep(ty, t, TetTuple(child))
 
 
 def is_minimal(t: TetTuple) -> bool:
@@ -323,7 +326,7 @@ class Run(NamedTuple):
 
 
 # peak RSS per step of `reduce --trace --format json` (slope over two sizes:
-# 2,022-2,026) and per weight of `ReductionTrace.weights` (40.0-40.1)
+# 2,022-2,027) and per weight of `ReductionTrace.weights` (40.0-40.1)
 _BYTES_PER_STEP = 2030
 _BYTES_PER_WEIGHT = 41
 
@@ -509,13 +512,14 @@ def schwartau_status(t: TetTuple) -> tuple[bool, bool]:
 
     A Schwartau curve has a_2 = a_5 = 0; it fails componentwise linearity
     exactly when a_1, a_3, a_4, a_6 are all positive and a_1+a_6 = a_3+a_4.
+    The trivial curve raises TrivialCurveError, as in `is_cwl`.
     """
     a1, a2, a3, a4, a5, a6 = t
     is_schwartau = a2 == 0 and a5 == 0
-    if is_schwartau:
+    if is_schwartau and not t.is_trivial:
         fails = a1 > 0 and a3 > 0 and a4 > 0 and a6 > 0 and a1 + a6 == a3 + a4
         return True, not fails
-    return False, is_cwl(t)
+    return False, is_cwl(t)  # raises TrivialCurveError on the trivial curve
 
 
 def degree_of_tuple(t: TetTuple) -> int:

@@ -109,12 +109,15 @@ from tetracurves.cli import main
 layers = ("numpy", "tetracurves.monomials", "tetracurves.gin", "tetracurves.groebner", "tetracurves.verify")
 loaded = {}
 with contextlib.redirect_stdout(io.StringIO()):
-    for command in ("classify", "reduce", "betti", "betti --oracle-check", "gin"):
-        code = main(["--format", "json", *command.split(), "3,3,3,1,2,4"])
+    # the positive controls run last: the process keeps what they load
+    for command in ("classify", "reduce", "betti", "enumerate-linear", "betti --oracle-check", "gin"):
+        # enumerate-linear takes a minimal curve
+        t = "1,0,0,0,0,1" if command == "enumerate-linear" else "3,3,3,1,2,4"
+        code = main(["--format", "json", *command.split(), t])
         loaded[command] = [code] + [m for m in layers if m in sys.modules]
 print(json.dumps(loaded))
 """)
-        assert loaded["classify"] == loaded["reduce"] == loaded["betti"] == [0]
+        assert loaded["classify"] == loaded["reduce"] == loaded["betti"] == loaded["enumerate-linear"] == [0]
         # positive controls: the oracle loads the monomial engine and numpy,
         # and gin its own layer
         assert {"numpy", "tetracurves.monomials"} <= set(loaded["betti --oracle-check"][1:])

@@ -36,6 +36,7 @@ from tetracurves.tuples import (
     ci_power_form,
     facet_weights,
     max_weight_choices,
+    reduction_applicable,
     reduction_trace,
 )
 from tetracurves.verify import (
@@ -348,6 +349,20 @@ class TestAscentCandidates:
     def test_every_candidate_reduces_back(self, t):
         for parent, ty in ascent_candidates(t):
             assert apply_reduction(parent, ty).child == t
+
+    def test_equals_brute_force_up_to_weight_6(self):
+        # every (p, ty) with each p_i in {t_i, t_i + 1} that reduces to t,
+        # found by applying the reduction: a dropped or extra candidate fails
+        for t in verify.iter_tuples(6, include_trivial=True):
+            by_degree = {}
+            for p in map(TetTuple, itertools.product(*((a, a + 1) for a in t))):
+                for ty in ReductionType:
+                    if p != t and reduction_applicable(p, ty) and (step := apply_reduction(p, ty)).child == t:
+                        by_degree.setdefault(step.weight, set()).add((p, ty))
+            assert ascent_candidates(t) == set().union(*by_degree.values()), t
+            # deg F is at most the parent's largest facet weight, sum(t) + 3
+            for d in range(sum(t) + 5):
+                assert ascent_candidates(t, d) == by_degree.get(d, set()), (t, d)
 
 
 class TestEnumerateLinearInClass:

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 
 import pytest
@@ -123,6 +124,42 @@ class TestApplyReduction:
             apply_reduction(T("3,3,3,1,2,4"), ReductionType.B)
         with pytest.raises(NotApplicableError):
             apply_reduction(T("0,0,0,0,0,0"), ReductionType.A)
+
+
+def reference_form(t, v):
+    """Test-only reference for `ReductionStep.F`: F of the reduction at
+    vertex v, each other vertex u raised to the weight of the edge {v, u},
+    found through the edge index rather than the facet positions."""
+    exps = [0, 0, 0, 0]
+    for u in range(4):
+        if u != v:
+            exps[u] = t[tuples._EDGE_INDEX[frozenset((v, u))]]
+    return Monomial(tuple(exps))
+
+
+class TestDerivedStepForms:
+    """A step holds its type, parent and child; F, G, G_name and deg F are
+    read off them and must equal the reference forms."""
+
+    @staticmethod
+    def assert_forms(step):
+        v = step.type.vertex
+        F = reference_form(step.parent, v)
+        assert (step.F, step.G, step.G_name, step.weight) == (F, v, "abcd"[v], F.degree), step
+
+    def test_fields(self):
+        assert [f.name for f in dataclasses.fields(tuples.ReductionStep)] == ["type", "parent", "child"]
+
+    def test_every_applicable_reduction_up_to_weight_6(self):
+        for t in iter_tuples(6):
+            for ty in ReductionType:
+                if reduction_applicable(t, ty):
+                    self.assert_forms(apply_reduction(t, ty))
+
+    def test_every_trace_step_up_to_weight_6(self):
+        for t in iter_tuples(6):
+            for step in reduction_trace(t).steps:
+                self.assert_forms(step)
 
 
 def max_weight_reduction(t):
@@ -383,6 +420,10 @@ class TestSchwartau:
     )
     def test_examples(self, text, expected):
         assert schwartau_status(T(text)) == expected
+
+    def test_trivial_raises(self):
+        with pytest.raises(TrivialCurveError):
+            schwartau_status(T("0,0,0,0,0,0"))
 
     @given(tet_tuples)
     def test_agrees_with_is_cwl(self, t):
