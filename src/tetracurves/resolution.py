@@ -90,7 +90,6 @@ class ResolutionRecipe:
     at (F degree + shift, F degree + shift + 1), where the k-th step from
     the top has shift k.  The F degrees come as `Run`s, top first."""
 
-    base: TetTuple
     base_betti: BettiTable
     runs: tuple[Run, ...]
 
@@ -134,34 +133,29 @@ class ResolutionRecipe:
         return len(strands) == 1
 
 
-def _recipe(
-    runs: tuple[Run, ...], terminal: TetTuple, ci: tuple[int, TetTuple] | None
-) -> ResolutionRecipe:
+def _recipe(runs: tuple[Run, ...], terminal: TetTuple, ci: tuple[int, int] | None) -> ResolutionRecipe:
     """The plan for a chain with these runs of step weights (top first) and
-    this terminal; ci is the topmost CI-power element with its chain index,
-    where a run starts."""
+    this terminal; ci is the CI-power base as (chain index, r), where a run
+    starts, and the plan then keeps the runs above it on ci_power_betti(r)."""
     if not terminal.is_trivial:
-        return ResolutionRecipe(terminal, minimal_curve_betti(terminal), runs)
+        return ResolutionRecipe(minimal_curve_betti(terminal), runs)
     if ci is None:
-        return ResolutionRecipe(terminal, BettiTable(((0, 0, 1),)), runs)
-    index, base = ci
+        return ResolutionRecipe(BettiTable(((0, 0, 1),)), runs)
+    index, r = ci
     head = list(accumulate((len(run.weights) * run.count for run in runs), initial=0)).index(index)
-    return ResolutionRecipe(base, ci_power_betti(ci_power_form(base)), runs[:head])
+    return ResolutionRecipe(ci_power_betti(r), runs[:head])
 
 
 def recipe_from_chain(chain: tuple[TetTuple, ...]) -> ResolutionRecipe:
     """Build the assembly plan for an explicit maximal-weight reduction
     chain (top curve first, trivial or minimal terminal last)."""
-    ci = next(
-        ((k, c) for k, c in enumerate(chain) if ci_power_form(c) is not None), None
-    )
+    ci = next(((k, r) for k, c in enumerate(chain) if (r := ci_power_form(c)) is not None), None)
     return _recipe(tuple(Run((max(facet_weights(c)),), (0,), 1) for c in chain[:-1]), chain[-1], ci)
 
 
 def resolution_recipe(trace: ReductionTrace) -> ResolutionRecipe:
     """The assembly plan of the traced curve's maximal-weight chain."""
-    ci = trace.first_ci_power and (trace.first_ci_power[0], trace.ci_power_element)
-    return _recipe(trace.runs, trace.terminal, ci)
+    return _recipe(trace.runs, trace.terminal, trace.first_ci_power)
 
 
 def betti_table(t: TetTuple) -> BettiTable:

@@ -38,7 +38,8 @@ and the repeat count, so the trace's record does not grow with the
 weights.  Its views `weights`, `steps` and `chain` are expanded from the
 runs when read, each refused with OracleTooLargeError beyond the memory
 limit; the classification flags, the linearity of the Betti table and
-`len(steps)` are read off the runs alone.
+`len(steps)` are read off the runs and the CI-power base, kept as (chain
+index, r) alone, where a run starts.
 """
 
 from __future__ import annotations
@@ -362,13 +363,12 @@ class _TraceSteps(Sequence):
 class ReductionTrace:
     """The maximal-weight reduction chain from a curve down to its terminal.
 
-    The record holds its runs, top first.  `first_ci_power` records the
-    topmost chain element of complete-intersection-power shape, as (chain
-    index, r), where a run starts, and `ci_power_element` is that element:
-    the base of the Betti-table assembly for ACM curves that are not
-    componentwise linear.  The views `weights` (the maximal facet weight of
-    each parent), `steps` and `chain` (which includes the terminal) are
-    expanded from the runs when read, behind the size guard.
+    The record holds its runs, top first.  `first_ci_power` is the CI-power
+    base the Betti table of an ACM, not componentwise linear curve is built
+    on: the topmost chain element (0,r,r,r,r,0), as (chain index, r), where
+    a run starts.  The views `weights` (the maximal facet weight of each
+    parent), `steps` and `chain` (which includes the terminal) are expanded
+    from the runs when read, behind the size guard.
     """
 
     start: TetTuple
@@ -377,7 +377,6 @@ class ReductionTrace:
     terminal: TetTuple
     terminal_kind: TerminalKind
     first_ci_power: tuple[int, int] | None
-    ci_power_element: TetTuple | None
 
     @property
     def weights(self) -> tuple[int, ...]:
@@ -452,12 +451,12 @@ def reduction_trace(t: TetTuple) -> ReductionTrace:
     vertices: list[int] = []
     weights: list[int] = []
     states: list[tuple[int, ...]] = []
-    ci = None  # ((chain index, r), element) of the first CI-power element
+    ci = None  # (chain index, r) of the first CI-power element
     v, fw = _max_weight_vertex(e)
     while v is not None:
         # every CI-power shape has a zero opposite pair
         if ci is None and not (e[0] + e[5] and e[1] + e[4] and e[2] + e[3]) and (r := ci_power_form(e)):
-            ci = (done + len(vertices), r), TetTuple(e)
+            ci = done + len(vertices), r
             runs += _stretch(vertices, weights)  # a run starts at the CI-power element
             done, vertices, weights, states = done + len(vertices), [], [], []
         states.append(tuple(e))
@@ -487,8 +486,7 @@ def reduction_trace(t: TetTuple) -> ReductionTrace:
         step_count=done + len(vertices),
         terminal=terminal,
         terminal_kind=TerminalKind.TRIVIAL if terminal.is_trivial else TerminalKind.MINIMAL,
-        first_ci_power=ci and ci[0],
-        ci_power_element=ci and ci[1],
+        first_ci_power=ci,
     )
 
 

@@ -19,13 +19,14 @@ from tetracurves.monomials import (
     basic_double_link,
     component_ideal,
     display_key,
-    EDGES,
     hilbert_data,
     ideal_of_tuple,
     minimalize,
     monomials_of_degree,
     truncate,
+    variable_index,
 )
+from tetracurves.tuples import EDGES
 from tetracurves.verify import iter_tuples
 
 monomials = st.tuples(*[st.integers(0, 4)] * 4).map(Monomial)
@@ -136,6 +137,27 @@ class TestMonomial:
     @given(monomials)
     def test_parse_round_trip(self, m):
         assert Monomial.parse(str(m)) == m
+
+    @pytest.mark.parametrize(
+        "read, bad",
+        [
+            (Monomial.parse, "ab"),
+            (Monomial.parse, "b*"),
+            (Monomial.parse, "*"),
+            (Monomial.parse, "cd^2"),
+            (variable_index, "bc"),
+            (variable_index, ""),
+            (variable_index, True),
+            (variable_index, False),
+            (variable_index, 4),
+            (variable_index, -1),
+            (lambda g: basic_double_link(MonomialIdeal.of("1"), g, Monomial.parse("a")), "bc"),
+        ],
+    )
+    def test_bad_variable_raises(self, read, bad):
+        # a substring of "abcd" or a bool is not a variable
+        with pytest.raises(ValueError):
+            read(bad)
 
 
 class TestMinimalize:

@@ -1,10 +1,11 @@
+import dataclasses
 import itertools
 import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from tetracurves import resolution, verify
+from tetracurves import resolution, tuples, verify
 from tetracurves.exceptions import (
     EnumerationCapError,
     IsACMError,
@@ -15,6 +16,7 @@ from tetracurves.gin import gin_buchsbaum_minimal, gin_of_curve
 from tetracurves.koszul import BettiTable, cached_betti_oracle
 from tetracurves.monomials import Monomial, MonomialIdeal, ideal_of_tuple
 from tetracurves.resolution import (
+    ResolutionRecipe,
     acm_linear_family,
     all_max_weight_chains,
     ascent_candidates,
@@ -132,21 +134,27 @@ class TestBettiTableAssembly:
     def test_recipe_structure_non_acm(self):
         trace = reduction_trace(T("7,5,5,2,1,6"))
         recipe = resolution_recipe(trace)
-        assert recipe.base == T("4,1,2,1,1,5")
-        assert recipe.base_betti == minimal_curve_betti(recipe.base)
+        assert trace.terminal == T("4,1,2,1,1,5")
+        assert recipe.base_betti == minimal_curve_betti(trace.terminal)
         assert recipe.runs == trace.runs and trace.weights == (17, 14, 11, 10)
 
     def test_recipe_structure_acm_cwl(self):
-        recipe = resolution_recipe(reduction_trace(T("1,2,1,2,0,2")))
-        assert recipe.base.is_trivial
+        trace = reduction_trace(T("1,2,1,2,0,2"))
+        recipe = resolution_recipe(trace)
+        assert trace.terminal.is_trivial
         assert recipe.base_betti.as_dict() == {(0, 0): 1}
         assert self.steps_above_base(recipe) == 3
 
     def test_recipe_structure_acm_not_cwl(self):
-        recipe = resolution_recipe(reduction_trace(T("1,3,4,2,3,0")))
-        assert recipe.base == T("0,2,2,2,2,0")
+        trace = reduction_trace(T("1,3,4,2,3,0"))
+        recipe = resolution_recipe(trace)
+        assert trace.chain[trace.first_ci_power[0]] == T("0,2,2,2,2,0")
         assert recipe.base_betti == ci_power_betti(2)
         assert self.steps_above_base(recipe) == 2
+
+    def test_recipe_fields(self):
+        # the recipe keeps the base's table only, not the base curve
+        assert [f.name for f in dataclasses.fields(ResolutionRecipe)] == ["base_betti", "runs"]
 
     @given(small_tuples)
     @settings(max_examples=40)
@@ -217,6 +225,50 @@ class TestLinearAssembly:
     @pytest.mark.parametrize("entries", [(7, 5, 5, 2, 1, 6), (20, 18, 17, 9, 8, 20)])
     def test_ladder(self, entries):
         self.check(TetTuple(entries))
+
+
+def element_ci_recipe(trace):
+    """Test-only copy of the former derivation of a CI-power base: its table
+    from the chain element itself, via ci_power_form, over the runs above
+    the element's chain index."""
+    index, _ = trace.first_ci_power
+    runs, above = [], 0
+    for run in trace.runs:
+        if above == index:
+            break
+        runs.append(run)
+        above += len(run.weights) * run.count
+    assert above == index  # a run starts at the element
+    return ResolutionRecipe(ci_power_betti(ci_power_form(trace.chain[index])), tuple(runs))
+
+
+class TestCiPowerBase:
+    """The recipe built from (chain index, r) alone against the former one
+    built from the CI-power element."""
+
+    def test_matches_element_up_to_weight_10(self):
+        checked = 0
+        for t in iter_tuples(10):
+            trace = reduction_trace(t)
+            if trace.is_acm and not trace.is_cwl:
+                assert resolution_recipe(trace) == element_ci_recipe(trace), t
+                checked += 1
+        assert checked >= 100
+
+    def test_matches_element_on_large_entries(self):
+        # uniform draws seldom reach a CI power, so each draw has a zero opposite pair
+        rng = random.Random(20261023)
+        checked = 0
+        while checked < 200:
+            i, j = rng.choice(tuples.OPPOSITE_PAIRS)
+            r = rng.randint(1, 300)
+            near = rng.random() < 0.5  # near (0,r,r,r,r,0), or anywhere
+            e = [min(300, max(0, r + rng.randint(-3, 3))) if near else rng.randint(0, 300) for _ in range(6)]
+            e[i] = e[j] = 0
+            trace = reduction_trace(TetTuple(e))
+            if trace.first_ci_power is not None:
+                assert resolution_recipe(trace) == element_ci_recipe(trace), e
+                checked += 1
 
 
 class TestRunAssembly:

@@ -6,8 +6,9 @@ from hypothesis import given, strategies as st
 
 from tetracurves.exceptions import NotApplicableError, TrivialCurveError
 from tetracurves import resolution, tuples
-from tetracurves.monomials import EDGES, Monomial
+from tetracurves.monomials import Monomial
 from tetracurves.tuples import (
+    EDGES,
     ReductionType,
     TetTuple,
     TerminalKind,
@@ -219,16 +220,22 @@ class TestReductionTrace:
         assert trace.steps == ()
         assert trace.terminal_kind is TerminalKind.TRIVIAL
 
+    def test_fields(self):
+        # the CI-power base is kept once, as (chain index, r)
+        assert [f.name for f in dataclasses.fields(tuples.ReductionTrace)] == [
+            "start", "runs", "step_count", "terminal", "terminal_kind", "first_ci_power"
+        ]
+
 
 def stepwise_trace(t):
     """Test-only reference for `reduction_trace`: one `max_weight_reduction`
-    per step, as (vertices, weights, terminal, kind, first_ci_power, the
-    CI-power element)."""
+    per step, as (vertices, weights, terminal, kind, first_ci_power); the
+    start, the vertices and first_ci_power fix the CI-power element."""
     vertices, weights, ci = [], [], None
     cur = t
     while True:
         if ci is None and (r := ci_power_form(cur)) is not None:
-            ci = ((len(vertices), r), cur)
+            ci = (len(vertices), r)
         step = max_weight_reduction(cur)
         if step is None:
             break
@@ -236,7 +243,7 @@ def stepwise_trace(t):
         weights.append(step.weight)
         cur = step.child
     kind = TerminalKind.TRIVIAL if cur.is_trivial else TerminalKind.MINIMAL
-    return tuple(vertices), tuple(weights), cur, kind, ci and ci[0], ci and ci[1]
+    return tuple(vertices), tuple(weights), cur, kind, ci
 
 
 def trace_record(t):
@@ -247,7 +254,6 @@ def trace_record(t):
         trace.terminal,
         trace.terminal_kind,
         trace.first_ci_power,
-        trace.ci_power_element,
     )
 
 
