@@ -31,7 +31,7 @@ from .tuples import ReductionTrace, TetTuple, buchsbaum_minimal_r, reduction_tra
 
 
 # peak per generator or h-vector entry of a whole gin build (tracemalloc: 263, 345, 392
-# for gin_of_curve((r,0,r-1,r-1,0,r)), 254, 350, 384 for gin_buchsbaum_minimal(r); r = 10^3, 4*10^3, 10^4)
+# for gin_of_curve((r,0,r-1,r-1,0,r)); r = 10^3, 4*10^3, 10^4)
 _BYTES_PER_GENERATOR = 400
 
 
@@ -128,11 +128,11 @@ def _buchsbaum_generators(r: int, shift: int = 0) -> list[Monomial]:
 
 def gin_buchsbaum_minimal(r: int) -> StableIdeal:
     """gin of the minimal Buchsbaum curve (r,0,r-1,r-1,0,r), by the
-    recursion gin(r+1) = (a^2)*gin(r) + (a b^(2r+1), b^(2r+2), a^(r+1) b^r c)."""
+    recursion gin(r+1) = (a^2)*gin(r) + (a b^(2r+1), b^(2r+2), a^(r+1) b^r c):
+    `gin_of_curve` of the model, which has no reduction steps."""
     if r < 1:
         raise ValueError("r must be at least 1")
-    refuse_over_limit((3 * r + 1) * _BYTES_PER_GENERATOR, f"{3 * r + 1} gin generators need")
-    return StableIdeal(tuple(_buchsbaum_generators(r)))
+    return gin_of_curve(TetTuple((r, 0, r - 1, r - 1, 0, r)))
 
 
 def gin_of_curve(t: TetTuple) -> StableIdeal | None:

@@ -335,8 +335,9 @@ class HilbertData:
 def hilbert_data(ideal: MonomialIdeal, upto: int) -> HilbertData:
     """Count standard monomials of R/I in degrees 0..upto.
 
-    Raises BoundTooSmallError if the first differences have not stabilized
-    by `upto`; callers should pass roughly regularity + 3.  Raises
+    Raises BoundTooSmallError unless the values up to `upto` fix the degree
+    and the h-vector, that is when upto < 1 or some h_d with d >= upto is
+    nonzero; callers should pass roughly regularity + 3.  Raises
     OracleTooLargeError when the lists of values would need more than
     ORACLE_MEMORY_LIMIT bytes.
 
@@ -349,34 +350,38 @@ def hilbert_data(ideal: MonomialIdeal, upto: int) -> HilbertData:
     as a series.  Summed over the standard points of one column (p3 below
     least[p0, p1, p2]) that is (x^s - x^(s + least)) / (1 - x)^(u + 1), with
     s = p0 + p1 + p2 and u the number of p0, p1, p2 on the upper face; the
-    second term drops when no p3 in the box is in the ideal.
+    second term drops when no p3 in the box is in the ideal.  When no
+    generator has an exponent above upto, every term starts and ends by
+    degree top.sum(), so h_d vanishes past top.sum() + 1 when R/I has
+    dimension <= 2 (a curve) and not at top.sum() + 2 otherwise: the count
+    runs on that far to read every h_d with d >= upto.
     """
     import numpy as np
     if upto < 0:
         raise ValueError("upto must be non-negative")
     refuse_over_limit((upto + 1) * _HILBERT_BYTES_PER_DEGREE, f"the Hilbert function up to degree {upto} needs")
     least, top = exponent_box(ideal, bound=upto)
+    capped = any(e > upto for g in ideal.generators for e in g.exps)
+    last = upto if capped else max(upto, int(top.sum()) + 2)  # the degree counted to
     axes = np.indices(least.shape, sparse=True)
     start = sum(axes)
     faces = sum(axis == n for axis, n in zip(axes, top[:3]))
     end = start + least
-    size = (min(upto, int(top.sum())) + 1) * NVARS
-    starts = np.bincount((start * NVARS + faces)[start <= upto], minlength=size)
-    ends = np.bincount((end * NVARS + faces)[(least <= top[3]) & (end <= upto)], minlength=size)
+    size = (min(last, int(top.sum())) + 1) * NVARS
+    starts = np.bincount((start * NVARS + faces)[start <= last], minlength=size)
+    ends = np.bincount((end * NVARS + faces)[(least <= top[3]) & (end <= last)], minlength=size)
     by_degree = (starts - ends).reshape(-1, NVARS).tolist()
     # sum over u of B_u(x) / (1 - x)^(u + 1) by Horner's rule; a prefix sum
     # divides by 1 - x
-    values = [0] * (upto + 1)
+    values = [0] * (last + 1)
     for u in range(NVARS - 1, -1, -1):
         for s, counts in enumerate(by_degree):
             values[s] += counts[u]
         values = list(itertools.accumulate(values))
     first = [b - a for a, b in zip([0] + values, values)]
-    if upto < 1 or first[-1] != first[-2]:
-        raise BoundTooSmallError(
-            f"Hilbert function of {ideal} not stabilized by degree {upto}"
-        )
     h = [b - a for a, b in zip([0] + first, first)]
+    if upto < 1 or any(h[upto:]):
+        raise BoundTooSmallError(f"Hilbert function of {ideal} not stabilized by degree {upto}")
     while h and h[-1] == 0:
         h.pop()
-    return HilbertData(values=tuple(values), h_vector=tuple(h), degree=first[-1])
+    return HilbertData(values=tuple(values[: upto + 1]), h_vector=tuple(h), degree=first[upto])

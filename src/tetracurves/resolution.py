@@ -40,11 +40,11 @@ from .tuples import (
     facet_weights,
     is_minimal,
     max_weight_choices,
+    pair_profile,
     reduction_applicable,
     reduction_trace,
     regularity_closed_form,
     FACET_POSITIONS,
-    OPPOSITE,
     _TYPES,
 )
 
@@ -53,7 +53,8 @@ _BYTES_PER_ENTRY = 610  # peak RSS of `betti --format json` per entry (slope ove
 
 def minimal_curve_betti(t: TetTuple) -> BettiTable:
     """Linear resolution of a minimal curve.  With the maximal weight moved
-    to a_6 (so a_1 sits on the opposite edge), the ranks are
+    to a_6 (so a_1 sits on the opposite edge; the pair is the profile's last,
+    the one pair that holds the maximal weight), the ranks are
 
         b1 = (a1+1)(a6+1) - S,  b2 = 2 a1 a6 + a1 + a6 - 2S,  b3 = a1 a6 - S,
 
@@ -61,10 +62,8 @@ def minimal_curve_betti(t: TetTuple) -> BettiTable:
     a1+a6, a1+a6+1, a1+a6+2."""
     if not is_minimal(t):
         raise NotMinimalError(f"({t}) is not a minimal curve")
-    i = max(range(6), key=t.__getitem__)
-    a6, a1 = t[i], t[OPPOSITE[i]]
-    rest = [t[k] for k in range(6) if k not in (i, OPPOSITE[i])]
-    s = sum(a * (a + 1) // 2 for a in rest)
+    *rest, (a1, a6) = pair_profile(t)
+    s = sum(a * (a + 1) // 2 for pair in rest for a in pair)
     d = a1 + a6
     return BettiTable.from_dict(
         {
@@ -165,31 +164,17 @@ def betti_table(t: TetTuple) -> BettiTable:
     return resolution_recipe(reduction_trace(t)).assemble()
 
 
-# (tag, sorted entries, canonical form) of each fixed family's model
-_FIXED_LINEAR_ACM_FAMILIES = tuple(
-    (tag, sorted(model), canonicalize(model))
+# the canonical form of each fixed family's model; the profile cannot stand
+# in, as two pairs of (1,1,0,1,0,0) have unequal weights
+_FIXED_LINEAR_ACM_FAMILIES = {
+    canonicalize(model): tag
     for tag, model in (
         ("b", (1, 1, 0, 1, 0, 0)),
         ("c", (1, 1, 1, 1, 1, 1)),
         ("d", (2, 1, 0, 1, 0, 1)),
         ("e", (2, 1, 1, 1, 1, 2)),
     )
-)
-
-
-def _cycle_family_degree(t: TetTuple) -> int | None:
-    """Generator degree s if t lies in family f, else None.  A pair of
-    opposite edges has weight 0, so the weights sit on the 4-cycle of the
-    other four edges; three of them equal m >= 1 and the fourth is m - 1
-    (s = 2m) or m + 1 (s = 2m + 1)."""
-    for i in range(3):
-        if t[i] == t[OPPOSITE[i]] == 0:
-            low, m, mid, high = sorted(
-                a for k, a in enumerate(t) if k not in (i, OPPOSITE[i])
-            )
-            if m >= 1 and mid == m and (low, high) in ((m - 1, m), (m, m + 1)):
-                return m + high
-    return None
+}
 
 
 def acm_linear_family(t: TetTuple) -> tuple[str, int | None] | None:
@@ -203,24 +188,20 @@ def acm_linear_family(t: TetTuple) -> tuple[str, int | None] | None:
     (e) (2,1,1,1,1,2);
     (f) one orbit per generator degree s >= 2, returned as ("f", s):
         (0,0,1,1,0,1), a chain of three lines, then (0,1,1,1,2,0),
-        (0,1,2,2,2,0), (0,2,2,2,3,0), ...; see `_cycle_family_degree`.
+        (0,1,2,2,2,0), (0,2,2,2,3,0), ...: the pair profile is
+        [(0,0), (m-1,m), (m,m)] (s = 2m) or [(0,0), (m,m), (m,m+1)] (s = 2m+1).
 
-    Every family is matched by its shape alone, without a Betti table.
+    Every family is matched by its shape alone, without a Betti table: (a)
+    and (f) by `pair_profile`, (b)-(e) by their canonical forms.
     Returns (family tag, r or s or None), or None outside the families."""
     if t.is_trivial:
         return None
-    nonzero = [a for a in t if a > 0]
-    if len(nonzero) == 1:
-        return ("a", nonzero[0])
-    s = _cycle_family_degree(t)
-    if s is not None:
-        return ("f", s)
-    # S4 only permutes the entries, so other sorted entries mean another orbit
-    key = sorted(t)
-    for tag, model_key, model in _FIXED_LINEAR_ACM_FAMILIES:
-        if key == model_key and canonicalize(t) == model:
-            return (tag, None)
-    return None
+    zero, (a, b), (c, d) = pair_profile(t)
+    if zero == (0, 0) and b == c == 0:
+        return ("a", d)  # [(0,0), (0,0), (0,r)]
+    if zero == (0, 0) and b == c >= 1 and (a, d) in ((b - 1, b), (b, b + 1)):
+        return ("f", c + d)
+    return (tag, None) if (tag := _FIXED_LINEAR_ACM_FAMILIES.get(canonicalize(t))) else None
 
 
 def ascent_candidates(

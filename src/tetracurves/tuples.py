@@ -5,8 +5,11 @@ A tetrahedral curve is encoded by six non-negative weights on the edges
 (a,b), (a,c), (a,d), (b,c), (b,d), (c,d) of the coordinate tetrahedron.  A
 `TetTuple` is a tuple of these six ints, validated once when it is made;
 the calculus indexes any sequence of six ints.  S4 acts on the vertices,
-and so on the edges, through one table of 24 edge-index rows, which
-`permute`, `canonicalize` and `minimal_by_weight_test` read.
+and so on the edges, through one table of 24 edge-index rows: `permute`,
+`canonicalize` and `minimal_by_weight_test` read orbits off it.  S4 moves
+the three pairs of opposite edges and the weights inside them, so
+`pair_profile` is an orbit invariant, complete where at most one pair has
+unequal weights: the shapes the calculus names are read off it.
 
 Each vertex v determines a reduction: when the three edges at v dominate
 the opposite triangle, the curve is a basic double link ``G*I + (F)`` of
@@ -62,7 +65,6 @@ NVARS = 4
 # Edge i of the tetrahedron (0-based) joins these two vertices; opposite
 # edges are at positions (0,5), (1,4), (2,3).
 EDGES = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
-OPPOSITE = (5, 4, 3, 2, 1, 0)  # opposite edge pairs: (1,6), (2,5), (3,4)
 OPPOSITE_PAIRS = ((0, 5), (1, 4), (2, 3))
 
 
@@ -140,6 +142,13 @@ def permute(t: Sequence[int], pi: tuple[int, ...]) -> TetTuple:
 def canonicalize(t: Sequence[int]) -> TetTuple:
     """Lexicographically smallest tuple in the 24-element orbit."""
     return TetTuple(min(tuple([t[i] for i in row]) for row in _PERMUTED_EDGES.values()))
+
+
+def pair_profile(t: Sequence[int]) -> list[tuple[int, int]]:
+    """The three opposite-edge pairs of t, each sorted, in sorted order: the
+    same on a whole orbit, and on no other orbit when at most one pair has
+    unequal weights ((1,1,1,0,0,0) and (1,1,0,1,0,0) share [(0, 1)] * 3)."""
+    return sorted((t[i], t[j]) if t[i] <= t[j] else (t[j], t[i]) for i, j in OPPOSITE_PAIRS)
 
 
 class ReductionType(Enum):
@@ -305,13 +314,10 @@ class TerminalKind(Enum):
 def ci_power_form(t: Sequence[int]) -> int | None:
     """r >= 1 when t is, up to symmetry, (0,r,r,r,r,0): the r-th power of a
     (2,2) complete intersection supported on two pairs of opposite edges."""
-    for i, j in OPPOSITE_PAIRS:
-        if t[i] == 0 and t[j] == 0:
-            rest = [t[k] for k in range(6) if k not in (i, j)]
-            r = rest[0]
-            if r >= 1 and all(x == r for x in rest):
-                return r
-    return None
+    if t[0] + t[5] and t[1] + t[4] and t[2] + t[3]:  # every CI power has a zero opposite pair
+        return None
+    r = max(t)
+    return r if r and pair_profile(t) == [(0, 0), (r, r), (r, r)] else None
 
 
 class Run(NamedTuple):
@@ -528,29 +534,21 @@ def degree_of_tuple(t: TetTuple) -> int:
 def buchsbaum_minimal_r(t: TetTuple) -> int | None:
     """r when t is, up to symmetry, the minimal arithmetically Buchsbaum
     curve (r, 0, r-1, r-1, 0, r); otherwise None."""
-    if t.is_trivial:
-        return None
     r = max(t)
-    # S4 only permutes the entries, so other sorted entries mean another orbit
-    if sorted(t) != [0, 0, r - 1, r - 1, r, r]:
-        return None
-    if canonicalize(t) == canonicalize((r, 0, r - 1, r - 1, 0, r)):
-        return r
-    return None
+    return r if r and pair_profile(t) == [(0, 0), (r - 1, r - 1), (r, r)] else None
 
 
 def regularity_closed_form(t: TetTuple) -> int:
     """Castelnuovo-Mumford regularity read off the tuple: 2r+1 for CI-power
-    curves, a_1+a_6 (max edge plus its opposite) for minimal curves, and the
-    maximal facet weight otherwise."""
+    curves, a_1+a_6 (max edge plus its opposite, the profile's last pair) for
+    minimal curves, and the maximal facet weight otherwise."""
     if t.is_trivial:
         raise TrivialCurveError("regularity is undefined for the trivial curve")
     r = ci_power_form(t)
     if r is not None:
         return 2 * r + 1
     if is_minimal(t):
-        i = max(range(6), key=t.__getitem__)
-        return t[i] + t[OPPOSITE[i]]
+        return sum(pair_profile(t)[-1])
     return max(facet_weights(t))
 
 

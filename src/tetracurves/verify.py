@@ -260,7 +260,7 @@ def check_hope(bound: int) -> CheckResult:
     """Failing componentwise linearity forces the two larger opposite-edge
     sums to be equal; the converse fails on (10,1,2,3,10,1)."""
     def top_sums_equal(t: TetTuple) -> bool:
-        sums = sorted((t[0] + t[5], t[1] + t[4], t[2] + t[3]))
+        sums = sorted(map(sum, tuples.pair_profile(t)))
         return sums[1] == sums[2]
 
     witness = TetTuple((10, 1, 2, 3, 10, 1))

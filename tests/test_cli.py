@@ -465,6 +465,16 @@ class TestHilbertCommand:
         assert code == 1
         assert report["result"]["error"] == "BoundTooSmallError"
 
+    def test_zero_inside_the_h_vector_is_refused(self, capsys):
+        # h = (1, 2, 3, 4, 0, 1): --upto 4 answered degree 10 before
+        for upto in ("3", "4", "5"):
+            code, report = run_json(capsys, "hilbert", "0,0,3,1,1,2", "--upto", upto)
+            assert (code, report["result"]["error"]) == (1, "BoundTooSmallError"), upto
+        code, report = run_json(capsys, "hilbert", "0,0,3,1,1,2", "--upto", "8")
+        assert code == 0
+        assert report["result"]["h_vector"] == [1, 2, 3, 4, 0, 1]
+        assert report["result"]["degree"] == 11
+
 
 class TestEnumerateCommand:
     def test_singleton_class(self, capsys):

@@ -5,6 +5,7 @@ from tetracurves import gin as gin_module, monomials
 from tetracurves.exceptions import NotACMError, NotStableError, TrivialCurveError
 from tetracurves.gin import (
     StableIdeal,
+    _buchsbaum_generators,
     ek_betti,
     gin_acm,
     gin_buchsbaum_minimal,
@@ -280,6 +281,11 @@ class TestBuchsbaumGin:
     def test_rejects_zero(self):
         with pytest.raises(ValueError):
             gin_buchsbaum_minimal(0)
+
+    @pytest.mark.parametrize("r", [1, 2, 3, 7, 40])
+    def test_is_gin_of_curve_of_the_model(self, r):
+        # the direct build it replaced: the unrolled recursion, minimalized
+        assert gin_buchsbaum_minimal(r).generators == StableIdeal(tuple(_buchsbaum_generators(r))).generators
 
     def test_huge_r_is_typed_error(self, capped_python):
         # 3 * 10^8 + 1 generators ran out of memory before the guard

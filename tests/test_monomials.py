@@ -1,4 +1,7 @@
+import functools
 import itertools
+import math
+import operator
 import tracemalloc
 
 import pytest
@@ -14,6 +17,7 @@ from tetracurves import monomials as monomials_module
 from tetracurves.gin import _buchsbaum_generators, gin_of_curve
 from tetracurves.koszul import cached_betti_oracle
 from tetracurves.monomials import (
+    HilbertData,
     Monomial,
     MonomialIdeal,
     basic_double_link,
@@ -26,7 +30,7 @@ from tetracurves.monomials import (
     truncate,
     variable_index,
 )
-from tetracurves.tuples import EDGES
+from tetracurves.tuples import EDGES, degree_of_tuple, regularity_closed_form
 from tetracurves.verify import iter_tuples
 
 monomials = st.tuples(*[st.integers(0, 4)] * 4).map(Monomial)
@@ -85,18 +89,48 @@ def truncate_reference(ideal, d, piece):
     return MonomialIdeal(tuple(g for g in ideal.generators if g.degree > d) + piece.generators)
 
 
+@functools.lru_cache(maxsize=4096)
+def series_numerator(gens):
+    """K with sum_d dim (R/I)_d t^d = K(t) / (1 - t)^4, as coefficients, for
+    the ideal of these exponent vectors, by HS(R/(J + (m))) = HS(R/J) -
+    t^deg(m) HS(R/(J : m)) on the last generator m."""
+    if not gens:
+        return (1,)
+    *rest, m = gens
+    colon = {tuple(max(a - b, 0) for a, b in zip(g, m)) for g in rest}
+    colon = tuple(sorted(g for g in colon if not any(h != g and all(map(operator.le, h, g)) for h in colon)))
+    out = dict(enumerate(series_numerator(tuple(rest))))
+    for j, c in enumerate(series_numerator(colon)):
+        out[j + sum(m)] = out.get(j + sum(m), 0) - c
+    return tuple(out.get(j, 0) for j in range(max((j for j, c in out.items() if c), default=-1) + 1))
+
+
 def hilbert_reference(ideal, upto):
-    """Hilbert data by testing every monomial of degree <= upto for membership."""
+    """Hilbert data by testing every monomial of degree <= upto for membership.
+
+    The bound must fix the answer: h_d = 0 for every d >= upto.  When no
+    generator has an exponent above upto, the values go on, read off the
+    series, to the degree sum of the generators' lcm plus two, past which h
+    is zero on a quotient of dimension <= 2 and never zero on another;
+    otherwise only h_upto is read."""
     values = [
         sum(not ideal.contains(m) for m in monomials_of_degree(d)) for d in range(upto + 1)
     ]
+    gens = [g.exps for g in ideal.generators]
+    if all(e <= upto for g in gens for e in g):
+        lcm_sum = sum(max((g[k] for g in gens), default=0) for k in range(4))
+        numerator = series_numerator(tuple(sorted(gens)))
+        values += [
+            sum(c * math.comb(d - j + 3, 3) for j, c in enumerate(numerator) if j <= d)
+            for d in range(upto + 1, lcm_sum + 3)
+        ]
     first = [v - u for u, v in zip([0] + values, values)]
-    if upto < 1 or first[-1] != first[-2]:
-        raise BoundTooSmallError("not stabilized")
     h = [v - u for u, v in zip([0] + first, first)]
+    if upto < 1 or any(h[upto:]):
+        raise BoundTooSmallError("not stabilized")
     while h and h[-1] == 0:
         h.pop()
-    return tuple(values), tuple(h), first[-1]
+    return tuple(values[: upto + 1]), tuple(h), first[upto]
 
 
 @st.composite
@@ -408,6 +442,7 @@ class TestHilbertData:
     @example(MonomialIdeal.of("1"), 4)
     @example(MonomialIdeal.of("a^9", "b^9", "c^9", "d^9"), 5)
     @example(MonomialIdeal.of("a^9*b", "c^2"), 7)
+    @example(ideal_of_tuple((0, 0, 3, 1, 1, 2)), 4)  # h = (1, 2, 3, 4, 0, 1)
     def test_matches_brute_force_count(self, ideal, upto):
         try:
             expected = hilbert_reference(ideal, upto)
@@ -418,6 +453,29 @@ class TestHilbertData:
         got = hilbert_data(ideal, upto)
         assert (got.values, got.h_vector, got.degree) == expected
         assert all(type(v) is int for v in got.values + got.h_vector + (got.degree,))
+
+    def test_zero_inside_the_h_vector_is_refused(self):
+        # h = (1, 2, 3, 4, 0, 1): equal first differences at 3 and 4 read
+        # as degree 10 before; the degree is 11
+        ideal = ideal_of_tuple((0, 0, 3, 1, 1, 2))
+        with pytest.raises(BoundTooSmallError, match="not stabilized by degree 4"):
+            hilbert_data(ideal, 4)
+        data = hilbert_data(ideal, 8)
+        assert (data.h_vector, data.degree) == ((1, 2, 3, 4, 0, 1), 11)
+
+    def test_every_answer_up_to_reg_plus_3_is_fixed_up_to_weight_8(self):
+        # each answer is a refusal or the answer at a bound past every exponent
+        for t in iter_tuples(8):
+            ideal = ideal_of_tuple(t)
+            reg = regularity_closed_form(t)
+            full = hilbert_data(ideal, reg + 8)
+            assert full.degree == degree_of_tuple(t), t
+            for upto in range(1, reg + 4):
+                try:
+                    got = hilbert_data(ideal, upto)
+                except BoundTooSmallError:
+                    continue
+                assert got == HilbertData(full.values[: upto + 1], full.h_vector, full.degree), (t, upto)
 
     def test_ladder_matches_brute_force_count(self):
         # reg + 3 for the first two rungs of the Koszul ladder

@@ -6,6 +6,7 @@ from hypothesis import given, strategies as st
 
 from tetracurves.exceptions import NotApplicableError, TrivialCurveError
 from tetracurves import resolution, tuples
+from tetracurves.koszul import BettiTable
 from tetracurves.monomials import Monomial
 from tetracurves.tuples import (
     EDGES,
@@ -22,6 +23,7 @@ from tetracurves.tuples import (
     is_cwl,
     is_minimal,
     minimal_by_weight_test,
+    pair_profile,
     permute,
     reduction_applicable,
     reduction_trace,
@@ -399,6 +401,127 @@ class TestBuchsbaumDetection:
 
         for t in iter_tuples(8, include_trivial=True):
             assert buchsbaum_minimal_r(t) == canonical_r(t)
+
+
+# test-only copies of the shape tests the pair profile replaced: scans over
+# the opposite pairs, a sorted-entries prefilter with canonical forms, and
+# the normal form with the maximal weight at a_6 and a_1 on the edge opposite
+OPPOSITE = (5, 4, 3, 2, 1, 0)
+FIXED_FAMILY_MODELS = {"b": (1, 1, 0, 1, 0, 0), "c": (1, 1, 1, 1, 1, 1), "d": (2, 1, 0, 1, 0, 1), "e": (2, 1, 1, 1, 1, 2)}
+
+
+def reference_ci_power_form(t):
+    for i, j in tuples.OPPOSITE_PAIRS:
+        if t[i] == 0 and t[j] == 0:
+            rest = [t[k] for k in range(6) if k not in (i, j)]
+            r = rest[0]
+            if r >= 1 and all(x == r for x in rest):
+                return r
+    return None
+
+
+def reference_buchsbaum_minimal_r(t):
+    if t.is_trivial:
+        return None
+    r = max(t)
+    if sorted(t) != [0, 0, r - 1, r - 1, r, r]:
+        return None
+    return r if canonicalize(t) == canonicalize((r, 0, r - 1, r - 1, 0, r)) else None
+
+
+def reference_cycle_family_degree(t):
+    for i in range(3):
+        if t[i] == t[OPPOSITE[i]] == 0:
+            low, m, mid, high = sorted(a for k, a in enumerate(t) if k not in (i, OPPOSITE[i]))
+            if m >= 1 and mid == m and (low, high) in ((m - 1, m), (m, m + 1)):
+                return m + high
+    return None
+
+
+def reference_acm_linear_family(t):
+    if t.is_trivial:
+        return None
+    nonzero = [a for a in t if a > 0]
+    if len(nonzero) == 1:
+        return ("a", nonzero[0])
+    s = reference_cycle_family_degree(t)
+    if s is not None:
+        return ("f", s)
+    tags = [tag for tag, model in FIXED_FAMILY_MODELS.items() if canonicalize(t) == canonicalize(model)]
+    return (tags[0], None) if tags else None
+
+
+def reference_minimal_normal_form(t):
+    """(a_1, a_6, the four other weights)."""
+    i = max(range(6), key=t.__getitem__)
+    return t[OPPOSITE[i]], t[i], [t[k] for k in range(6) if k not in (i, OPPOSITE[i])]
+
+
+def built_to_profile(rng, profile):
+    """A tuple with this pair profile: pairs placed and ordered at random."""
+    e = [0] * 6
+    for (x, y), (i, j) in zip(rng.sample(profile, 3), tuples.OPPOSITE_PAIRS):
+        e[i], e[j] = (x, y) if rng.random() < 0.5 else (y, x)
+    return TetTuple(e)
+
+
+def profile_cases():
+    """Every tuple of weight <= 10, seeded tuples with entries <= 300, and
+    seeded tuples built to the profiles of CI powers, minimal Buchsbaum
+    curves, fat lines and the 4-cycle family, and minimal curves."""
+    yield from iter_tuples(10, include_trivial=True)
+    rng = random.Random(20261024)
+    for _ in range(500):
+        yield TetTuple(tuple(rng.randint(0, 300) for _ in range(6)))
+        r, m = rng.randint(1, 300), rng.randint(1, 299)
+        yield built_to_profile(rng, [(0, 0), (r, r), (r, r)])
+        yield built_to_profile(rng, [(0, 0), (r - 1, r - 1), (r, r)])
+        yield built_to_profile(rng, [(0, 0), (0, 0), (0, r)])
+        yield built_to_profile(rng, rng.choice([[(0, 0), (m - 1, m), (m, m)], [(0, 0), (m, m), (m, m + 1)]]))
+        a2, a3, a4, a5 = (rng.randint(0, 100) for _ in range(4))
+        a1 = max(a3 + a5, a2 + a4) + rng.randint(1, 50)
+        a6 = max(a1, a4 + a5 + 1, a2 + a3 + 1) + rng.randint(0, 50)
+        yield permute((a1, a2, a3, a4, a5, a6), rng.choice(VERTEX_PERMUTATIONS))
+
+
+class TestPairProfile:
+    def test_shape_tests_match_the_former_ones(self):
+        counts = dict.fromkeys(("ci", "buchsbaum", "a", "f", "minimal"), 0)
+        for t in profile_cases():
+            assert ci_power_form(t) == reference_ci_power_form(t), t
+            assert buchsbaum_minimal_r(t) == reference_buchsbaum_minimal_r(t), t
+            family = resolution.acm_linear_family(t)
+            assert family == reference_acm_linear_family(t), t
+            counts["ci"] += ci_power_form(t) is not None
+            counts["buchsbaum"] += buchsbaum_minimal_r(t) is not None
+            if family is not None and family[0] in counts:
+                counts[family[0]] += 1
+            if is_minimal(t):
+                counts["minimal"] += 1
+                a1, a6, rest = reference_minimal_normal_form(t)
+                s = sum(a * (a + 1) // 2 for a in rest)
+                expected = {(0, a1 + a6): (a1 + 1) * (a6 + 1) - s, (1, a1 + a6 + 1): 2 * a1 * a6 + a1 + a6 - 2 * s,
+                            (2, a1 + a6 + 2): a1 * a6 - s}
+                assert resolution.minimal_curve_betti(t) == BettiTable.from_dict(expected), t
+                assert regularity_closed_form(t) == a1 + a6, t
+        assert min(counts.values()) >= 500, counts
+
+    def test_is_an_orbit_invariant_complete_below_two_unequal_pairs(self):
+        profiles = {}
+        for t in iter_tuples(9, include_trivial=True):
+            profiles.setdefault(canonicalize(t), set()).add(tuple(pair_profile(t)))
+        assert all(len(found) == 1 for found in profiles.values())
+        near = [found.pop() for found in profiles.values()]
+        near = [p for p in near if sum(a != b for a, b in p) <= 1]
+        assert len(set(near)) == len(near) == 81
+
+    def test_star_and_triangle_share_a_profile(self):
+        # so the fixed ACM families (b)-(e) are matched by canonical form
+        star, triangle = T("1,1,1,0,0,0"), T("1,1,0,1,0,0")
+        assert pair_profile(star) == pair_profile(triangle) == [(0, 1)] * 3
+        assert canonicalize(star) != canonicalize(triangle)
+        assert resolution.acm_linear_family(triangle) == ("b", None)
+        assert resolution.acm_linear_family(star) is None
 
 
 class TestComponentwiseLinearity:
