@@ -1,38 +1,32 @@
 """Reverse-lexicographic generic initial ideals of tetrahedral curves.
 
 In characteristic zero the gin is strongly stable, and its graded Betti
-numbers follow from the Eliahou-Kervaire resolution.  For ACM curves the
-gin lives in the two variables a, b and is the unique lex ideal whose
-artinian quotient realizes the curve's h-vector.  For non-ACM curves the
-gin transforms along a maximal-weight basic double link as
-gin(J) = a*gin(I) + (b^e) with e the maximal facet weight of J, so it is
-determined by the gin of the minimal curve of the class; that minimal gin
-is known when the minimal curve is arithmetically Buchsbaum, i.e. of shape
-(r, 0, r-1, r-1, 0, r) up to symmetry, where an explicit recursion applies.
-
-Both routes are closed forms over one reduction trace and never build the
-curve's ideal: the h-vector comes from the closed-form Betti table, and the
-basic double links are folded into one generator list, so the ideal is
-minimalized and checked for strong stability once.
+numbers follow from the Eliahou-Kervaire resolution.  Along a
+maximal-weight basic double link the gin transforms as
+gin(J) = a*gin(I) + (b^e) with e the maximal facet weight of J, so the
+links of a curve's reduction chain fold over the gin of a base: the
+trivial curve or the chain's first CI power (0,r,r,r,r,0) for ACM curves,
+whose gin is then the lex ideal in a, b of the h-vector, or a minimal
+arithmetically Buchsbaum curve (r,0,r-1,r-1,0,r) up to symmetry.  The fold
+reads one reduction trace, never builds the curve's ideal, and minimalizes
+its one generator list and checks it for strong stability once.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
-from itertools import accumulate
 from math import comb
 
 from .exceptions import NotACMError, NotStableError, TrivialCurveError, refuse_over_limit
 from .koszul import BettiTable
 from .monomials import DivisorIndex, Monomial, MonomialIdeal
-from .resolution import resolution_recipe
-from .tuples import ReductionTrace, TetTuple, buchsbaum_minimal_r, reduction_trace
+from .tuples import TetTuple, buchsbaum_minimal_r, reduction_trace
 
 
-# peak per generator or h-vector entry of a whole gin build (tracemalloc: 263, 345, 392
-# for gin_of_curve((r,0,r-1,r-1,0,r)); r = 10^3, 4*10^3, 10^4)
-_BYTES_PER_GENERATOR = 400
+# peak per generator of a whole gin build, tracemalloc in a fresh process: 384, 433, 381
+# at 2,001, 20,001, 80,001 generators for the fat line (w,0,0,0,0,0) and for (r/2,r,r,r,r,0)
+# above a CI power; at most 435, near 19,700 generators, also for (r,0,r-1,r-1,0,r)
+_BYTES_PER_GENERATOR = 440
 
 
 def is_strongly_stable(ideal: MonomialIdeal) -> bool:
@@ -81,38 +75,12 @@ def ek_betti(stable: StableIdeal) -> BettiTable:
     return BettiTable.from_dict(table)
 
 
-def _lex_gin(trace: ReductionTrace) -> StableIdeal:
-    """gin of the ACM curve traced, read off its closed-form Betti table.
-    The Hilbert series numerator 1 + sum (-1)^(i+1) beta_ij t^j divided by
-    (1 - t)^2 (two prefix sums) is the h-vector; with k_d = d - h_d the lex
-    ideal's minimal generators in degree d are a^(d-i) b^i for i from
-    k_(d-1) + 2 (or 0 when k_(d-1) < 0) to k_d."""
-    numerator = Counter({0: 1})
-    for i, j, r in resolution_recipe(trace).assemble().entries:
-        numerator[j] += (-1) ** (i + 1) * r
-    n = max(numerator) + 1
-    refuse_over_limit(n * _BYTES_PER_GENERATOR, f"an h-vector of length {n} needs")
-    h = list(accumulate(accumulate(numerator[d] for d in range(n))))
-    while h and h[-1] == 0:
-        h.pop()
-    gens, last = [], -1
-    for d in range(len(h) + 1):
-        k = d - (h[d] if d < len(h) else 0)
-        gens += (Monomial((d - i, i, 0, 0)) for i in range(last + 2 if last >= 0 else 0, k + 1))
-        last = k
-    return StableIdeal(tuple(gens))
-
-
-def gin_acm(t: TetTuple) -> StableIdeal:
-    """gin of an ACM curve: the lex ideal in a, b whose artinian quotient
-    has the curve's h-vector; in each degree d it spans the first
-    d+1-h_d monomials of k[a,b]_d in lex order."""
-    if t.is_trivial:
-        raise TrivialCurveError("gin is undefined for the trivial curve")
-    trace = reduction_trace(t)
-    if not trace.is_acm:
-        raise NotACMError(f"({t}) is not arithmetically Cohen-Macaulay")
-    return _lex_gin(trace)
+def _ci_power_generators(r: int, shift: int) -> list[Monomial]:
+    """Minimal generators of a^shift * gin(0,r,r,r,r,0): a^(2r-i) b^i for
+    i <= r in degree 2r, and the r extra generators a^(r-1-k) b^(r+2+k) for
+    k < r in degree 2r+1.  r = 0 gives a^shift, the trivial curve's (1)."""
+    gens = [Monomial((2 * r - i + shift, i, 0, 0)) for i in range(r + 1)]
+    return gens + [Monomial((r - 1 - k + shift, r + 2 + k, 0, 0)) for k in range(r)]
 
 
 def _buchsbaum_generators(r: int, shift: int = 0) -> list[Monomial]:
@@ -126,6 +94,38 @@ def _buchsbaum_generators(r: int, shift: int = 0) -> list[Monomial]:
     return gens
 
 
+def _folded_gin(trace) -> StableIdeal | None:
+    """The chain's links folded over its base: the first CI power, else the trivial
+    curve, of an ACM chain, or a minimal Buchsbaum terminal (None for other terminals)."""
+    if trace.is_acm:
+        n, r = trace.first_ci_power or (trace.step_count, 0)
+        size, base = 2 * r + 1, _ci_power_generators
+    else:
+        n, r = trace.step_count, buchsbaum_minimal_r(trace.terminal)
+        if r is None:
+            return None
+        size, base = 3 * r + 1, _buchsbaum_generators
+    refuse_over_limit((n + size) * _BYTES_PER_GENERATOR, f"{n + size} gin generators need")
+    # gin(J) = a * gin(I) + (b^e) folded along the chain: the j-th step from
+    # the top multiplies by a^j
+    gens = base(r, n)
+    gens += (Monomial((j, e, 0, 0)) for j, e in zip(range(n), trace.weights))
+    return StableIdeal(tuple(gens))
+
+
+def gin_acm(t: TetTuple) -> StableIdeal:
+    """gin of an ACM curve: the lex ideal in a, b whose artinian quotient
+    has the curve's h-vector (in each degree d it spans the first
+    d+1-h_d monomials of k[a,b]_d in lex order), folded over the trivial
+    curve or the chain's first CI power."""
+    if t.is_trivial:
+        raise TrivialCurveError("gin is undefined for the trivial curve")
+    trace = reduction_trace(t)
+    if not trace.is_acm:
+        raise NotACMError(f"({t}) is not arithmetically Cohen-Macaulay")
+    return _folded_gin(trace)
+
+
 def gin_buchsbaum_minimal(r: int) -> StableIdeal:
     """gin of the minimal Buchsbaum curve (r,0,r-1,r-1,0,r), by the
     recursion gin(r+1) = (a^2)*gin(r) + (a b^(2r+1), b^(2r+2), a^(r+1) b^r c):
@@ -136,22 +136,9 @@ def gin_buchsbaum_minimal(r: int) -> StableIdeal:
 
 
 def gin_of_curve(t: TetTuple) -> StableIdeal | None:
-    """gin of a tetrahedral curve where it is known: ACM curves via the
-    h-vector, non-ACM curves whose minimal curve is Buchsbaum via the basic
-    double link recursion folded along the reduction chain.  Returns None
-    for non-ACM curves over other minimal curves."""
+    """gin of a tetrahedral curve where it is known: its chain's basic double
+    links folded over the gin of a base (`_folded_gin`).  Returns None for
+    non-ACM curves over minimal curves that are not arithmetically Buchsbaum."""
     if t.is_trivial:
         raise TrivialCurveError("gin is undefined for the trivial curve")
-    trace = reduction_trace(t)
-    if trace.is_acm:
-        return _lex_gin(trace)
-    r = buchsbaum_minimal_r(trace.terminal)
-    if r is None:
-        return None
-    n = trace.step_count + 3 * r + 1
-    refuse_over_limit(n * _BYTES_PER_GENERATOR, f"{n} gin generators need")
-    # gin(J) = a * gin(I) + (b^e) folded along the chain: the j-th step from
-    # the top multiplies by a^j
-    gens = _buchsbaum_generators(r, trace.step_count)
-    gens += (Monomial((j, e, 0, 0)) for j, e in enumerate(trace.weights))
-    return StableIdeal(tuple(gens))
+    return _folded_gin(reduction_trace(t))

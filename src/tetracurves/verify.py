@@ -13,6 +13,7 @@ A check is a stream of cases and a test of one case, run by `_sweep`;
 
 from __future__ import annotations
 
+import functools
 import itertools
 import random
 import time
@@ -78,6 +79,12 @@ def _sweep(name: str, cases, fails) -> CheckResult:
 
 def oracle_table(t: TetTuple) -> BettiTable:
     return cached_betti_oracle(ideal_of_tuple(t))
+
+
+@functools.lru_cache(maxsize=8192)
+def _oracle_gin(t: TetTuple, seeds: tuple[int, int], primes: tuple[int, int]) -> gin_mod.StableIdeal:
+    """The Groebner gin of a curve, computed once per (tuple, seeds, primes)."""
+    return groebner.gin_oracle(ideal_of_tuple(t), seeds=seeds, primes=primes)
 
 
 def _trace_steps(bound: int):
@@ -305,8 +312,8 @@ def check_ek_vs_prediction(bound: int) -> CheckResult:
 
 
 def check_gin_acm_wellformed(bound: int) -> CheckResult:
-    # gin_acm reads its h-vector off the closed-form Betti table, so comparing
-    # Hilbert functions here checks it against the counter on the curve's ideal
+    # gin_acm reads no Hilbert function or Betti table, so comparing Hilbert
+    # functions here checks it against the counter on the curve's ideal
     def fails(t):
         g = gin_mod.gin_acm(t)
         ideal = ideal_of_tuple(t)
@@ -327,7 +334,7 @@ def _gin_tuples(bound: int):
 def check_gin_vs_oracle(bound: int, seeds: tuple[int, int], primes: tuple[int, int]) -> CheckResult:
     def fails(case):
         t, built = case
-        return built != groebner.gin_oracle(ideal_of_tuple(t), seeds=seeds, primes=primes) and t
+        return built != _oracle_gin(t, seeds, primes) and t
 
     return _sweep("gin_of_curve equals the Groebner oracle", _gin_tuples(bound), fails)
 
@@ -351,8 +358,7 @@ def check_buchsbaum_gin(seeds: tuple[int, int], primes: tuple[int, int]) -> Chec
 def check_gin_regularity(bound: int, seeds: tuple[int, int], primes: tuple[int, int]) -> CheckResult:
     def fails(case):
         t = case[0]
-        oracle = groebner.gin_oracle(ideal_of_tuple(t), seeds=seeds, primes=primes)
-        return gin_mod.ek_betti(oracle).regularity != tuples.regularity_closed_form(t) and t
+        return gin_mod.ek_betti(_oracle_gin(t, seeds, primes)).regularity != tuples.regularity_closed_form(t) and t
 
     return _sweep("gin regularity equals closed-form regularity", _gin_tuples(bound), fails)
 

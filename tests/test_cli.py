@@ -124,6 +124,18 @@ print(json.dumps(loaded))
         assert "tetracurves.gin" in loaded["gin"][1:]
         assert loaded["betti --oracle-check"][0] == loaded["gin"][0] == 0
 
+    def test_closed_form_gin_loads_no_betti_layer(self):
+        loaded = fresh_json("""
+import contextlib, io, json, sys
+from tetracurves.cli import main
+with contextlib.redirect_stdout(io.StringIO()):
+    code = main(["--format", "json", "gin", "3,3,3,1,2,4"])
+print(json.dumps([code, sorted(m for m in sys.modules if m.startswith("tetracurves."))]))
+""")
+        # the README "Install" row of gin; groebner brings the default primes
+        assert loaded == [0, [f"tetracurves.{m}" for m in ("cli", "exceptions", "gin", "groebner", "koszul",
+                                                            "monomials", "tuples")]]
+
     def test_large_closed_form_gin_loads_no_numpy(self):
         # 3,001 generators, minimalized and checked for stability in pure Python
         loaded = fresh_json("""

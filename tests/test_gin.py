@@ -1,3 +1,7 @@
+import random
+from collections import Counter
+from itertools import accumulate
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -13,9 +17,10 @@ from tetracurves.gin import (
     is_strongly_stable,
     max_variable_index,
 )
+from tetracurves.groebner import gin_oracle
 from tetracurves.koszul import BettiTable
 from tetracurves.monomials import Monomial, MonomialIdeal, hilbert_data, ideal_of_tuple
-from tetracurves.resolution import gin_betti_prediction
+from tetracurves.resolution import betti_table, gin_betti_prediction
 from tetracurves.tuples import TetTuple, buchsbaum_minimal_r, is_acm, reduction_trace, regularity_closed_form
 from tetracurves.verify import iter_tuples
 
@@ -36,6 +41,36 @@ def hilbert_gin_acm(t):
         h_d = h[d] if d < len(h) else 0
         gens += (Monomial((d - i, i, 0, 0)) for i in range(d + 1 - h_d))
     return StableIdeal(tuple(gens))
+
+
+def betti_lex_gin(t):
+    """Test-only copy of the former ACM route: the Hilbert series numerator
+    1 + sum (-1)^(i+1) beta_ij t^j of the closed-form Betti table, two prefix
+    sums to the h-vector and, with k_d = d - h_d, the lex ideal's minimal
+    generators a^(d-i) b^i for i from k_(d-1) + 2 (or 0 when k_(d-1) < 0)
+    to k_d."""
+    numerator = Counter({0: 1})
+    for i, j, r in betti_table(t).entries:
+        numerator[j] += (-1) ** (i + 1) * r
+    h = list(accumulate(accumulate(numerator[d] for d in range(max(numerator) + 1))))
+    while h and h[-1] == 0:
+        h.pop()
+    gens, last = [], -1
+    for d in range(len(h) + 1):
+        k = d - (h[d] if d < len(h) else 0)
+        gens += (Monomial((d - i, i, 0, 0)) for i in range(last + 2 if last >= 0 else 0, k + 1))
+        last = k
+    return StableIdeal(tuple(gens))
+
+
+def seeded_acm_tuples(count, top, seed):
+    """The first `count` ACM curves among seeded tuples with entries <= top."""
+    rng, found = random.Random(seed), []
+    while len(found) < count:
+        t = TetTuple(rng.randint(0, top) for _ in range(6))
+        if not t.is_trivial and is_acm(t):
+            found.append(t)
+    return found
 
 
 def stepwise_gin_buchsbaum_minimal(r):
@@ -222,6 +257,27 @@ class TestClosedFormReferences:
     def test_gin_acm_matches_hilbert_construction_on_thick_curves(self, weight):
         t = TetTuple((weight,) * 6)
         assert gin_acm(t) == hilbert_gin_acm(t)
+
+    def test_ci_power_gin_matches_betti_construction(self):
+        for r in range(1, 41):
+            t = TetTuple((0, r, r, r, r, 0))
+            built = gin_of_curve(t)
+            assert built == betti_lex_gin(t), r
+            # r + 1 generators in degree 2r, and the r extra ones in degree 2r + 1
+            assert sorted(m.degree for m in built.generators) == [2 * r] * (r + 1) + [2 * r + 1] * r
+
+    def test_gin_acm_matches_betti_construction_on_seeded_curves(self):
+        tuples = seeded_acm_tuples(300, 60, seed=25)
+        assert sum(reduction_trace(t).first_ci_power is not None for t in tuples) >= 20
+        for t in tuples:
+            assert gin_acm(t) == betti_lex_gin(t), t
+
+    @pytest.mark.parametrize(
+        "t", [TetTuple((0, r, r, r, r, 0)) for r in range(1, 5)] + [T("2,5,5,5,5,0"), T("3,4,4,4,4,1")], ids=str
+    )
+    def test_fold_over_a_ci_power_matches_the_oracle(self, t):
+        assert reduction_trace(t).first_ci_power is not None
+        assert gin_of_curve(t) == gin_oracle(ideal_of_tuple(t))
 
     def test_buchsbaum_gin_matches_recursion(self):
         for r in range(1, 13):

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from tetracurves import gin, resolution, tuples, verify
+from tetracurves import gin, groebner, resolution, tuples, verify
 from tetracurves.exceptions import FNotInIdealError
 from tetracurves.koszul import BettiTable
 
@@ -125,3 +125,15 @@ def test_defect_aborts_its_suite_and_the_next_suite_runs(monkeypatch):
         ("gin suite aborted", False, "ValueError: max() arg is an empty sequence"),
     ]
     assert after.checks and after.passed
+
+
+def test_gin_checks_share_one_oracle_gin_per_tuple(monkeypatch):
+    calls = []
+    oracle = groebner.gin_oracle
+    monkeypatch.setattr(groebner, "gin_oracle", lambda *args, **kwargs: calls.append(args) or oracle(*args, **kwargs))
+    verify._oracle_gin.cache_clear()
+    result = verify.run_suite("gin", bound=4)
+    assert result.passed
+    # three Buchsbaum models, then one call per tuple for the oracle and regularity checks together
+    assert [c.detail for c in result.checks[-3:]] == ["6 cases", "194 cases", "194 cases"]
+    assert len(calls) == 3 + 194
