@@ -7,8 +7,10 @@ check.  The betti/cwl/regularity/truncation suites compare closed-form
 results with the Koszul-homology oracle; the gin suite compares the
 combinatorial gin constructions with the finite-field Groebner oracle.
 
-A check is a stream of cases and a test of one case, run by `_sweep`;
-`SUITES` lists each suite's default bound and checks.
+Every check is called as check(bound, seeds, primes): most are `Check`
+rows, a stream of cases and a test of one case, and five that build
+their own result are functions.  `SUITES` lists each suite's default
+bound and checks.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ import functools
 import itertools
 import random
 import time
+from collections.abc import Callable
 from dataclasses import asdict, dataclass, field
 from math import comb
 
@@ -77,6 +80,27 @@ def _sweep(name: str, cases, fails) -> CheckResult:
     return CheckResult(name, True, f"{total} cases")
 
 
+@dataclass(frozen=True)
+class Check:
+    """A sweep row: `cases(bound, seeds, primes)` streams the cases, `fails`
+    tests one (see `_sweep`), and the bound is lowered to `cap` when set.
+    Both look the closed forms and oracles up by name when they run."""
+
+    name: str
+    cases: Callable
+    fails: Callable
+    cap: int | None = None
+
+    def __call__(self, bound=None, seeds=(1, 2), primes=groebner.DEFAULT_PRIMES) -> CheckResult:
+        bound = bound if self.cap is None else min(bound, self.cap)
+        return _sweep(self.name, self.cases(bound, seeds, primes), self.fails)
+
+
+def row(name: str, cases, cap: int | None = None):
+    """Make the decorated case test the `fails` of a `Check` row."""
+    return lambda fails: Check(name, cases, fails, cap)
+
+
 def oracle_table(t: TetTuple) -> BettiTable:
     return cached_betti_oracle(ideal_of_tuple(t))
 
@@ -87,91 +111,88 @@ def _oracle_gin(t: TetTuple, seeds: tuple[int, int], primes: tuple[int, int]) ->
     return groebner.gin_oracle(ideal_of_tuple(t), seeds=seeds, primes=primes)
 
 
-def _trace_steps(bound: int):
-    return (s for t in iter_tuples(bound) for s in tuples.reduction_trace(t).steps)
+# the case streams that several checks share
+
+def _tuples(bound, *_):
+    return iter_tuples(bound)
+
+
+def _traces(bound, *_):
+    return (tuples.reduction_trace(t) for t in iter_tuples(bound))
+
+
+def _steps(bound, *_):
+    return (s for trace in _traces(bound) for s in trace.steps)
+
+
+def _acm_tuples(bound, *_):
+    return (t for t in iter_tuples(bound) if tuples.is_acm(t))
+
+
+def _gin_tuples(bound, seeds, primes):
+    """The tuples that gin_of_curve supports, with their gins, seeds and primes."""
+    return ((t, g, seeds, primes) for t in iter_tuples(bound) if (g := gin_mod.gin_of_curve(t)) is not None)
 
 
 # ---------------------------------------------------------------- reduction
 
-def check_degree_vs_hilbert(bound: int) -> CheckResult:
-    def fails(t):
-        ideal = ideal_of_tuple(t)
-        upto = (cached_betti_oracle(ideal).regularity if not t.is_trivial else 0) + 3
-        return hilbert_data(ideal, upto).degree != tuples.degree_of_tuple(t)
-
-    cases = iter_tuples(bound, include_trivial=True)
-    return _sweep("degree formula equals Hilbert-polynomial degree", cases, fails)
+@row("degree formula equals Hilbert-polynomial degree", lambda b, *_: iter_tuples(b, include_trivial=True))
+def check_degree_vs_hilbert(t):
+    ideal = ideal_of_tuple(t)
+    upto = (cached_betti_oracle(ideal).regularity if not t.is_trivial else 0) + 3
+    return hilbert_data(ideal, upto).degree != tuples.degree_of_tuple(t)
 
 
-def check_degree_additivity(bound: int) -> CheckResult:
-    def fails(s):
-        return tuples.degree_of_tuple(s.parent) != tuples.degree_of_tuple(s.child) + s.weight and s.parent
-
-    return _sweep("degree additive along reduction steps", _trace_steps(bound), fails)
-
-
-def check_bdl_reconstruction(bound: int) -> CheckResult:
-    def fails(case):
-        t, ty = case
-        step = tuples.apply_reduction(t, ty)
-        rebuilt = basic_double_link(ideal_of_tuple(step.child), step.G, step.F)
-        return rebuilt != ideal_of_tuple(t) and (t, ty.name)
-
-    cases = ((t, ty) for t in iter_tuples(bound) for ty in tuples._TYPES if tuples.reduction_applicable(t, ty))
-    return _sweep("G*I(child) + (F) rebuilds the parent ideal", cases, fails)
+check_degree_additivity = Check(
+    "degree additive along reduction steps", _steps,
+    lambda s: tuples.degree_of_tuple(s.parent) != tuples.degree_of_tuple(s.child) + s.weight and s.parent,
+)
 
 
-def check_minimality_criterion(bound: int) -> CheckResult:
-    return _sweep("definitional minimality equals the weight criterion", iter_tuples(bound),
-                  lambda t: tuples.is_minimal(t) != tuples.minimal_by_weight_test(t))
+@row("G*I(child) + (F) rebuilds the parent ideal",
+     lambda b, *_: ((t, ty) for t in iter_tuples(b) for ty in tuples._TYPES if tuples.reduction_applicable(t, ty)))
+def check_bdl_reconstruction(case):
+    t, ty = case
+    step = tuples.apply_reduction(t, ty)
+    rebuilt = basic_double_link(ideal_of_tuple(step.child), step.G, step.F)
+    return rebuilt != ideal_of_tuple(t) and (t, ty.name)
 
 
-def check_maxweight_monotone(bound: int) -> CheckResult:
-    def fails(s):
-        return max(tuples.facet_weights(s.parent)) <= max(tuples.facet_weights(s.child)) and s.parent
+check_minimality_criterion = Check("definitional minimality equals the weight criterion", _tuples,
+                                   lambda t: tuples.is_minimal(t) != tuples.minimal_by_weight_test(t))
+check_maxweight_monotone = Check(
+    "maximal facet weight strictly drops along traces",
+    lambda b, *_: (s for s in _steps(b) if tuples.ci_power_form(s.parent) is None),
+    lambda s: max(tuples.facet_weights(s.parent)) <= max(tuples.facet_weights(s.child)) and s.parent,
+)
 
-    steps = (s for s in _trace_steps(bound) if tuples.ci_power_form(s.parent) is None)
-    return _sweep("maximal facet weight strictly drops along traces", steps, fails)
-
-
-def check_fdegree(bound: int) -> CheckResult:
-    """Above the CI-power base of a non-componentwise-linear ACM curve, each
-    F degree exceeds the parent's lowest generator degree."""
-    traces = (tuples.reduction_trace(t) for t in iter_tuples(bound))
-    steps = (
-        trace.steps[k]
-        for trace in traces
-        if trace.is_acm and trace.first_ci_power is not None
-        for k in range(trace.first_ci_power[0])
-    )
-    return _sweep("F degree exceeds lowest generator degree above CI base", steps,
-                  lambda s: s.weight < resolution.betti_table(s.parent).min_generator_degree + 1 and s.parent)
+# above the CI-power base of a non-componentwise-linear ACM curve, each F
+# degree exceeds the parent's lowest generator degree
+check_fdegree = Check("F degree exceeds lowest generator degree above CI base", lambda b, *_: (
+    trace.steps[k]
+    for trace in _traces(b)
+    if trace.is_acm and trace.first_ci_power is not None
+    for k in range(trace.first_ci_power[0])
+), lambda s: s.weight < resolution.betti_table(s.parent).min_generator_degree + 1 and s.parent)
 
 
-def check_s4_invariance(bound: int) -> CheckResult:
-    def invariants(t):
-        trace = tuples.reduction_trace(t)
-        return (
-            tuples.is_minimal(t),
-            trace.is_acm,
-            trace.is_cwl,
-            tuples.degree_of_tuple(t),
-            tuples.regularity_closed_form(t),
-            tuples.ci_power_form(t),
-            resolution.resolution_recipe(trace).assemble().entries,
-        )
+def _invariants(t):
+    trace = tuples.reduction_trace(t)
+    return (tuples.is_minimal(t), trace.is_acm, trace.is_cwl, tuples.degree_of_tuple(t),
+            tuples.regularity_closed_form(t), tuples.ci_power_form(t),
+            resolution.resolution_recipe(trace).assemble().entries)
 
-    def fails(t):
-        reference = invariants(t)
-        perms = tuples.VERTEX_PERMUTATIONS
-        return next(((t, pi) for pi in perms if invariants(tuples.permute(t, pi)) != reference), False)
 
-    return _sweep("classifiers invariant under the symmetry action", iter_tuples(bound), fails)
+@row("classifiers invariant under the symmetry action", _tuples, cap=5)
+def check_s4_invariance(t):
+    reference = _invariants(t)
+    perms = tuples.VERTEX_PERMUTATIONS
+    return next(((t, pi) for pi in perms if _invariants(tuples.permute(t, pi)) != reference), False)
 
 
 # ---------------------------------------------------------------- betti
 
-def check_builder_vs_oracle_all_choices(bound: int) -> CheckResult:
+def check_builder_vs_oracle_all_choices(bound: int, seeds=None, primes=None) -> CheckResult:
     failed = set()  # a tuple's tie-breaks after its first failing one are skipped
 
     def fails(case):
@@ -191,176 +212,145 @@ def check_builder_vs_oracle_all_choices(bound: int) -> CheckResult:
     return _sweep("assembled table equals oracle for every tie-break", cases, fails)
 
 
-def check_random_builder_vs_oracle(seed: int) -> CheckResult:
-    rng = random.Random(seed)
+def _random_tuples(bound, seeds, primes):
+    rng = random.Random(seeds[0])
     draws = (TetTuple(rng.randint(0, 4) for _ in range(6)) for _ in itertools.count())
-    cases = itertools.islice((t for t in draws if not t.is_trivial), 200)
-    return _sweep("random builder vs oracle (entries <= 4)", cases,
-                  lambda t: resolution.betti_table(t) != oracle_table(t))
+    return itertools.islice((t for t in draws if not t.is_trivial), 200)
 
 
-def check_minimal_formula() -> CheckResult:
-    spot = TetTuple((4, 1, 2, 1, 1, 5))
-    expected = BettiTable.from_dict({(0, 9): 24, (1, 10): 37, (2, 11): 14})
-    grid = map(TetTuple, itertools.product(range(4), repeat=6))  # entries <= 3
-    cases = itertools.chain((t for t in grid if tuples.is_minimal(t)), [spot])
-    return _sweep("minimal-curve formulas equal oracle", cases, lambda t: resolution.minimal_curve_betti(t)
-                  != oracle_table(t) or t == spot and oracle_table(t) != expected)
+check_random_builder_vs_oracle = Check("random builder vs oracle (entries <= 4)", _random_tuples,
+                                       lambda t: resolution.betti_table(t) != oracle_table(t))
+
+_MINIMAL_SPOTS = {TetTuple((4, 1, 2, 1, 1, 5)): {(0, 9): 24, (1, 10): 37, (2, 11): 14}}  # with their oracle tables
 
 
-def check_sum_rule(bound: int) -> CheckResult:
+@row("minimal-curve formulas equal oracle", lambda *_: itertools.chain(
+    (t for t in map(TetTuple, itertools.product(range(4), repeat=6)) if tuples.is_minimal(t)),  # entries <= 3
+    _MINIMAL_SPOTS,
+))
+def check_minimal_formula(t):
+    return resolution.minimal_curve_betti(t) != oracle_table(t) or (
+        t in _MINIMAL_SPOTS and oracle_table(t) != BettiTable.from_dict(_MINIMAL_SPOTS[t]))
+
+
+@row("alternating sums match the Hilbert numerator", _tuples, cap=6)
+def check_sum_rule(t):
     """Alternating Betti sums reproduce the Hilbert-series numerator of R/I."""
-    def fails(t):
-        table = oracle_table(t)
-        top = max(j for _, j, _ in table.entries)
-        values = hilbert_data(ideal_of_tuple(t), top + 4).values
-        return any(
-            sum((-1) ** k * comb(4, k) * values[j - k] for k in range(min(j, 4) + 1))
-            != (j == 0) - sum((-1) ** i * table.rank(i, j) for i in range(4))
-            for j in range(top + 1)
-        )
-
-    return _sweep("alternating sums match the Hilbert numerator", iter_tuples(bound), fails)
+    table = oracle_table(t)
+    top = max(j for _, j, _ in table.entries)
+    values = hilbert_data(ideal_of_tuple(t), top + 4).values
+    return any(
+        sum((-1) ** k * comb(4, k) * values[j - k] for k in range(min(j, 4) + 1))
+        != (j == 0) - sum((-1) ** i * table.rank(i, j) for i in range(4))
+        for j in range(top + 1)
+    )
 
 
-def check_non_acm_shape(bound: int) -> CheckResult:
+@row("non-ACM tables keep the step/base shape", lambda b, *_: (tr for tr in _traces(b) if not tr.is_acm))
+def check_non_acm_shape(trace):
     """Non-ACM tables: one generator/syzygy pair per step at strictly
     decreasing facet weights, all above the shifted minimal-curve block."""
-    def fails(trace):
-        recipe, weights = resolution.resolution_recipe(trace), trace.weights
-        e0 = recipe.base_betti.min_generator_degree
-        strictly_decreasing = all(a > b for a, b in zip(weights, weights[1:]))
-        above_base = not weights or weights[-1] > e0
-        shifted_block = recipe.assemble().rank(0, e0 + len(weights)) >= recipe.base_betti.rank(0, e0)
-        return not (strictly_decreasing and above_base and shifted_block) and trace.start
-
-    traces = (tuples.reduction_trace(t) for t in iter_tuples(bound))
-    return _sweep("non-ACM tables keep the step/base shape", (tr for tr in traces if not tr.is_acm), fails)
+    recipe, weights = resolution.resolution_recipe(trace), trace.weights
+    e0 = recipe.base_betti.min_generator_degree
+    strictly_decreasing = all(a > b for a, b in zip(weights, weights[1:]))
+    above_base = not weights or weights[-1] > e0
+    shifted_block = recipe.assemble().rank(0, e0 + len(weights)) >= recipe.base_betti.rank(0, e0)
+    return not (strictly_decreasing and above_base and shifted_block) and trace.start
 
 
-def check_projective_dimension(bound: int) -> CheckResult:
-    return _sweep("projective dimension 1 exactly for ACM ideals", iter_tuples(bound),
-                  lambda t: oracle_table(t).projective_dimension != (1 if tuples.is_acm(t) else 2))
+check_projective_dimension = Check("projective dimension 1 exactly for ACM ideals", _tuples,
+                                   lambda t: oracle_table(t).projective_dimension != (1 if tuples.is_acm(t) else 2))
 
 
 # ---------------------------------------------------------------- cwl
 
-def check_cwl_oracle(bound: int) -> CheckResult:
-    def fails(t):
-        ideal = ideal_of_tuple(t)
-        degrees = range(ideal.min_generator_degree, cached_betti_oracle(ideal).regularity + 1)
-        pieces = (component_ideal(ideal, d) for d in degrees)
-        return tuples.is_cwl(t) != all(p.is_zero or cached_betti_oracle(p).is_linear for p in pieces)
-
-    return _sweep("is_cwl equals the componentwise oracle", iter_tuples(bound), fails)
+@row("is_cwl equals the componentwise oracle", _tuples)
+def check_cwl_oracle(t):
+    ideal = ideal_of_tuple(t)
+    degrees = range(ideal.min_generator_degree, cached_betti_oracle(ideal).regularity + 1)
+    pieces = (component_ideal(ideal, d) for d in degrees)
+    return tuples.is_cwl(t) != all(p.is_zero or cached_betti_oracle(p).is_linear for p in pieces)
 
 
-def check_schwartau(bound: int) -> CheckResult:
-    """On Schwartau tuples (a_2 = a_5 = 0) the criterion's verdict equals
-    is_cwl; elsewhere `schwartau_status` returns is_cwl itself."""
-    cases = (t for t in iter_tuples(bound) if t[1] == 0 and t[4] == 0)
-    return _sweep("Schwartau criterion agrees with is_cwl", cases,
-                  lambda t: tuples.schwartau_status(t) != (True, tuples.is_cwl(t)))
+# on Schwartau tuples (a_2 = a_5 = 0) the criterion's verdict equals is_cwl;
+# elsewhere `schwartau_status` returns is_cwl itself
+check_schwartau = Check("Schwartau criterion agrees with is_cwl",
+                        lambda b, *_: (t for t in iter_tuples(b) if t[1] == 0 and t[4] == 0),
+                        lambda t: tuples.schwartau_status(t) != (True, tuples.is_cwl(t)))
+
+_HOPE_WITNESS = TetTuple((10, 1, 2, 3, 10, 1))
 
 
-def check_hope(bound: int) -> CheckResult:
+@row("non-CWL forces equal top opposite-edge sums",
+     lambda b, *_: itertools.chain((t for t in iter_tuples(b) if not tuples.is_cwl(t)), [_HOPE_WITNESS]))
+def check_hope(t):
     """Failing componentwise linearity forces the two larger opposite-edge
     sums to be equal; the converse fails on (10,1,2,3,10,1)."""
-    def top_sums_equal(t: TetTuple) -> bool:
-        sums = sorted(map(sum, tuples.pair_profile(t)))
-        return sums[1] == sums[2]
-
-    witness = TetTuple((10, 1, 2, 3, 10, 1))
-    cases = itertools.chain((t for t in iter_tuples(bound) if not tuples.is_cwl(t)), [witness])
-    return _sweep("non-CWL forces equal top opposite-edge sums", cases,
-                  lambda t: not top_sums_equal(t) or t == witness and not tuples.is_cwl(t))
+    sums = sorted(map(sum, tuples.pair_profile(t)))
+    return sums[1] != sums[2] or t == _HOPE_WITNESS and not tuples.is_cwl(t)
 
 
 # ---------------------------------------------------------------- regularity
 
-def check_regularity(bound: int) -> CheckResult:
-    spots = {TetTuple((0, 2, 2, 2, 2, 0)): 5, TetTuple((4, 1, 2, 1, 1, 5)): 9, TetTuple((7, 5, 5, 2, 1, 6)): 17}
-
-    def fails(case):
-        t, expected = case
-        if expected is None:
-            expected = oracle_table(t).regularity
-        return tuples.regularity_closed_form(t) != expected and t
-
-    cases = itertools.chain(((t, None) for t in iter_tuples(bound)), spots.items())
-    return _sweep("closed-form regularity equals oracle", cases, fails)
+# each tuple, with None for the oracle's regularity, then three spot values
+@row("closed-form regularity equals oracle", lambda b, *_: itertools.chain(
+    ((t, None) for t in iter_tuples(b)),
+    {TetTuple((0, 2, 2, 2, 2, 0)): 5, TetTuple((4, 1, 2, 1, 1, 5)): 9, TetTuple((7, 5, 5, 2, 1, 6)): 17}.items(),
+))
+def check_regularity(case):
+    t, expected = case
+    return tuples.regularity_closed_form(t) != (oracle_table(t).regularity if expected is None else expected) and t
 
 
 # ---------------------------------------------------------------- gin
 
-def check_gin_acm_examples() -> CheckResult:
-    examples = {
+check_gin_acm_examples = Check(
+    "worked ACM gin displays reproduced",
+    lambda *_: {
         TetTuple((1, 2, 2, 2, 1, 2)): ("a^4", "a^3*b", "a^2*b^3", "a*b^4", "b^6"),
         TetTuple((2, 1, 4, 1, 1, 3)): ("a^5", "a^4*b", "a^3*b^3", "a^2*b^4", "a*b^6", "b^8"),
-    }
-    return _sweep("worked ACM gin displays reproduced", examples.items(),
-                  lambda case: gin_mod.gin_acm(case[0]) != MonomialIdeal.of(*case[1]) and f"gin({case[0]})")
+    }.items(),
+    lambda case: gin_mod.gin_acm(case[0]) != MonomialIdeal.of(*case[1]) and f"gin({case[0]})",
+)
+
+check_ek_vs_prediction = Check("Eliahou-Kervaire table equals gin Betti prediction", _acm_tuples,
+                               lambda t: gin_mod.ek_betti(gin_mod.gin_acm(t)) != resolution.gin_betti_prediction(t))
 
 
-def _acm_tuples(bound: int):
-    return (t for t in iter_tuples(bound) if tuples.is_acm(t))
-
-
-def check_ek_vs_prediction(bound: int) -> CheckResult:
-    return _sweep("Eliahou-Kervaire table equals gin Betti prediction", _acm_tuples(bound),
-                  lambda t: gin_mod.ek_betti(gin_mod.gin_acm(t)) != resolution.gin_betti_prediction(t))
-
-
-def check_gin_acm_wellformed(bound: int) -> CheckResult:
+@row("gin_acm stable, in a and b, Hilbert-preserving", _acm_tuples, cap=6)
+def check_gin_acm_wellformed(t):
     # gin_acm reads no Hilbert function or Betti table, so comparing Hilbert
     # functions here checks it against the counter on the curve's ideal
-    def fails(t):
-        g = gin_mod.gin_acm(t)
-        ideal = ideal_of_tuple(t)
-        in_two_vars = all(m.exps[2] == 0 and m.exps[3] == 0 for m in g.generators)
-        upto = cached_betti_oracle(ideal).regularity + 3
-        hilbert_match = hilbert_data(g, upto).values == hilbert_data(ideal, upto).values
-        cwl_gens_ok = not tuples.is_cwl(t) or len(ideal.generators) == ideal.min_generator_degree + 1
-        return not (gin_mod.is_strongly_stable(g) and in_two_vars and hilbert_match and cwl_gens_ok)
-
-    return _sweep("gin_acm stable, in a and b, Hilbert-preserving", _acm_tuples(bound), fails)
+    g = gin_mod.gin_acm(t)
+    ideal = ideal_of_tuple(t)
+    in_two_vars = all(m.exps[2] == 0 and m.exps[3] == 0 for m in g.generators)
+    upto = cached_betti_oracle(ideal).regularity + 3
+    hilbert_match = hilbert_data(g, upto).values == hilbert_data(ideal, upto).values
+    cwl_gens_ok = not tuples.is_cwl(t) or len(ideal.generators) == ideal.min_generator_degree + 1
+    return not (gin_mod.is_strongly_stable(g) and in_two_vars and hilbert_match and cwl_gens_ok)
 
 
-def _gin_tuples(bound: int):
-    """The tuples that gin_of_curve supports, with their gins."""
-    return ((t, g) for t in iter_tuples(bound) if (g := gin_mod.gin_of_curve(t)) is not None)
+@row("Buchsbaum gin recursion matches the oracle",
+     lambda b, seeds, primes: itertools.product(range(1, 4), ("oracle", "ek"), [seeds], [primes]))  # r = 1..3
+def check_buchsbaum_gin(case):
+    r, side, seeds, primes = case
+    built = gin_mod.gin_buchsbaum_minimal(r)
+    if side == "oracle":
+        return built != _oracle_gin((r, 0, r - 1, r - 1, 0, r), seeds, primes) and f"r={r} oracle"
+    expected = BettiTable.from_dict({(0, 2 * r): 3 * r + 1, (1, 2 * r + 1): 4 * r, (2, 2 * r + 2): r})
+    return gin_mod.ek_betti(built) != expected and f"r={r} ek"
 
 
-def check_gin_vs_oracle(bound: int, seeds: tuple[int, int], primes: tuple[int, int]) -> CheckResult:
-    def fails(case):
-        t, built = case
-        return built != _oracle_gin(t, seeds, primes) and t
-
-    return _sweep("gin_of_curve equals the Groebner oracle", _gin_tuples(bound), fails)
+@row("gin_of_curve equals the Groebner oracle", _gin_tuples, cap=6)
+def check_gin_vs_oracle(case):
+    t, built, seeds, primes = case
+    return built != _oracle_gin(t, seeds, primes) and t
 
 
-def check_buchsbaum_gin(seeds: tuple[int, int], primes: tuple[int, int]) -> CheckResult:
-    def fails(case):
-        r, side = case
-        built = gin_mod.gin_buchsbaum_minimal(r)
-        if side == "oracle":
-            model = ideal_of_tuple((r, 0, r - 1, r - 1, 0, r))
-            bad = built != groebner.gin_oracle(model, seeds=seeds, primes=primes)
-        else:
-            expected = BettiTable.from_dict({(0, 2 * r): 3 * r + 1, (1, 2 * r + 1): 4 * r, (2, 2 * r + 2): r})
-            bad = gin_mod.ek_betti(built) != expected
-        return bad and f"r={r} {side}"
-
-    cases = itertools.product(range(1, 4), ("oracle", "ek"))  # r = 1..3
-    return _sweep("Buchsbaum gin recursion matches the oracle", cases, fails)
-
-
-def check_gin_regularity(bound: int, seeds: tuple[int, int], primes: tuple[int, int]) -> CheckResult:
-    def fails(case):
-        t = case[0]
-        return gin_mod.ek_betti(_oracle_gin(t, seeds, primes)).regularity != tuples.regularity_closed_form(t) and t
-
-    return _sweep("gin regularity equals closed-form regularity", _gin_tuples(bound), fails)
+@row("gin regularity equals closed-form regularity", _gin_tuples, cap=5)
+def check_gin_regularity(case):
+    t, _, seeds, primes = case
+    return gin_mod.ek_betti(_oracle_gin(t, seeds, primes)).regularity != tuples.regularity_closed_form(t) and t
 
 
 # ---------------------------------------------------------------- enumeration
@@ -404,7 +394,7 @@ def brute_force_linear_in_class(minimal: TetTuple, max_entry: int) -> set[TetTup
     }
 
 
-def check_two_skew_vs_brute_force() -> CheckResult:
+def check_two_skew_vs_brute_force(bound=None, seeds=None, primes=None) -> CheckResult:
     name = "two-skew-lines ascent equals brute force, oracle-linear"
     got = resolution.enumerate_linear_in_class(TWO_SKEW_LINES)
     brute = brute_force_linear_in_class(TWO_SKEW_LINES, 4)
@@ -430,7 +420,7 @@ def _erratum_evidence(action: str, t: TetTuple, listed: bool) -> str | None:
     return f"added {t} (oracle: linear, pd 2)" if holds else None
 
 
-def check_two_skew_vs_published() -> CheckResult:
+def check_two_skew_vs_published(bound=None, seeds=None, primes=None) -> CheckResult:
     """The ascent's orbits equal the published list amended by the errata,
     and the oracle confirms every erratum."""
     name = "two-skew-lines orbits match the published list"
@@ -457,7 +447,7 @@ def check_two_skew_vs_published() -> CheckResult:
     return CheckResult(name, False, f"extra {extra}, missing {missing}{refuted_note}")
 
 
-def check_acm_linear_families(bound: int) -> CheckResult:
+def check_acm_linear_families(bound: int, seeds=None, primes=None) -> CheckResult:
     """The shape classifier accepts exactly the ACM curves whose closed-form
     table is linear, and the oracle confirms one tuple of every accepted
     orbit to be ACM (projective dimension <= 1) with a linear table."""
@@ -479,22 +469,24 @@ def check_acm_linear_families(bound: int) -> CheckResult:
     return result
 
 
-def check_no_nonmin() -> CheckResult:
-    def deep(t):
-        top = max(t)
-        return any(
-            a6 == top and a1 > max(a3 + a5 + 2, a2 + a4 + 2) and a6 > max(a4 + a5 + 2, a2 + a3 + 2)
-            for a1, a2, a3, a4, a5, a6 in (tuples.permute(t, pi) for pi in tuples.VERTEX_PERMUTATIONS)
-        )
+def _deep(t):
+    top = max(t)
+    return any(
+        a6 == top and a1 > max(a3 + a5 + 2, a2 + a4 + 2) and a6 > max(a4 + a5 + 2, a2 + a3 + 2)
+        for a1, a2, a3, a4, a5, a6 in (tuples.permute(t, pi) for pi in tuples.VERTEX_PERMUTATIONS)
+    )
 
-    return _sweep("deep minimal curves admit only minimal ascents",
-                  (t for t in iter_tuples(12) if tuples.is_minimal(t) and deep(t)),
-                  lambda t: any(not tuples.is_minimal(parent) for parent, _ in resolution.ascent_candidates(t)))
+
+check_no_nonmin = Check(
+    "deep minimal curves admit only minimal ascents",
+    lambda *_: (t for t in iter_tuples(12) if tuples.is_minimal(t) and _deep(t)),
+    lambda t: any(not tuples.is_minimal(parent) for parent, _ in resolution.ascent_candidates(t)),
+)
 
 
 # ---------------------------------------------------------------- liaison addition
 
-def check_liaison_addition(r_max: int) -> CheckResult:
+def check_liaison_addition(bound: int, seeds=None, primes=None) -> CheckResult:
     ac = monomials.Monomial.parse("a*c")
     base = ideal_of_tuple((1, 0, 0, 0, 0, 1))
 
@@ -503,72 +495,43 @@ def check_liaison_addition(r_max: int) -> CheckResult:
         combined = ideal_of_tuple((r, 0, r - 1, r - 1, 0, r)).scaled(ac) + base.scaled(bd_r)
         return combined != ideal_of_tuple((r + 1, 0, r, r, 0, r + 1))
 
-    return _sweep(f"liaison addition identity for r = 1..{r_max}", range(1, r_max + 1), fails)
+    return _sweep(f"liaison addition identity for r = 1..{bound}", range(1, bound + 1), fails)
 
 
 # ---------------------------------------------------------------- truncation
 
-def check_truncation(bound: int) -> CheckResult:
-    def fails(case):
-        t, ideal, oracle, d = case
-        def tail(table):
-            return {k: v for k, v in table.as_dict().items() if k[1] >= k[0] + d + 1}
-        return tail(oracle) != tail(cached_betti_oracle(truncate(ideal, d))) and (t, d)
-
-    cases = (
-        (t, ideal, oracle, d)
-        for t in iter_tuples(bound)
-        for ideal in [ideal_of_tuple(t)]
-        for oracle in [cached_betti_oracle(ideal)]
-        for d in range(1, oracle.regularity + 2)
-    )
-    return _sweep("truncation preserves Betti numbers above the cut", cases, fails)
+@row("truncation preserves Betti numbers above the cut", lambda b, *_: (
+    (t, ideal, oracle, d)
+    for t in iter_tuples(b)
+    for ideal in [ideal_of_tuple(t)]
+    for oracle in [cached_betti_oracle(ideal)]
+    for d in range(1, oracle.regularity + 2)
+))
+def check_truncation(case):
+    t, ideal, oracle, d = case
+    whole, cut = ({k: v for k, v in table.as_dict().items() if k[1] >= k[0] + d + 1}
+                  for table in (oracle, cached_betti_oracle(truncate(ideal, d))))
+    return whole != cut and (t, d)
 
 
 # ---------------------------------------------------------------- suites
 
-# suite -> (default bound, checks); a check is called as check(bound, (seed, seed + 1), primes)
-# and the suite runs its checks one at a time, so an abort keeps the earlier results
+# suite -> (default bound, checks); the suite calls each check as
+# check(bound, (seed, seed + 1), primes), one at a time, so an abort keeps
+# the earlier results
 SUITES = {
-    "reduction": (7, (
-        lambda b, s, p: check_degree_vs_hilbert(b),
-        lambda b, s, p: check_degree_additivity(b),
-        lambda b, s, p: check_bdl_reconstruction(b),
-        lambda b, s, p: check_minimality_criterion(b),
-        lambda b, s, p: check_maxweight_monotone(b),
-        lambda b, s, p: check_fdegree(b),
-        lambda b, s, p: check_s4_invariance(min(b, 5)),
-    )),
-    "betti": (7, (
-        lambda b, s, p: check_builder_vs_oracle_all_choices(b),
-        lambda b, s, p: check_random_builder_vs_oracle(s[0]),
-        lambda b, s, p: check_minimal_formula(),
-        lambda b, s, p: check_sum_rule(min(b, 6)),
-        lambda b, s, p: check_projective_dimension(b),
-        lambda b, s, p: check_non_acm_shape(b),
-    )),
-    "cwl": (6, (
-        lambda b, s, p: check_cwl_oracle(b),
-        lambda b, s, p: check_schwartau(b),
-        lambda b, s, p: check_hope(b),
-    )),
-    "regularity": (7, (lambda b, s, p: check_regularity(b),)),
-    "gin": (6, (
-        lambda b, s, p: check_gin_acm_examples(),
-        lambda b, s, p: check_ek_vs_prediction(b),
-        lambda b, s, p: check_gin_acm_wellformed(min(b, 6)),
-        lambda b, s, p: check_buchsbaum_gin(s, p),
-        lambda b, s, p: check_gin_vs_oracle(min(b, 6), s, p),
-        lambda b, s, p: check_gin_regularity(min(b, 5), s, p),
-    )),
-    "enumeration": (10, (
-        lambda b, s, p: check_two_skew_vs_brute_force(),
-        lambda b, s, p: check_two_skew_vs_published(),
-        lambda b, s, p: check_acm_linear_families(b),
-        lambda b, s, p: check_no_nonmin(),
-    )),
-    "liaison-addition": (4, (lambda b, s, p: check_liaison_addition(b),)),
-    "truncation": (6, (lambda b, s, p: check_truncation(b),)),
+    "reduction": (7, (check_degree_vs_hilbert, check_degree_additivity, check_bdl_reconstruction,
+                      check_minimality_criterion, check_maxweight_monotone, check_fdegree, check_s4_invariance)),
+    "betti": (7, (check_builder_vs_oracle_all_choices, check_random_builder_vs_oracle, check_minimal_formula,
+                  check_sum_rule, check_projective_dimension, check_non_acm_shape)),
+    "cwl": (6, (check_cwl_oracle, check_schwartau, check_hope)),
+    "regularity": (7, (check_regularity,)),
+    "gin": (6, (check_gin_acm_examples, check_ek_vs_prediction, check_gin_acm_wellformed, check_buchsbaum_gin,
+                check_gin_vs_oracle, check_gin_regularity)),
+    "enumeration": (10, (check_two_skew_vs_brute_force, check_two_skew_vs_published, check_acm_linear_families,
+                         check_no_nonmin)),
+    "liaison-addition": (4, (check_liaison_addition,)),
+    "truncation": (6, (check_truncation,)),
 }
 
 SUITE_NAMES = tuple(SUITES)

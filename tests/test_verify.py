@@ -134,6 +134,28 @@ def test_gin_checks_share_one_oracle_gin_per_tuple(monkeypatch):
     verify._oracle_gin.cache_clear()
     result = verify.run_suite("gin", bound=4)
     assert result.passed
-    # three Buchsbaum models, then one call per tuple for the oracle and regularity checks together
+    # three Buchsbaum models, of which (1,0,0,0,0,1) is also a tuple of weight <= 4, then one call
+    # per tuple for the oracle and regularity checks together
     assert [c.detail for c in result.checks[-3:]] == ["6 cases", "194 cases", "194 cases"]
-    assert len(calls) == 3 + 194
+    assert len(calls) == 2 + 194
+
+
+def test_a_row_lowers_the_bound_to_its_cap():
+    capped = verify.Check("capped", lambda bound, *_: range(bound), lambda case: False, cap=3)
+    assert capped(10) == verify.CheckResult("capped", True, "3 cases")
+
+
+def test_caps_of_the_suite_rows():
+    caps = {
+        check.name: check.cap
+        for _, checks in verify.SUITES.values()
+        for check in checks
+        if isinstance(check, verify.Check) and check.cap is not None
+    }
+    assert caps == {
+        "classifiers invariant under the symmetry action": 5,
+        "alternating sums match the Hilbert numerator": 6,
+        "gin_acm stable, in a and b, Hilbert-preserving": 6,
+        "gin_of_curve equals the Groebner oracle": 6,
+        "gin regularity equals closed-form regularity": 5,
+    }
