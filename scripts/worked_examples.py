@@ -17,7 +17,7 @@ def show_reduction(text: str) -> None:
     trace = reduction_trace(t)
     for step in trace.steps:
         print(
-            f"  ({step.parent})  --{step.type.name}:  G={step.G_name}, F={step.F},"
+            f"  ({step.parent})  --{step.G_name.upper()}:  G={step.G_name}, F={step.F},"
             f" deg F={step.weight}-->  ({step.child})"
         )
     print(f"  terminal: ({trace.terminal}) [{trace.terminal_kind.value}]\n")

@@ -36,10 +36,10 @@ _EXPORTS = {
     "gin_oracle": "groebner",
     **dict.fromkeys(
         (
-            "ClassificationReport", "ReductionStep", "ReductionTrace", "ReductionType", "TetTuple",
-            "apply_reduction", "canonicalize", "ci_power_form", "degree_of_tuple", "facet_weights",
-            "is_cwl", "is_minimal", "reduction_applicable", "reduction_trace",
-            "regularity_closed_form", "schwartau_status",
+            "ClassificationReport", "ReductionStep", "ReductionTrace", "TetTuple", "apply_reduction",
+            "canonicalize", "ci_power_form", "degree_of_tuple", "facet_weights", "is_cwl",
+            "is_minimal", "reduction_applicable", "reduction_trace", "regularity_closed_form",
+            "schwartau_status",
         ),
         "tuples",
     ),

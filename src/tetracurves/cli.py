@@ -102,7 +102,7 @@ def _run_reduce(args) -> tuple[dict, int]:
     if args.trace:
         result["steps"] = [
             {
-                "type": step.type.name,
+                "type": step.G_name.upper(),
                 "parent": str(step.parent),
                 "child": str(step.child),
                 "F": str(step.F),
@@ -186,8 +186,9 @@ def _run_verify(args) -> tuple[dict, int]:
         raise argparse.ArgumentError(
             None, f"unknown suite {args.suite!r}; choose from {', '.join(verify.SUITE_NAMES)}"
         )
-    if args.bound is not None and args.bound < 1:
-        raise argparse.ArgumentError(None, "--bound must be at least 1")
+    # 12 is the largest sweep a check already runs at every bound
+    if args.bound is not None and not 1 <= args.bound <= 12:
+        raise argparse.ArgumentError(None, "--bound must be between 1 and 12")
     names = verify.SUITE_NAMES if args.suite == "all" else (args.suite,)
     results = [
         verify.run_suite(n, bound=args.bound, seed=args.seed, primes=args.primes)

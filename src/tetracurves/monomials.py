@@ -19,23 +19,13 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .exceptions import BoundTooSmallError, FNotInIdealError, GDividesFError, refuse_over_limit
-from .tuples import NVARS, VARIABLES
+from .tuples import NVARS, VARIABLES, variable_index
 
 # the grid's peak bytes per cell (two int64 arrays of the least d-exponent
 # and boolean masks; 17.0 measured) and hilbert_data's per degree up to the
 # bound (Python lists of ints; 65.4 measured)
 _GRID_BYTES_PER_CELL = 17
 _HILBERT_BYTES_PER_DEGREE = 66
-
-
-def variable_index(g: int | str) -> int:
-    """Accept a variable as an index 0..3 or as one letter of a..d; anything
-    else, a bool, "" or "bc" too, raises ValueError."""
-    if isinstance(g, str) and len(g) == 1 and g in VARIABLES:
-        return VARIABLES.index(g)
-    if isinstance(g, int) and not isinstance(g, bool) and 0 <= g < NVARS:
-        return g
-    raise ValueError(f"not a variable: {g!r}")
 
 
 @dataclass(frozen=True, slots=True)

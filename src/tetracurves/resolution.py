@@ -29,7 +29,6 @@ from .koszul import BettiTable
 from .tuples import (
     ClassificationReport,
     ReductionTrace,
-    ReductionType,
     Run,
     TetTuple,
     apply_reduction,
@@ -45,7 +44,6 @@ from .tuples import (
     reduction_trace,
     regularity_closed_form,
     FACET_POSITIONS,
-    _TYPES,
 )
 
 _BYTES_PER_ENTRY = 610  # peak RSS of `betti --format json` per entry (slope over two sizes: 606-607)
@@ -204,16 +202,13 @@ def acm_linear_family(t: TetTuple) -> tuple[str, int | None] | None:
     return (tag, None) if (tag := _FIXED_LINEAR_ACM_FAMILIES.get(canonicalize(t))) else None
 
 
-def ascent_candidates(
-    t: TetTuple, required_F_degree: int | None = None
-) -> set[tuple[TetTuple, ReductionType]]:
-    """All (parent, type) with apply_reduction(parent, type).child == t and,
-    when a degree is given, deg F equal to it.  Facet entries of the parent
+def ascent_candidates(t: TetTuple, required_F_degree: int | None = None) -> set[tuple[TetTuple, int]]:
+    """All (parent, G) with apply_reduction(parent, G).child == t and, when
+    a degree is given, deg F equal to it.  Facet entries of the parent
     are a_i + 1 where a_i > 0 and independently 0 or 1 where a_i = 0, and
     deg F is their sum."""
-    out: set[tuple[TetTuple, ReductionType]] = set()
-    for ty in _TYPES:
-        positions = FACET_POSITIONS[ty.vertex]
+    out: set[tuple[TetTuple, int]] = set()
+    for G, positions in enumerate(FACET_POSITIONS):
         for raised in product(*((t[i] + 1,) if t[i] else (0, 1) for i in positions)):
             if required_F_degree is not None and sum(raised) != required_F_degree:
                 continue
@@ -221,8 +216,8 @@ def ascent_candidates(
             for i, a in zip(positions, raised):
                 parent[i] = a
             # a parent equal to t has a zero facet, which no reduction applies to
-            if reduction_applicable(parent, ty):
-                out.add((TetTuple(parent), ty))
+            if reduction_applicable(parent, G):
+                out.add((TetTuple(parent), G))
     return out
 
 
@@ -316,7 +311,7 @@ def all_max_weight_chains(t: TetTuple):
     if not choices:
         yield (t,)
         return
-    for ty in choices:
-        child = apply_reduction(t, ty).child
+    for G in choices:
+        child = apply_reduction(t, G).child
         for rest in all_max_weight_chains(child):
             yield (t,) + rest

@@ -14,12 +14,13 @@ unequal weights: the shapes the calculus names are read off it.
 Each vertex v determines a reduction: when the three edges at v dominate
 the opposite triangle, the curve is a basic double link ``G*I + (F)`` of
 the curve with those three edge weights lowered by one, where G is the
-vertex variable and F collects the edge weights at v.  A `ReductionStep`
-holds the type, parent and child; G, F and deg F are read off them, and F,
-the one `Monomial`, is formed only when read.  Iterating along
-facets of maximal weight drives every curve down to the trivial curve or
-to a minimal one, and the shape of that chain decides ACM-ness,
-componentwise linearity, and regularity.
+vertex variable and F collects the edge weights at v.  A reduction is named
+by its vertex G, an index 0..3 (`variable_index` also reads a..d), and a
+`ReductionStep` is G, parent and child; F and deg F are read off them, and
+F, the one `Monomial`, is formed only when read.  Iterating along facets of
+maximal weight drives every curve down to the trivial curve or to a minimal
+one, and the shape of that chain decides ACM-ness, componentwise
+linearity, and regularity.
 
 `reduction_trace` works on the six integers and jumps over periods.  Each
 step's vertex comes from `_max_weight_vertex`, which forms the four facet
@@ -61,6 +62,17 @@ if TYPE_CHECKING:
 
 VARIABLES = "abcd"
 NVARS = 4
+
+
+def variable_index(g: int | str) -> int:
+    """Accept a variable as an index 0..3 or as one letter of a..d; anything
+    else, a bool, "" or "bc" too, raises ValueError."""
+    if isinstance(g, str) and len(g) == 1 and g in VARIABLES:
+        return VARIABLES.index(g)
+    if isinstance(g, int) and not isinstance(g, bool) and 0 <= g < NVARS:
+        return g
+    raise ValueError(f"not a variable: {g!r}")
+
 
 # Edge i of the tetrahedron (0-based) joins these two vertices; opposite
 # edges are at positions (0,5), (1,4), (2,3).
@@ -151,23 +163,6 @@ def pair_profile(t: Sequence[int]) -> list[tuple[int, int]]:
     return sorted((t[i], t[j]) if t[i] <= t[j] else (t[j], t[i]) for i, j in OPPOSITE_PAIRS)
 
 
-class ReductionType(Enum):
-    """The four reduction systems; each is attached to one vertex of the
-    tetrahedron (A to a, ..., D to d) and uses that vertex variable as G."""
-
-    A = 0
-    B = 1
-    C = 2
-    D = 3
-
-    @property
-    def vertex(self) -> int:
-        return self._value_
-
-
-_TYPES = tuple(ReductionType)  # A..D; a tuple iterates faster than the Enum class
-
-
 def _facet_positions(v: int) -> tuple[int, ...]:
     return tuple(i for i, e in enumerate(EDGES) if v in e)
 
@@ -201,58 +196,60 @@ def _slack(e, row: tuple[int, int, int]) -> int:
     return e[i] + e[j] - e[k]
 
 
-def reduction_applicable(t: Sequence[int], ty: ReductionType) -> bool:
-    """True when t is non-trivial and the three inequalities of system ty hold."""
-    return all(_slack(t, row) >= 0 for row in TRIANGLE_ROWS[ty.vertex]) and any(t)
+def _applicable(t: Sequence[int], v: int) -> bool:
+    return all(_slack(t, row) >= 0 for row in TRIANGLE_ROWS[v]) and any(t)
+
+
+def reduction_applicable(t: Sequence[int], G: int | str) -> bool:
+    """True when t is non-trivial and the three inequalities at vertex G hold."""
+    return _applicable(t, variable_index(G))
 
 
 @dataclass(frozen=True)
 class ReductionStep:
-    """One basic double link: parent = G * I(child) + (F), with G and F read
-    off the type and the parent."""
+    """One basic double link: parent = G * I(child) + (F), with G the vertex
+    index 0..3 and F read off G and the parent."""
 
-    type: ReductionType
+    G: int
     parent: TetTuple
     child: TetTuple
 
     @property
-    def G(self) -> int:
-        return self.type.vertex
-
-    @property
     def G_name(self) -> str:
-        return VARIABLES[self.type.vertex]
+        return VARIABLES[self.G]
 
     @property
     def weight(self) -> int:
         """deg F, the facet weight of the reduced facet on the parent."""
-        return sum(self.parent[i] for i in FACET_POSITIONS[self.type.vertex])
+        return sum(self.parent[i] for i in FACET_POSITIONS[self.G])
 
     @property
     def F(self) -> Monomial:
         from .monomials import Monomial  # the monomial engine loads only when F is read
 
-        v, exps = self.type.vertex, [0] * NVARS
+        v, exps = self.G, [0] * NVARS
         for i in FACET_POSITIONS[v]:
             exps[sum(EDGES[i]) - v] = self.parent[i]  # the edge's other end
         return Monomial(tuple(exps))
 
 
-def apply_reduction(t: TetTuple, ty: ReductionType) -> ReductionStep:
-    """Reduce the facet of type ty, lowering its three edge weights by one."""
-    if not reduction_applicable(t, ty):
-        raise NotApplicableError(f"reduction {ty.name} not applicable to ({t})")
+def apply_reduction(t: TetTuple, G: int | str) -> ReductionStep:
+    """Reduce the facet at vertex G, lowering its three edge weights by one."""
+    return _reduce(t, variable_index(G))
+
+
+def _reduce(t: TetTuple, v: int) -> ReductionStep:
+    if not _applicable(t, v):
+        raise NotApplicableError(f"reduction {VARIABLES[v].upper()} not applicable to ({t})")
     child = list(t)
-    for i in FACET_POSITIONS[ty.vertex]:
+    for i in FACET_POSITIONS[v]:
         child[i] = max(0, child[i] - 1)
-    return ReductionStep(ty, t, TetTuple(child))
+    return ReductionStep(v, t, TetTuple(child))
 
 
-def is_minimal(t: TetTuple) -> bool:
+def is_minimal(t: Sequence[int]) -> bool:
     """True when t is non-trivial and admits none of the four reductions."""
-    if t.is_trivial:
-        return False
-    return not any(reduction_applicable(t, ty) for ty in _TYPES)
+    return any(t) and not any(_applicable(t, v) for v in range(NVARS))
 
 
 def minimal_by_weight_test(t: TetTuple) -> bool:
@@ -290,20 +287,15 @@ def _max_weight_vertex(e: Sequence[int]) -> tuple[int | None, tuple[int, int, in
                 else:
                     return v, fw
         # a non-minimal curve can always be reduced along a maximal-weight facet
-        if any(reduction_applicable(e, ty) for ty in _TYPES):
+        if not is_minimal(e):
             raise AssertionError(f"no maximal-weight reduction found for {tuple(e)}")
     return None, fw
 
 
-def max_weight_choices(t: TetTuple) -> list[ReductionType]:
-    """All applicable reductions along facets of maximal weight."""
+def max_weight_choices(t: TetTuple) -> list[int]:
+    """The vertices of all applicable reductions along facets of maximal weight."""
     weights = facet_weights(t)
-    top = max(weights)
-    return [
-        ty
-        for ty in _TYPES
-        if weights[ty.vertex] == top and reduction_applicable(t, ty)
-    ]
+    return [v for v in range(NVARS) if weights[v] == max(weights) and _applicable(t, v)]
 
 
 class TerminalKind(Enum):
@@ -354,7 +346,7 @@ class _TraceSteps(Sequence):
         steps, cur = [], self._start
         for run in self._runs:
             for v in run.vertices * run.count:
-                steps.append(apply_reduction(cur, ReductionType(v)))
+                steps.append(_reduce(cur, v))
                 cur = steps[-1].child
         return tuple(steps)
 
@@ -381,8 +373,11 @@ class ReductionTrace:
     runs: tuple[Run, ...]
     step_count: int  # len(steps), also past sys.maxsize, where len overflows
     terminal: TetTuple
-    terminal_kind: TerminalKind
     first_ci_power: tuple[int, int] | None
+
+    @property
+    def terminal_kind(self) -> TerminalKind:
+        return TerminalKind.TRIVIAL if self.terminal.is_trivial else TerminalKind.MINIMAL
 
     @property
     def weights(self) -> tuple[int, ...]:
@@ -400,7 +395,7 @@ class ReductionTrace:
 
     @property
     def is_acm(self) -> bool:
-        return self.terminal_kind is TerminalKind.TRIVIAL
+        return self.terminal.is_trivial
 
     @property
     def is_cwl(self) -> bool:
@@ -485,13 +480,11 @@ def reduction_trace(t: TetTuple) -> ReductionTrace:
                 vertices, weights, states = [], [], []
             break
         v, fw = _max_weight_vertex(e)
-    terminal = TetTuple(e)
     return ReductionTrace(
         start=t,
         runs=tuple(runs + _stretch(vertices, weights)),
         step_count=done + len(vertices),
-        terminal=terminal,
-        terminal_kind=TerminalKind.TRIVIAL if terminal.is_trivial else TerminalKind.MINIMAL,
+        terminal=TetTuple(e),
         first_ci_power=ci,
     )
 

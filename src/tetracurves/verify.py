@@ -150,12 +150,11 @@ check_degree_additivity = Check(
 
 
 @row("G*I(child) + (F) rebuilds the parent ideal",
-     lambda b, *_: ((t, ty) for t in iter_tuples(b) for ty in tuples._TYPES if tuples.reduction_applicable(t, ty)))
+     lambda b, *_: ((t, G) for t in iter_tuples(b) for G in range(tuples.NVARS) if tuples.reduction_applicable(t, G)))
 def check_bdl_reconstruction(case):
-    t, ty = case
-    step = tuples.apply_reduction(t, ty)
+    step = tuples.apply_reduction(*case)
     rebuilt = basic_double_link(ideal_of_tuple(step.child), step.G, step.F)
-    return rebuilt != ideal_of_tuple(t) and (t, ty.name)
+    return rebuilt != ideal_of_tuple(step.parent) and (step.parent, step.G_name.upper())
 
 
 check_minimality_criterion = Check("definitional minimality equals the weight criterion", _tuples,

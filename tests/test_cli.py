@@ -190,7 +190,7 @@ class TestPublicApi:
     def test_all_is_the_pinned_list(self):
         assert tetracurves.__all__ == [
             "BettiTable", "ClassificationReport", "HilbertData", "Monomial", "MonomialIdeal",
-            "ReductionStep", "ReductionTrace", "ReductionType", "StableIdeal", "TetTuple",
+            "ReductionStep", "ReductionTrace", "StableIdeal", "TetTuple",
             "acm_linear_family", "apply_reduction", "ascent_candidates", "basic_double_link",
             "betti_table", "betti_table_oracle", "canonicalize", "ci_power_betti", "ci_power_form",
             "classify", "component_ideal", "degree_of_tuple", "ek_betti", "enumerate_linear_in_class",
@@ -524,8 +524,8 @@ class TestVerifyCommand:
             main(["verify", "--suite", "nope"])
         assert exc.value.code == 2
 
-    @pytest.mark.parametrize("bound", ["-1", "0"])
-    def test_bound_below_one_is_usage_error(self, capsys, bound):
+    @pytest.mark.parametrize("bound", ["-1", "0", "13", "1" + "0" * 29])
+    def test_bound_outside_one_to_twelve_is_usage_error(self, capsys, bound):
         with pytest.raises(SystemExit) as exc:
             main(["verify", "--suite", "regularity", "--bound", bound])
         assert exc.value.code == 2

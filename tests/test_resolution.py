@@ -30,7 +30,6 @@ from tetracurves.resolution import (
     resolution_recipe,
 )
 from tetracurves.tuples import (
-    ReductionType,
     TetTuple,
     apply_reduction,
     buchsbaum_minimal_r,
@@ -378,9 +377,9 @@ class TestAscentCandidates:
         assert T("2,1,0,0,0,1") in parents
         assert T("2,0,1,0,0,1") in parents
         assert all(
-            apply_reduction(p, ty).child == T("1,0,0,0,0,1") and
-            apply_reduction(p, ty).weight == 3
-            for p, ty in got
+            apply_reduction(p, G).child == T("1,0,0,0,0,1") and
+            apply_reduction(p, G).weight == 3
+            for p, G in got
         )
 
     def test_single_lines_over_trivial(self):
@@ -393,26 +392,26 @@ class TestAscentCandidates:
         target = T("0,4,4,4,4,0")
         got = ascent_candidates(target, 10)
         assert got
-        for parent, ty in got:
-            step = apply_reduction(parent, ty)
+        for parent, G in got:
+            step = apply_reduction(parent, G)
             assert step.child == target and step.weight == 10
         assert all(p != T("2,5,5,5,5,0") for p, _ in got)
 
     @given(small_tuples)
     @settings(max_examples=30)
     def test_every_candidate_reduces_back(self, t):
-        for parent, ty in ascent_candidates(t):
-            assert apply_reduction(parent, ty).child == t
+        for parent, G in ascent_candidates(t):
+            assert apply_reduction(parent, G).child == t
 
     def test_equals_brute_force_up_to_weight_6(self):
-        # every (p, ty) with each p_i in {t_i, t_i + 1} that reduces to t,
+        # every (p, G) with each p_i in {t_i, t_i + 1} that reduces to t,
         # found by applying the reduction: a dropped or extra candidate fails
         for t in verify.iter_tuples(6, include_trivial=True):
             by_degree = {}
             for p in map(TetTuple, itertools.product(*((a, a + 1) for a in t))):
-                for ty in ReductionType:
-                    if p != t and reduction_applicable(p, ty) and (step := apply_reduction(p, ty)).child == t:
-                        by_degree.setdefault(step.weight, set()).add((p, ty))
+                for G in range(4):
+                    if p != t and reduction_applicable(p, G) and (step := apply_reduction(p, G)).child == t:
+                        by_degree.setdefault(step.weight, set()).add((p, G))
             assert ascent_candidates(t) == set().union(*by_degree.values()), t
             # deg F is at most the parent's largest facet weight, sum(t) + 3
             for d in range(sum(t) + 5):

@@ -10,7 +10,6 @@ from tetracurves.koszul import BettiTable
 from tetracurves.monomials import Monomial
 from tetracurves.tuples import (
     EDGES,
-    ReductionType,
     TetTuple,
     TerminalKind,
     VERTEX_PERMUTATIONS,
@@ -93,40 +92,62 @@ class TestFacetWeights:
 class TestApplicability:
     def test_worked_example(self):
         t = T("3,3,3,1,2,4")
-        assert reduction_applicable(t, ReductionType.A)
-        assert not reduction_applicable(t, ReductionType.B)
-        assert reduction_applicable(t, ReductionType.C)
-        assert reduction_applicable(t, ReductionType.D)
+        assert reduction_applicable(t, 0)
+        assert not reduction_applicable(t, 1)
+        assert reduction_applicable(t, 2)
+        assert reduction_applicable(t, 3)
 
     def test_trivial_admits_nothing(self):
-        for ty in ReductionType:
-            assert not reduction_applicable(T("0,0,0,0,0,0"), ty)
+        for v in range(4):
+            assert not reduction_applicable(T("0,0,0,0,0,0"), v)
+
+
+class TestVertexValidation:
+    """Both entry points take a vertex as `variable_index` accepts it."""
+
+    @pytest.mark.parametrize("call", [apply_reduction, reduction_applicable])
+    @pytest.mark.parametrize("G", [-1, 4, True, "", "bc", "A"])
+    def test_refuses_a_non_vertex(self, call, G):
+        with pytest.raises(ValueError, match="not a variable"):
+            call(T("3,3,3,1,2,4"), G)
+
+    @pytest.mark.parametrize("call", [apply_reduction, reduction_applicable])
+    @pytest.mark.parametrize("v", range(4))
+    def test_index_and_letter_agree(self, call, v):
+        def outcome(G):
+            try:
+                return call(t, G)
+            except NotApplicableError as exc:
+                return str(exc)
+
+        for t in (T("3,3,3,1,2,4"), T("1,0,0,0,0,1"), T("0,0,0,0,0,0")):
+            assert outcome(v) == outcome("abcd"[v]), (t, v)
 
 
 class TestApplyReduction:
     def test_type_a(self):
-        step = apply_reduction(T("3,3,3,1,2,4"), ReductionType.A)
+        step = apply_reduction(T("3,3,3,1,2,4"), 0)
         assert step.child == T("2,2,2,1,2,4")
         assert step.F == Monomial.parse("b^3*c^3*d^3")
         assert step.G_name == "a"
 
     def test_type_d(self):
-        step = apply_reduction(T("3,3,3,1,2,4"), ReductionType.D)
+        step = apply_reduction(T("3,3,3,1,2,4"), 3)
         assert step.child == T("3,3,2,1,1,3")
         assert step.F == Monomial.parse("a^3*b^2*c^4")
         assert step.G_name == "d"
 
     def test_single_line(self):
-        step = apply_reduction(T("1,0,0,0,0,0"), ReductionType.A)
+        step = apply_reduction(T("1,0,0,0,0,0"), 0)
         assert step.child.is_trivial
         assert step.F == Monomial.parse("b")
         assert step.G_name == "a"
 
     def test_not_applicable(self):
+        with pytest.raises(NotApplicableError, match=r"reduction B not applicable to \(3,3,3,1,2,4\)"):
+            apply_reduction(T("3,3,3,1,2,4"), 1)
         with pytest.raises(NotApplicableError):
-            apply_reduction(T("3,3,3,1,2,4"), ReductionType.B)
-        with pytest.raises(NotApplicableError):
-            apply_reduction(T("0,0,0,0,0,0"), ReductionType.A)
+            apply_reduction(T("0,0,0,0,0,0"), 0)
 
 
 def reference_form(t, v):
@@ -141,23 +162,23 @@ def reference_form(t, v):
 
 
 class TestDerivedStepForms:
-    """A step holds its type, parent and child; F, G, G_name and deg F are
-    read off them and must equal the reference forms."""
+    """A step holds its vertex G, parent and child; F, G_name and deg F
+    are read off them and must equal the reference forms."""
 
     @staticmethod
     def assert_forms(step):
-        v = step.type.vertex
+        v = step.G
         F = reference_form(step.parent, v)
         assert (step.F, step.G, step.G_name, step.weight) == (F, v, "abcd"[v], F.degree), step
 
     def test_fields(self):
-        assert [f.name for f in dataclasses.fields(tuples.ReductionStep)] == ["type", "parent", "child"]
+        assert [f.name for f in dataclasses.fields(tuples.ReductionStep)] == ["G", "parent", "child"]
 
     def test_every_applicable_reduction_up_to_weight_6(self):
         for t in iter_tuples(6):
-            for ty in ReductionType:
-                if reduction_applicable(t, ty):
-                    self.assert_forms(apply_reduction(t, ty))
+            for v in range(4):
+                if reduction_applicable(t, v):
+                    self.assert_forms(apply_reduction(t, v))
 
     def test_every_trace_step_up_to_weight_6(self):
         for t in iter_tuples(6):
@@ -170,9 +191,9 @@ def max_weight_reduction(t):
     applicable facet of maximal weight, ties broken A < B < C < D; None at
     the trivial curve and at minimal curves."""
     weights = facet_weights(t)
-    for ty in ReductionType:
-        if weights[ty.vertex] == max(weights) and reduction_applicable(t, ty):
-            return apply_reduction(t, ty)
+    for v in range(4):
+        if weights[v] == max(weights) and reduction_applicable(t, v):
+            return apply_reduction(t, v)
     return None
 
 
@@ -181,12 +202,12 @@ class TestMaxWeightReduction:
 
     def test_tie_break_prefers_a(self):
         step = reduction_trace(T("3,3,3,1,2,4")).steps[0]
-        assert step.type is ReductionType.A
+        assert step.G == 0
         assert step.child == T("2,2,2,1,2,4")
 
     def test_chain_element(self):
         step = reduction_trace(T("2,2,1,1,1,3")).steps[0]
-        assert step.type is ReductionType.C
+        assert step.G == 2
         assert step.child == T("2,1,1,0,1,2")
 
 
@@ -225,7 +246,7 @@ class TestReductionTrace:
     def test_fields(self):
         # the CI-power base is kept once, as (chain index, r)
         assert [f.name for f in dataclasses.fields(tuples.ReductionTrace)] == [
-            "start", "runs", "step_count", "terminal", "terminal_kind", "first_ci_power"
+            "start", "runs", "step_count", "terminal", "first_ci_power"
         ]
 
 
@@ -241,7 +262,7 @@ def stepwise_trace(t):
         step = max_weight_reduction(cur)
         if step is None:
             break
-        vertices.append(step.type.vertex)
+        vertices.append(step.G)
         weights.append(step.weight)
         cur = step.child
     kind = TerminalKind.TRIVIAL if cur.is_trivial else TerminalKind.MINIMAL
@@ -251,7 +272,7 @@ def stepwise_trace(t):
 def trace_record(t):
     trace = reduction_trace(t)
     return (
-        tuple(step.type.vertex for step in trace.steps),
+        tuple(step.G for step in trace.steps),
         trace.weights,
         trace.terminal,
         trace.terminal_kind,
@@ -609,7 +630,7 @@ class TestRunRecord:
             t = TetTuple(tuple(rng.randint(0, 300) for _ in range(6)))
             trace = reduction_trace(t)
             vertices, weights = stepwise_trace(t)[:2]
-            assert tuple(step.type.vertex for step in trace.steps) == vertices and trace.weights == weights
+            assert tuple(step.G for step in trace.steps) == vertices and trace.weights == weights
             assert trace.step_count == len(trace.steps) == len(vertices)
             assert len(trace.runs) <= 25
 
