@@ -14,7 +14,6 @@ its one generator list and checks it for strong stability once.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import comb
 
 from .exceptions import NotACMError, NotStableError, TrivialCurveError, refuse_over_limit
@@ -34,11 +33,11 @@ def is_strongly_stable(ideal: MonomialIdeal) -> bool:
     (order a > b > c > d).  Adjacent swaps suffice: every swap is a chain of
     them, and an adjacent swap of a multiple u*w of a generator u moves a
     variable of u (in the ideal by the check) or of w (a multiple of u)."""
-    index = DivisorIndex(g.exps for g in ideal.generators)
-    for g in ideal.generators:
+    index = DivisorIndex(ideal)
+    for g in ideal:
         for k in range(1, 4):
-            if g.exps[k]:
-                swapped = list(g.exps)
+            if g[k]:
+                swapped = list(g)
                 swapped[k] -= 1
                 swapped[k - 1] += 1
                 if not index.divides(swapped):
@@ -46,28 +45,30 @@ def is_strongly_stable(ideal: MonomialIdeal) -> bool:
     return True
 
 
-@dataclass(frozen=True, eq=False)
 class StableIdeal(MonomialIdeal):
     """A strongly stable (Borel-fixed) monomial ideal."""
 
-    def __post_init__(self):
-        super().__post_init__()
+    __slots__ = ()
+
+    def __new__(cls, generators):
+        self = super().__new__(cls, generators)
         if not is_strongly_stable(self):
-            raise NotStableError(f"{MonomialIdeal(self.generators)} is not strongly stable")
+            raise NotStableError(f"{self} is not strongly stable")
+        return self
 
 
 def max_variable_index(m: Monomial) -> int:
     """Position (a=1, ..., d=4) of the last variable dividing m."""
-    return max(i + 1 for i, e in enumerate(m.exps) if e > 0)
+    return max(i + 1 for i, e in enumerate(m) if e > 0)
 
 
 def ek_betti(stable: StableIdeal) -> BettiTable:
     """Eliahou-Kervaire Betti numbers of a strongly stable ideal:
     beta_{i, deg(u)+i} += C(max_index(u) - 1, i) over minimal generators u."""
     if not isinstance(stable, StableIdeal):
-        stable = StableIdeal(stable.generators)
+        stable = StableIdeal(stable)
     table: dict[tuple[int, int], int] = {}
-    for u in stable.generators:
+    for u in stable:
         top = max_variable_index(u) - 1
         for i in range(top + 1):
             key = (i, u.degree + i)
@@ -110,7 +111,7 @@ def _folded_gin(trace) -> StableIdeal | None:
     # the top multiplies by a^j
     gens = base(r, n)
     gens += (Monomial((j, e, 0, 0)) for j, e in zip(range(n), trace.weights))
-    return StableIdeal(tuple(gens))
+    return StableIdeal(gens)
 
 
 def gin_acm(t: TetTuple) -> StableIdeal:

@@ -110,7 +110,7 @@ def leading_monomials(polys: dict[int, np.ndarray], top: int, primes: list[int])
         for lead, seen, cols in zip(leads, inherited, pivots):
             lead += [monomials_of_degree(d)[c] for c in cols if c not in seen]
         inherited = [set(_shifts(d)[:, cols].ravel().tolist()) for cols in pivots]
-    return [MonomialIdeal(tuple(lead)) for lead in leads]
+    return [MonomialIdeal(lead) for lead in leads]
 
 
 def _substituted(ideal: MonomialIdeal, matrices: list[list[list[int]]], primes: list[int]) -> dict[int, np.ndarray]:
@@ -135,8 +135,8 @@ def _substituted(ideal: MonomialIdeal, matrices: list[list[list[int]]], primes: 
         return images[e]
 
     by_degree: dict[int, list[np.ndarray]] = {}
-    for g in ideal.generators:
-        by_degree.setdefault(g.degree, []).append(image(g.exps))
+    for g in ideal:
+        by_degree.setdefault(g.degree, []).append(image(g))
     return {d: np.stack(rows, axis=1) for d, rows in by_degree.items()}
 
 
@@ -169,7 +169,7 @@ def gin_oracle(
     top = betti_table_oracle(ideal).regularity
     runs = [(seed, prime) for seed in seeds for prime in primes]
     # the largest stack sits at degree top: the shifts of I_(top-1) and the degree-top generators
-    height = NVARS * len(component_ideal(ideal, top - 1).generators) + sum(g.degree == top for g in ideal.generators)
+    height = NVARS * len(component_ideal(ideal, top - 1)) + sum(g.degree == top for g in ideal)
     refuse_over_limit(len(runs) * height * math.comb(top + 3, 3) * _BYTES_PER_CELL,
                       f"the stacked degree-{top} Macaulay matrices need")
     found, stable, pending = {}, {}, runs
@@ -187,8 +187,8 @@ def gin_oracle(
         detail = "; ".join(f"seed {s}, p {p}: {found[s, p]}" for s, p in runs)
         raise DisagreementError(f"gin runs disagree: {detail}")
     # equal Hilbert functions in degree top + 1: equally many monomials of that degree in each ideal
-    if len(component_ideal(first, top + 1).generators) != len(component_ideal(ideal, top + 1).generators):
+    if len(component_ideal(first, top + 1)) != len(component_ideal(ideal, top + 1)):
         raise DisagreementError(
             f"initial ideal of {ideal} up to degree {top} loses the Hilbert function in degree {top + 1}"
         )
-    return StableIdeal(first.generators)
+    return StableIdeal(first)

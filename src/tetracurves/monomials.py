@@ -19,29 +19,35 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .exceptions import BoundTooSmallError, FNotInIdealError, GDividesFError, refuse_over_limit
-from .tuples import NVARS, VARIABLES, variable_index
+from .tuples import NVARS, VARIABLES, TetTuple, variable_index
 
 # the grid's peak bytes per cell (two int64 arrays of the least d-exponent
-# and boolean masks; 17.0 measured) and hilbert_data's per degree up to the
-# bound (Python lists of ints; 65.4 measured)
+# and boolean masks; 17.0 measured), component_ideal's per monomial of the
+# degree (the monomials and their int64 rows; 152 by tracemalloc, 153 as the
+# slope of peak RSS from degree 150 to 300) and hilbert_data's per degree up
+# to the bound (the lists of values and the JSON answer; 125 to 147 as the
+# slope of peak RSS of `hilbert --format json` from 1 to 2..6 million)
 _GRID_BYTES_PER_CELL = 17
-_HILBERT_BYTES_PER_DEGREE = 66
+_BYTES_PER_MONOMIAL = 160
+_HILBERT_BYTES_PER_DEGREE = 150
 
 
-@dataclass(frozen=True, slots=True)
-class Monomial:
-    """A monomial in a, b, c, d given by its exponent vector."""
+class Monomial(tuple):
+    """A monomial in a, b, c, d: the tuple of its four non-negative integer
+    exponents, so it compares, hashes and sorts like that plain tuple."""
 
-    exps: tuple[int, int, int, int]
+    __slots__ = ()
 
-    def __post_init__(self):
-        if len(self.exps) != NVARS or min(self.exps) < 0:
-            raise ValueError(f"bad exponent vector {self.exps}")
+    def __new__(cls, exps):
+        self = tuple.__new__(cls, exps)
+        if len(self) != NVARS or any(type(e) is not int or e < 0 for e in self):
+            raise ValueError(f"bad exponent vector {tuple(self)}")
+        return self
 
     @classmethod
     def variable(cls, g: int | str) -> "Monomial":
         i = variable_index(g)
-        return cls(tuple(1 if j == i else 0 for j in range(NVARS)))
+        return cls(1 if j == i else 0 for j in range(NVARS))
 
     @classmethod
     def parse(cls, text: str) -> "Monomial":
@@ -49,7 +55,7 @@ class Monomial:
         text = text.strip()
         exps = [0, 0, 0, 0]
         if text in ("1", ""):
-            return cls(tuple(exps))
+            return cls(exps)
         for factor in text.split("*"):
             factor = factor.strip()
             if "^" in factor:
@@ -57,28 +63,25 @@ class Monomial:
                 exps[variable_index(var.strip())] += int(power)
             else:
                 exps[variable_index(factor)] += 1
-        return cls(tuple(exps))
+        return cls(exps)
+
+    @property
+    def exps(self) -> tuple[int, int, int, int]:
+        """The exponents as a plain tuple."""
+        return tuple(self)
 
     @property
     def degree(self) -> int:
-        return sum(self.exps)
+        return sum(self)
 
-    def divides(self, other: "Monomial") -> bool:
-        return all(s <= o for s, o in zip(self.exps, other.exps))
+    def divides(self, other: Sequence[int]) -> bool:
+        return all(s <= o for s, o in zip(self, other))
 
-    def __mul__(self, other: "Monomial") -> "Monomial":
-        return Monomial(tuple(s + o for s, o in zip(self.exps, other.exps)))
+    def __mul__(self, other: Sequence[int]) -> "Monomial":
+        return Monomial(s + o for s, o in zip(self, other))
 
     def __str__(self) -> str:
-        if self.degree == 0:
-            return "1"
-        parts = []
-        for var, e in zip(VARIABLES, self.exps):
-            if e == 1:
-                parts.append(var)
-            elif e > 1:
-                parts.append(f"{var}^{e}")
-        return "*".join(parts)
+        return "*".join(var if e == 1 else f"{var}^{e}" for var, e in zip(VARIABLES, self) if e) or "1"
 
     def __repr__(self) -> str:
         return f"Monomial({self})"
@@ -86,8 +89,7 @@ class Monomial:
 
 def display_key(m: Monomial) -> tuple:
     """Generator-list order: ascending degree, descending degrevlex within."""
-    e = m.exps
-    return (sum(e), e[3], e[2], e[1], e[0])
+    return (sum(m), m[3], m[2], m[1], m[0])
 
 
 class DivisorIndex:
@@ -124,71 +126,66 @@ def minimalize(monomials: Iterable[Monomial]) -> list[Monomial]:
     order, and the monomials kept on one walk stay an antichain."""
     index, kept = DivisorIndex(), []
     for m in sorted(set(monomials), key=display_key):
-        if not index.divides(m.exps):
-            index.add(m.exps)
+        if not index.divides(m):
+            index.add(m)
             kept.append(m)
     return kept
 
 
-@dataclass(frozen=True, eq=False)
-class MonomialIdeal:
-    """A monomial ideal, normalized to its minimal sorted generating set.
+class MonomialIdeal(tuple):
+    """A monomial ideal: the tuple of its minimal generators in `display_key`
+    order.  Minimal generating sets are unique, so equality of values (also
+    across subclasses) is equality of ideals, and `m in I` is membership of
+    the monomial m in the ideal."""
 
-    Minimal generating sets are unique, so equality of values is equality
-    of ideals (also across subclasses)."""
+    __slots__ = ()
 
-    generators: tuple[Monomial, ...]
-
-    def __post_init__(self):
-        gens = tuple(minimalize(self.generators))
-        object.__setattr__(self, "generators", gens)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, MonomialIdeal):
-            return NotImplemented
-        return self.generators == other.generators
-
-    def __hash__(self) -> int:
-        return hash(self.generators)
+    def __new__(cls, generators: Iterable[Monomial]):
+        return tuple.__new__(cls, minimalize(generators))
 
     @classmethod
-    def _from_minimal(cls, generators: tuple[Monomial, ...]) -> "MonomialIdeal":
+    def _from_minimal(cls, generators: Iterable[Monomial]) -> "MonomialIdeal":
         """Wrap generators that are already minimal and in `display_key` order."""
-        ideal = object.__new__(cls)
-        object.__setattr__(ideal, "generators", generators)
-        return ideal
+        return tuple.__new__(cls, generators)
 
     @classmethod
     def of(cls, *texts: str) -> "MonomialIdeal":
         return cls(tuple(Monomial.parse(t) for t in texts))
 
     @property
+    def generators(self) -> tuple[Monomial, ...]:
+        """The minimal generators as a plain tuple."""
+        return tuple(self)
+
+    @property
     def is_unit(self) -> bool:
-        return len(self.generators) == 1 and self.generators[0].degree == 0
+        return len(self) == 1 and self[0].degree == 0
 
     @property
     def is_zero(self) -> bool:
-        return not self.generators
+        return not self
 
     @property
     def min_generator_degree(self) -> int:
-        return min(g.degree for g in self.generators)
+        return min(g.degree for g in self)
 
-    def contains(self, m: Monomial) -> bool:
-        return any(g.divides(m) for g in self.generators)
+    def contains(self, m: Sequence[int]) -> bool:
+        return any(g.divides(m) for g in self)
+
+    __contains__ = contains
 
     def scaled(self, m: Monomial) -> "MonomialIdeal":
         """The ideal m * I."""
-        return MonomialIdeal(tuple(m * g for g in self.generators))
+        return MonomialIdeal(m * g for g in self)
 
     def __add__(self, other: "MonomialIdeal") -> "MonomialIdeal":
         return MonomialIdeal(self.generators + other.generators)
 
     def generator_strings(self) -> list[str]:
-        return [str(g) for g in self.generators]
+        return [str(g) for g in self]
 
     def __str__(self) -> str:
-        return "(" + ", ".join(self.generator_strings()) + ")" if self.generators else "(0)"
+        return "(" + ", ".join(self.generator_strings()) + ")" if self else "(0)"
 
     def __repr__(self) -> str:
         return f"MonomialIdeal{self}"
@@ -208,10 +205,7 @@ def ideal_of_tuple(t: Sequence[int]) -> MonomialIdeal:
     vertex, which bounds the grid.  Raises OracleTooLargeError when the grid
     would need more than ORACLE_MEMORY_LIMIT bytes."""
     import numpy as np
-    entries = tuple(t)
-    if len(entries) != 6 or any(a < 0 for a in entries):
-        raise ValueError(f"need six non-negative weights, got {entries}")
-    a01, a02, a03, a12, a13, a23 = entries
+    a01, a02, a03, a12, a13, a23 = TetTuple(t)
     shape = (max(a01, a02, a03) + 1, max(a01, a12, a13) + 1, max(a02, a12, a23) + 1)
     refuse_over_limit(math.prod(shape) * _GRID_BYTES_PER_CELL, f"the ideal's exponent grid {list(shape)} needs")
     e0, e1, e2 = np.indices(shape, sparse=True)
@@ -226,9 +220,14 @@ def ideal_of_tuple(t: Sequence[int]) -> MonomialIdeal:
     # display order (`display_key`): ascending degree, then ascending e3, e2,
     # e1, e0, which is descending degrevlex
     order = np.lexsort((exps[:, 0], exps[:, 1], exps[:, 2], exps[:, 3], exps.sum(axis=1)))
-    return MonomialIdeal._from_minimal(
-        tuple(Monomial(tuple(e)) for e in exps[order].tolist())
-    )
+    return MonomialIdeal._from_minimal(map(Monomial, exps[order].tolist()))
+
+
+def _exponent_rows(monomials: Sequence[Monomial]) -> np.ndarray:
+    """The exponent vectors as rows of an int64 array, read entry by entry:
+    numpy has no fast path for a list of tuple subclasses."""
+    import numpy as np
+    return np.fromiter(itertools.chain.from_iterable(monomials), np.int64, NVARS * len(monomials)).reshape(-1, NVARS)
 
 
 def exponent_box(
@@ -247,7 +246,7 @@ def exponent_box(
     the generators' d-exponents; a generator past a cap divides no box point
     and is dropped."""
     import numpy as np
-    gens = np.array([g.exps for g in ideal.generators], dtype=np.int64).reshape(-1, NVARS)
+    gens = _exponent_rows(ideal)
     top = gens.max(axis=0, initial=0)
     if bound is not None:
         top = np.minimum(top, bound)
@@ -263,12 +262,12 @@ def exponent_box(
 def basic_double_link(ideal: MonomialIdeal, g: int | str, F: Monomial) -> MonomialIdeal:
     """Minimal generators of g*I + (F) for a variable g and F in I."""
     gi = variable_index(g)
-    if F.exps[gi] > 0:
+    if F[gi] > 0:
         raise GDividesFError(f"{VARIABLES[gi]} divides {F}; (g, F) is not a regular sequence")
     if not ideal.contains(F):
         raise FNotInIdealError(f"{F} is not in {ideal}")
     xg = Monomial.variable(gi)
-    return MonomialIdeal(tuple(xg * m for m in ideal.generators) + (F,))
+    return MonomialIdeal((*(xg * m for m in ideal), F))
 
 
 @functools.lru_cache(maxsize=64)
@@ -292,11 +291,12 @@ def component_ideal(ideal: MonomialIdeal, d: int) -> MonomialIdeal:
     import numpy as np
     if d < 0:
         raise ValueError("degree must be non-negative")
+    refuse_over_limit(math.comb(d + 3, 3) * _BYTES_PER_MONOMIAL, f"the monomials of degree {d} need")
     least, top = exponent_box(ideal, bound=d)
     basis = monomials_of_degree(d)
-    e = np.minimum(np.array([m.exps for m in basis]), top)
+    e = np.minimum(_exponent_rows(basis), top)
     member = e[:, 3] >= least[e[:, 0], e[:, 1], e[:, 2]]
-    return MonomialIdeal._from_minimal(tuple(itertools.compress(basis, member.tolist())))
+    return MonomialIdeal._from_minimal(itertools.compress(basis, member.tolist()))
 
 
 def truncate(ideal: MonomialIdeal, d: int) -> MonomialIdeal:
@@ -304,8 +304,8 @@ def truncate(ideal: MonomialIdeal, d: int) -> MonomialIdeal:
 
     No element of I_d divides a minimal generator of higher degree, so the
     union is minimal."""
-    high = tuple(g for g in ideal.generators if g.degree > d)
-    return MonomialIdeal._from_minimal(component_ideal(ideal, d).generators + high)
+    high = (g for g in ideal if g.degree > d)
+    return MonomialIdeal._from_minimal((*component_ideal(ideal, d), *high))
 
 
 @dataclass(frozen=True)
@@ -351,7 +351,7 @@ def hilbert_data(ideal: MonomialIdeal, upto: int) -> HilbertData:
         raise ValueError("upto must be non-negative")
     refuse_over_limit((upto + 1) * _HILBERT_BYTES_PER_DEGREE, f"the Hilbert function up to degree {upto} needs")
     least, top = exponent_box(ideal, bound=upto)
-    capped = any(e > upto for g in ideal.generators for e in g.exps)
+    capped = any(e > upto for g in ideal for e in g)
     last = upto if capped else max(upto, int(top.sum()) + 2)  # the degree counted to
     axes = np.indices(least.shape, sparse=True)
     start = sum(axes)

@@ -230,7 +230,7 @@ class ReductionStep:
         v, exps = self.G, [0] * NVARS
         for i in FACET_POSITIONS[v]:
             exps[sum(EDGES[i]) - v] = self.parent[i]  # the edge's other end
-        return Monomial(tuple(exps))
+        return Monomial(exps)
 
 
 def apply_reduction(t: TetTuple, G: int | str) -> ReductionStep:

@@ -322,10 +322,10 @@ def check_gin_acm_wellformed(t):
     # functions here checks it against the counter on the curve's ideal
     g = gin_mod.gin_acm(t)
     ideal = ideal_of_tuple(t)
-    in_two_vars = all(m.exps[2] == 0 and m.exps[3] == 0 for m in g.generators)
+    in_two_vars = all(m[2] == 0 and m[3] == 0 for m in g)
     upto = cached_betti_oracle(ideal).regularity + 3
     hilbert_match = hilbert_data(g, upto).values == hilbert_data(ideal, upto).values
-    cwl_gens_ok = not tuples.is_cwl(t) or len(ideal.generators) == ideal.min_generator_degree + 1
+    cwl_gens_ok = not tuples.is_cwl(t) or len(ideal) == ideal.min_generator_degree + 1
     return not (gin_mod.is_strongly_stable(g) and in_two_vars and hilbert_match and cwl_gens_ok)
 
 

@@ -242,6 +242,10 @@ class TestHugeWeights:
             ["betti", "--oracle-check", "100000,100000,100000,100000,100000,100000"],
             # its boolean mask alone takes 25.2 GiB
             ["hilbert", "3000,3000,3000,3000,3000,3000", "--upto", "3000"],
+            # the 167 million monomials of degree 999 used to be built before the oracle's guard
+            ["gin", "--oracle-check", "1000,0,0,0,0,0"],
+            # the JSON answer needs about 2 GiB; the guard used to count only the lists of values
+            ["hilbert", "1,0,0,0,0,1", "--upto", "15000000"],
         ],
     )
     def test_huge_ideal_grid_is_typed_error(self, argv):

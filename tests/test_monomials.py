@@ -193,6 +193,23 @@ class TestMonomial:
         with pytest.raises(ValueError):
             read(bad)
 
+    @pytest.mark.parametrize("build", [Monomial, lambda e: ideal_of_tuple((*e, 0, 1))], ids=["Monomial", "ideal_of_tuple"])
+    @pytest.mark.parametrize(
+        "entries",
+        [(1.5, 0, 0, 0), (True, 0, 0, 0), (0, -1, 0, 0), (1, 0, 0), (1, 0, 0, 0, 0), (None, 0, 0, 0)],
+        ids=["float", "bool", "negative", "short", "long", "None"],
+    )
+    def test_rejects_bad_entries(self, build, entries):
+        # a float or a bool used to pass as an exponent (a^1.5, or a for True)
+        with pytest.raises(ValueError):
+            build(entries)
+
+    def test_list_of_exponents_is_the_tuple(self):
+        # a Monomial over a list printed, but did not hash
+        m = Monomial([1, 2, 3, 4])
+        assert m == (1, 2, 3, 4) and hash(m) == hash((1, 2, 3, 4))
+        assert MonomialIdeal((Monomial([1, 0, 0, 0]),)) == MonomialIdeal.of("a")
+
 
 class TestMinimalize:
     def test_drops_multiples(self):
@@ -295,6 +312,11 @@ class TestIdealOfTuple:
 
 
 class TestContains:
+    def test_in_is_ideal_membership(self):
+        # a tuple's `in` would ask whether a^2 is one of the generators
+        assert Monomial.parse("a^2") in MonomialIdeal.of("a")
+        assert Monomial.parse("b") not in MonomialIdeal.of("a")
+
     def test_examples(self):
         I = MonomialIdeal.of("a*b", "c*d")
         assert I.contains(M("a^2*b"))
