@@ -1,19 +1,21 @@
 """Numerical generic-initial-ideal oracle over prime fields.
 
-The gin of an ideal is approximated by a random invertible change of
-coordinates over F_p, with p a prime between 2^14 and 2^31 standing in for
-characteristic zero, followed by the degree-reverse-lexicographic initial
-ideal (a > b > c > d) computed by linear algebra: degree by degree, the
-Macaulay matrix of I_d is row-reduced mod p and its pivot columns are the
-leading monomials (Lazard 1983).  The revlex gin is generated in degrees at
-most reg(I) (Bayer-Stillman 1987), so elimination stops at the regularity
-reported by the Koszul Betti oracle, and the Hilbert function one degree
-higher must match the input's.  The runs over two seeds and two primes
-share one elimination of stacked Macaulay matrices, each mod its own prime
-(`refuse_over_limit` refuses them beyond ORACLE_MEMORY_LIMIT bytes), and a
-run whose initial ideal is not Borel-fixed is redrawn alone.  Runs that
-disagree or stay unstable make the computation report failure instead of
-guessing.
+The gin of a monomial ideal I is approximated by a random invertible change
+of coordinates g over F_p, with p a prime between 2^14 and 2^31 standing in
+for characteristic zero, and the degree-reverse-lexicographic initial ideal
+(a > b > c > d) by linear algebra (Lazard 1983) in one degree, top = reg(I)
+from the Koszul Betti oracle, by which the revlex gin is generated
+(Bayer-Stillman 1987).  The images g(m) of the monomials m of I_top are a
+basis of (gI)_top: their matrix has full row rank, and its pivot columns are
+L = in(gI)_top.  Below top, in(gI)_d lies in D_d = {m : x_j m in D_(d+1) for
+every j}, D_top = L, and equals it when |D_d| = dim I_d.  These counts, from
+one below the least generator degree, and |S_1 L| = dim I_(top+1) prove the
+initial ideal in any coordinates; in generic ones they hold for an input
+saturated up to top, as the gin of a saturated ideal is saturated.  The runs
+over two seeds and two primes share one elimination, each mod its own prime
+(`refuse_over_limit` refuses it beyond ORACLE_MEMORY_LIMIT bytes); a run
+whose initial ideal is not Borel-fixed is redrawn alone, and runs that
+disagree or counts that do not match raise instead of guessing.
 """
 
 from __future__ import annotations
@@ -26,11 +28,11 @@ import random
 from .exceptions import DisagreementError, NotBorelFixedError, refuse_over_limit
 from .gin import StableIdeal, is_strongly_stable
 from .koszul import betti_table_oracle
-from .monomials import Monomial, MonomialIdeal, NVARS, component_ideal, monomials_of_degree
+from .monomials import Monomial, MonomialIdeal, NVARS, exponent_box, standard_counts
 
 DEFAULT_PRIMES = (32003, 31991)
 DEFAULT_SEEDS = (1, 2)
-_BYTES_PER_CELL = 32  # peak bytes per cell of the largest Macaulay stack (tracemalloc: 30)
+_BYTES_PER_CELL = 36  # peak bytes per cell of the stacked degree-top matrices (tracemalloc: 28.6 to 34.5)
 _PAIRS = tuple(itertools.combinations(range(NVARS), 2))
 
 
@@ -52,95 +54,88 @@ def _is_prime(p: int) -> bool:
     return all(p % k for k in range(2, math.isqrt(p) + 1))
 
 
-@functools.lru_cache(maxsize=64)
-def _shifts(d: int) -> np.ndarray:
-    """Row j maps each degree-d column to the degree-(d+1) column of x_j times it."""
+@functools.lru_cache(maxsize=32)
+def _degree(d: int) -> tuple[np.ndarray, np.ndarray]:
+    """The exponents of monomials_of_degree(d) as int64 rows, and the shifts:
+    row j maps each to the index of x_j times it in monomials_of_degree(d+1).
+    By index arithmetic: the monomials run in blocks of equal (e3, e2), e1
+    ascending, and x_0 moves block (e3, e2) by C(d+3,2) - C(d-e3+3,2) + e2."""
     import numpy as np
-    index = {m: k for k, m in enumerate(monomials_of_degree(d + 1))}
-    return np.array([[index[m * Monomial.variable(j)] for m in monomials_of_degree(d)] for j in range(NVARS)])
+    e3, e2 = np.nonzero(np.add.outer(np.arange(d + 1), np.arange(d + 1)) <= d)
+    length = d + 1 - e3 - e2
+    e3, e2, first = (np.repeat(v, length) for v in (e3, e2, np.cumsum(length) - length))
+    k = np.arange(len(e3))
+    exps = np.column_stack((d - (k - first) - e2 - e3, k - first, e2, e3))
+    x0 = k + math.comb(d + 3, 2) - (d - e3 + 3) * (d - e3 + 2) // 2 + e2
+    return exps, np.stack((x0, x0 + 1, x0 + d + 2 - e2 - e3, k + math.comb(d + 3, 2)))
 
 
-def _row_echelon(rows: np.ndarray, primes: np.ndarray) -> tuple[np.ndarray, list[list[int]]]:
-    """Row echelon forms, in place, of a stack of int64 matrices, member i
-    mod primes[i] with entries in [0, primes[i]), and each member's pivot
-    columns.  Every member takes its own leftmost occupied column and its
-    first row there, so a member of lower rank ends in zero rows."""
+def _images(monomials: list[tuple[int, ...]], top: int, matrices, primes: list[int]) -> np.ndarray:
+    """Coefficient rows over monomials_of_degree(top), stacked over the runs,
+    of g(m) for the degree-top monomials m, run k taking g: x_i -> sum_j
+    matrices[k][i][j] x_j over F_primes[k]: a degree at a time, x_i times
+    the parent's image for i the first variable of m, through m's ancestors."""
     import numpy as np
-    members, pivots = np.arange(len(rows)), [[] for _ in rows]
+    links, level = [], monomials
+    for _ in range(top):
+        parents, link = {}, []
+        for e in level:
+            i = next(k for k, x in enumerate(e) if x)
+            link.append((i, parents.setdefault((*e[:i], e[i] - 1, *e[i + 1 :]), len(parents))))
+        links.append(np.array(link, dtype=np.intp).reshape(-1, 2))
+        level = list(parents)
+    coeffs = np.asarray(matrices, dtype=np.uint64)
+    rows = np.ones((1, len(coeffs), len(level)), dtype=np.uint64)  # columns first, so shifts move whole rows
+    for d, link in enumerate(reversed(links)):
+        below, scale = rows[:, :, link[:, 1]], coeffs[:, link[:, 0]]
+        rows = np.zeros((math.comb(d + 4, 3), len(coeffs), len(link)), dtype=np.uint64)
+        for j, columns in enumerate(_degree(d)[1]):
+            rows[columns] += scale[:, :, j] * below  # four products of entries below p < 2^31 sum below 2^64
+        rows %= np.asarray(primes, dtype=np.uint64)[:, None]
+    return np.ascontiguousarray(rows.view(np.int64).transpose(1, 2, 0))
+
+
+def _row_echelon(rows: np.ndarray, primes: list[int]) -> np.ndarray:
+    """The pivot columns, as boolean masks, of the row echelon forms of a
+    stack of int64 matrices of full row rank, reduced in place, member i mod
+    primes[i] with entries in [0, primes[i]).  Every member takes its own
+    leftmost occupied column and its first row there."""
+    import numpy as np
+    members, primes = np.arange(len(rows)), np.asarray(primes, dtype=np.int64)[:, None, None]
+    leads = np.zeros((len(rows), rows.shape[2]), dtype=bool)
     for rank in range(rows.shape[1]):
-        nonzero = rows[:, rank:] != 0
-        occupied = nonzero.any(axis=1)
-        cols = occupied.argmax(axis=1)
-        if not (live := occupied[members, cols]).any():
-            break
-        k = rank + nonzero[members, :, cols].argmax(axis=1)
+        cols = rows[:, rank:].any(axis=1).argmax(axis=1)
+        k = rank + (rows[members, rank:, cols] != 0).argmax(axis=1)
         rows[members, k], rows[:, rank] = rows[:, rank], rows[members, k]  # swap rows rank and k
         pivot, below = rows[:, rank], rows[:, rank + 1 :]
+        lead = pivot[members, cols]
+        assert lead.all(), "rank below the number of rows"
         factor = below[members, :, cols][:, :, None] * pivot[:, None]  # products of entries below p stay below 2^62
-        below *= pivot[members, cols][:, None, None]
+        below *= lead[:, None, None]
         below -= factor
-        below %= primes[:, None, None]
-        for i in np.flatnonzero(live).tolist():
-            pivots[i].append(int(cols[i]))
-    return rows[:, : max(map(len, pivots))], pivots
+        below %= primes
+        leads[members, cols] = True
+    return leads
 
 
-def leading_monomials(polys: dict[int, np.ndarray], top: int, primes: list[int]) -> list[MonomialIdeal]:
-    """The degrevlex initial ideals, up to degree `top`, of a stack of ideals,
-    member i over F_primes[i] and generated by homogeneous polynomials given
-    as {degree d: (members, rows, coefficients over monomials_of_degree(d))},
-    whose display order is descending degrevlex.  The degree-d Macaulay
-    matrix holds the degree-d generators and the a, b, c, d shifts of the
-    degree-(d-1) echelon rows."""
+def _saturation(D: np.ndarray, top: int, low: int) -> tuple[MonomialIdeal, list[int]]:
+    """For a set D_top of degree-top monomials, given as a boolean mask over
+    monomials_of_degree(top): the ideal generated by D_d = {m : x_j m in
+    D_(d+1) for every j}, d = low..top, whose minimal generators are D_d
+    minus S_1 D_(d-1), and the sizes |D_low|, ..., |D_top|, |S_1 D_top|."""
     import numpy as np
-    primes = np.asarray(primes, dtype=np.int64)
-    polys = {d: np.asarray(rows, dtype=np.int64) % primes[:, None, None] for d, rows in polys.items()}
-    if not np.any([rows.any(axis=(1, 2)) for rows in polys.values()], axis=0).all():
-        raise ValueError("need at least one non-zero polynomial")
-    leads: list[list[Monomial]] = [[] for _ in primes]
-    echelon, inherited = np.zeros((len(primes), 0, 0), dtype=np.int64), [set() for _ in primes]
-    for d in range(min(polys), top + 1):
-        width, r = len(monomials_of_degree(d)), echelon.shape[1]
-        fresh = polys.get(d, np.zeros((len(primes), 0, width), dtype=np.int64))
-        stack = np.zeros((len(primes), NVARS * r + fresh.shape[1], width), dtype=np.int64)
-        for j, columns in enumerate(_shifts(d - 1) if r else ()):
-            stack[:, j * r : (j + 1) * r, columns] = echelon
-        stack[:, NVARS * r :] = fresh
-        echelon, pivots = _row_echelon(stack, primes)
-        for lead, seen, cols in zip(leads, inherited, pivots):
-            lead += [monomials_of_degree(d)[c] for c in cols if c not in seen]
-        inherited = [set(_shifts(d)[:, cols].ravel().tolist()) for cols in pivots]
-    return [MonomialIdeal(lead) for lead in leads]
+    chain, up = [D], [np.zeros(1, dtype=bool)]  # up[d - low] is S_1 D_(d-1)
+    for d in range(top - 1, low - 1, -1):
+        chain.insert(0, chain[0][_degree(d)[1]].all(axis=0))
+    for d, D in enumerate(chain, low):
+        up.append(np.zeros(math.comb(d + 4, 3), dtype=bool))
+        up[-1][_degree(d)[1][:, D]] = True
+    gens = itertools.chain.from_iterable(_degree(d)[0][D & ~S].tolist() for d, (D, S) in enumerate(zip(chain, up), low))
+    return MonomialIdeal._from_minimal(map(Monomial, gens)), [int(D.sum()) for D in chain] + [int(up[-1].sum())]
 
 
-def _substituted(ideal: MonomialIdeal, matrices: list[list[list[int]]], primes: list[int]) -> dict[int, np.ndarray]:
-    """Coefficient rows, by degree and stacked over the members, of the
-    minimal generators after the substitution x_i -> sum_j matrix[i][j] x_j,
-    member k taking matrices[k] over F_primes[k]."""
-    import numpy as np
-    coeffs = np.array(matrices, dtype=np.int64)[:, :, :, None]
-    primes = np.asarray(primes, dtype=np.int64)[:, None]
-    members = np.arange(len(coeffs))[:, None, None]
-    images = {(0, 0, 0, 0): np.ones((len(coeffs), 1), dtype=np.int64)}
-
-    def image(e: tuple[int, ...]) -> np.ndarray:
-        if e not in images:
-            i = next(k for k in range(NVARS) if e[k])
-            parent = e[:i] + (e[i] - 1,) + e[i + 1 :]
-            terms = coeffs[:, i] * image(parent)[:, None] % primes[:, None]
-            # each column of x_i * parent sums at most 4 terms below 2^31: exact in float64
-            width = len(monomials_of_degree(sum(e)))
-            out = np.bincount((members * width + _shifts(sum(parent))).ravel(), terms.ravel(), len(coeffs) * width)
-            images[e] = out.astype(np.int64).reshape(-1, width) % primes
-        return images[e]
-
-    by_degree: dict[int, list[np.ndarray]] = {}
-    for g in ideal:
-        by_degree.setdefault(g.degree, []).append(image(g))
-    return {d: np.stack(rows, axis=1) for d, rows in by_degree.items()}
-
-
-def random_invertible_matrix(seed: int, prime: int) -> list[list[int]]:
+@functools.lru_cache(maxsize=64)
+def random_invertible_matrix(seed: int, prime: int) -> tuple[tuple[int, ...], ...]:
     """A uniformly sampled invertible 4x4 matrix over F_p, deterministic in
     the seed (resampled until its determinant is non-zero mod p: the exact
     Laplace expansion in the 2x2 minors of the first two rows, whose
@@ -150,7 +145,7 @@ def random_invertible_matrix(seed: int, prime: int) -> list[list[int]]:
         m = [[rng.randrange(prime) for _ in range(NVARS)] for _ in range(NVARS)]
         minors = [[m[r][i] * m[r + 1][j] - m[r][j] * m[r + 1][i] for i, j in _PAIRS] for r in (0, 2)]
         if sum((-1) ** (i + j + 1) * a * b for (i, j), a, b in zip(_PAIRS, minors[0], reversed(minors[1]))) % prime:
-            return m
+            return tuple(map(tuple, m))
 
 
 def gin_oracle(
@@ -160,35 +155,40 @@ def gin_oracle(
 ) -> StableIdeal:
     """Numerical gin: the initial ideal after a generic change of
     coordinates, agreeing over every (seed, prime) combination, verified
-    Borel-fixed and Hilbert-preserving.  A non-stable result triggers a
-    reseed; persistent disagreement across runs raises instead of
-    adjudicating."""
+    Borel-fixed and certified by monomial counts; an unstable run is redrawn."""
+    import numpy as np
     primes = check_primes(primes)
     if ideal.is_zero or ideal.is_unit:
         raise ValueError("gin oracle needs a proper non-zero ideal")
     top = betti_table_oracle(ideal).regularity
+    low = min(ideal.min_generator_degree - 1, top)
     runs = [(seed, prime) for seed in seeds for prime in primes]
-    # the largest stack sits at degree top: the shifts of I_(top-1) and the degree-top generators
-    height = NVARS * len(component_ideal(ideal, top - 1)) + sum(g.degree == top for g in ideal)
-    refuse_over_limit(len(runs) * height * math.comb(top + 3, 3) * _BYTES_PER_CELL,
+    least, box = exponent_box(ideal, bound=top + 1)
+    dims = [math.comb(d + 3, 3) - v for d, v in enumerate(standard_counts(least, box, top + 1))]  # dim I_d
+    refuse_over_limit(len(runs) * dims[top] * math.comb(top + 3, 3) * _BYTES_PER_CELL,
                       f"the stacked degree-{top} Macaulay matrices need")
+    e = np.minimum(_degree(top)[0], box)
+    member = e[:, 3] >= least[e[:, 0], e[:, 1], e[:, 2]]
+    if _saturation(member, top, low)[1][: top - low] != dims[low:top]:
+        raise ValueError(f"gin oracle needs an ideal saturated up to its regularity {top}, not {ideal}")
+    monomials = list(map(tuple, _degree(top)[0][member].tolist()))
+    read = functools.cache(lambda lead: _saturation(np.frombuffer(lead, dtype=bool), top, low))  # once per distinct L
     found, stable, pending = {}, {}, runs
     for attempt in range(3):
         matrices = [random_invertible_matrix(seed + 7919 * attempt, prime) for seed, prime in pending]
-        got = leading_monomials(_substituted(ideal, matrices, [p for _, p in pending]), top, [p for _, p in pending])
-        stable.update({lead: is_strongly_stable(lead) for lead in set(got) - stable.keys()})
-        found.update({run: lead for run, lead in zip(pending, got) if stable[lead]})
+        ps = [p for _, p in pending]
+        got = [read(lead.tobytes()) for lead in _row_echelon(_images(monomials, top, matrices, ps), ps)]
+        stable.update({lead: is_strongly_stable(lead) for lead in {lead for lead, _ in got} - stable.keys()})
+        found.update({run: (lead, sizes) for run, (lead, sizes) in zip(pending, got) if stable[lead]})
         if not (pending := [run for run in pending if run not in found]):
             break
     else:
         raise NotBorelFixedError(f"no Borel-fixed initial ideal for seed {pending[0][0]}, prime {pending[0][1]}")
-    first = found[runs[0]]
-    if any(found[run] != first for run in runs):
-        detail = "; ".join(f"seed {s}, p {p}: {found[s, p]}" for s, p in runs)
+    first, sizes = found[runs[0]]
+    if any(found[run][0] != first for run in runs):
+        detail = "; ".join(f"seed {s}, p {p}: {found[s, p][0]}" for s, p in runs)
         raise DisagreementError(f"gin runs disagree: {detail}")
-    # equal Hilbert functions in degree top + 1: equally many monomials of that degree in each ideal
-    if len(component_ideal(first, top + 1)) != len(component_ideal(ideal, top + 1)):
-        raise DisagreementError(
-            f"initial ideal of {ideal} up to degree {top} loses the Hilbert function in degree {top + 1}"
-        )
+    for d, size, dim in zip(range(low, top + 2), sizes, dims[low:]):
+        if size != dim:
+            raise DisagreementError(f"initial ideal of {ideal} in degree {top} loses the Hilbert function in degree {d}")
     return StableIdeal(first)

@@ -140,8 +140,8 @@ class MonomialIdeal(tuple):
 
     __slots__ = ()
 
-    def __new__(cls, generators: Iterable[Monomial]):
-        return tuple.__new__(cls, minimalize(generators))
+    def __new__(cls, generators: Iterable[Sequence[int]]):
+        return tuple.__new__(cls, minimalize(m if type(m) is Monomial else Monomial(m) for m in generators))
 
     @classmethod
     def _from_minimal(cls, generators: Iterable[Monomial]) -> "MonomialIdeal":
@@ -346,13 +346,27 @@ def hilbert_data(ideal: MonomialIdeal, upto: int) -> HilbertData:
     dimension <= 2 (a curve) and not at top.sum() + 2 otherwise: the count
     runs on that far to read every h_d with d >= upto.
     """
-    import numpy as np
     if upto < 0:
         raise ValueError("upto must be non-negative")
     refuse_over_limit((upto + 1) * _HILBERT_BYTES_PER_DEGREE, f"the Hilbert function up to degree {upto} needs")
     least, top = exponent_box(ideal, bound=upto)
     capped = any(e > upto for g in ideal for e in g)
     last = upto if capped else max(upto, int(top.sum()) + 2)  # the degree counted to
+    values = standard_counts(least, top, last)
+    first = [b - a for a, b in zip([0] + values, values)]
+    h = [b - a for a, b in zip([0] + first, first)]
+    if upto < 1 or any(h[upto:]):
+        raise BoundTooSmallError(f"Hilbert function of {ideal} not stabilized by degree {upto}")
+    while h and h[-1] == 0:
+        h.pop()
+    return HilbertData(values=tuple(values[: upto + 1]), h_vector=tuple(h), degree=first[upto])
+
+
+def standard_counts(least: np.ndarray, top: np.ndarray, last: int) -> list[int]:
+    """dim_k (R/I)_d for d = 0..last, counted as `hilbert_data` describes on
+    I's `exponent_box` (least, top), whose cap must be at least `last` or cut
+    no generator."""
+    import numpy as np
     axes = np.indices(least.shape, sparse=True)
     start = sum(axes)
     faces = sum(axis == n for axis, n in zip(axes, top[:3]))
@@ -368,10 +382,4 @@ def hilbert_data(ideal: MonomialIdeal, upto: int) -> HilbertData:
         for s, counts in enumerate(by_degree):
             values[s] += counts[u]
         values = list(itertools.accumulate(values))
-    first = [b - a for a, b in zip([0] + values, values)]
-    h = [b - a for a, b in zip([0] + first, first)]
-    if upto < 1 or any(h[upto:]):
-        raise BoundTooSmallError(f"Hilbert function of {ideal} not stabilized by degree {upto}")
-    while h and h[-1] == 0:
-        h.pop()
-    return HilbertData(values=tuple(values[: upto + 1]), h_vector=tuple(h), degree=first[upto])
+    return values

@@ -244,6 +244,8 @@ class TestHugeWeights:
             ["hilbert", "3000,3000,3000,3000,3000,3000", "--upto", "3000"],
             # the 167 million monomials of degree 999 used to be built before the oracle's guard
             ["gin", "--oracle-check", "1000,0,0,0,0,0"],
+            # 4.6 million monomials of degree 299 were listed before the guard: 13 s to refuse
+            ["gin", "--oracle-check", "300,0,0,0,0,0"],
             # the JSON answer needs about 2 GiB; the guard used to count only the lists of values
             ["hilbert", "1,0,0,0,0,1", "--upto", "15000000"],
         ],

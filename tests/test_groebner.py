@@ -1,3 +1,4 @@
+import functools
 import itertools
 import math
 import random
@@ -10,15 +11,23 @@ from tetracurves.exceptions import DisagreementError, NotBorelFixedError, Oracle
 from tetracurves.gin import gin_acm, gin_buchsbaum_minimal, gin_of_curve, is_strongly_stable
 from tetracurves.groebner import (
     DEFAULT_PRIMES,
+    _degree,
+    _images,
     _row_echelon,
-    _substituted,
+    _saturation,
     check_primes,
     gin_oracle,
-    leading_monomials,
     random_invertible_matrix,
 )
 from tetracurves.koszul import betti_table_oracle
-from tetracurves.monomials import Monomial, MonomialIdeal, ideal_of_tuple, monomials_of_degree
+from tetracurves.monomials import (
+    Monomial,
+    MonomialIdeal,
+    component_ideal,
+    ideal_of_tuple,
+    monomials_of_degree,
+    truncate,
+)
 from tetracurves.tuples import TetTuple
 from tetracurves.verify import iter_tuples
 
@@ -53,17 +62,26 @@ def determinant(m):
 
 
 def leads(rows, top):
-    """Kernel leads of coefficient rows, each placed in the degree its length
-    gives, as a stack of one."""
+    """Reference leads of coefficient rows, each placed in the degree its
+    length gives."""
     degree_of = {len(columns(d)): d for d in range(top + 1)}
     by_degree = {}
     for row in rows:
         by_degree.setdefault(degree_of[len(row)], []).append(row)
-    return leading_monomials({d: [rows] for d, rows in by_degree.items()}, top, [P])[0]
+    return reference_leading_monomials(by_degree, top, P)
 
 
-# Single-run reference kernel: one Macaulay matrix per degree, row-reduced on
-# its own.  The stacked kernel must give every member these leads.
+# Single-run reference kernel: one Macaulay matrix per degree, holding the
+# degree-d generators and the a, b, c, d shifts of the degree-(d-1) echelon
+# rows, row-reduced on its own.  The oracle's kernel (one elimination in the
+# top degree, lower degrees read off) must give every run these leads.
+
+
+@functools.lru_cache(maxsize=None)
+def reference_shifts(d):
+    """Row j maps each degree-d column to the degree-(d+1) column of x_j times it."""
+    index = {m: k for k, m in enumerate(monomials_of_degree(d + 1))}
+    return np.array([[index[m * Monomial.variable(j)] for m in monomials_of_degree(d)] for j in range(4)])
 
 
 def reference_row_echelon(rows, p):
@@ -99,12 +117,12 @@ def reference_leading_monomials(polys, top, p):
         width = len(columns(d))
         shifted = np.zeros((4, len(echelon), width), dtype=np.int64)
         if len(echelon):
-            for j, cols in enumerate(groebner._shifts(d - 1)):
+            for j, cols in enumerate(reference_shifts(d - 1)):
                 shifted[j][:, cols] = echelon
         fresh = polys.get(d, np.zeros((0, width), dtype=np.int64))
         echelon, pivots = reference_row_echelon(np.vstack([shifted.reshape(-1, width), fresh]), p)
         leads += [monomials_of_degree(d)[c] for c in pivots if c not in inherited]
-        inherited = set(groebner._shifts(d)[:, pivots].ravel().tolist())
+        inherited = set(reference_shifts(d)[:, pivots].ravel().tolist())
     return MonomialIdeal(tuple(leads))
 
 
@@ -117,10 +135,41 @@ def reference_random_invertible_matrix(seed, prime):
             return matrix
 
 
+def reference_image(exps, matrix, p):
+    """Coefficient row over monomials_of_degree(sum(exps)) of the product of
+    the linear forms x_i -> sum_j matrix[i][j] x_j, multiplied out term by term."""
+    poly = {(0, 0, 0, 0): 1}
+    for i, e in enumerate(exps):
+        for _ in range(e):
+            product = {}
+            for m, c in poly.items():
+                for j in range(4):
+                    shifted = tuple(x + (k == j) for k, x in enumerate(m))
+                    product[shifted] = (product.get(shifted, 0) + c * matrix[i][j]) % p
+            poly = product
+    return [poly.get(m, 0) for m in columns(sum(exps))]
+
+
+def generator_images(ideal, matrices, primes):
+    """{degree d: stacked coefficient rows of the degree-d minimal generators}."""
+    degrees = sorted({g.degree for g in ideal})
+    return {d: _images([g for g in ideal if g.degree == d], d, matrices, primes) for d in degrees}
+
+
+def kernel_leads(ideal, matrices, primes, top):
+    """The oracle kernel's lead ideal of each run: the pivots of one
+    elimination in degree `top`, read down to one below the least generator
+    degree."""
+    low = min(ideal.min_generator_degree - 1, top)
+    tops = list(component_ideal(ideal, top))
+    masks = _row_echelon(_images(tops, top, matrices, primes), primes)
+    return [_saturation(mask, top, low)[0] for mask in masks]
+
+
 def single_run_leads(ideal, matrices, primes, top):
-    """Reference leads of each member, substituted and reduced on its own."""
+    """Reference leads of each run, reduced degree by degree on its own."""
     return [
-        reference_leading_monomials({d: rows[0] for d, rows in _substituted(ideal, [m], [p]).items()}, top, p)
+        reference_leading_monomials({d: rows[0] for d, rows in generator_images(ideal, [m], [p]).items()}, top, p)
         for m, p in zip(matrices, primes)
     ]
 
@@ -128,55 +177,79 @@ def single_run_leads(ideal, matrices, primes, top):
 class TestSubstitution:
     def test_identity_matrix_fixes_generators(self):
         I = ideal_of_tuple((1, 0, 0, 0, 0, 1))
-        rows = _substituted(I, [IDENTITY], [P])
+        rows = generator_images(I, [IDENTITY], [P])
         assert list(rows) == [2]
         expected = [[1 if e == g.exps else 0 for e in columns(2)] for g in I.generators]
         assert rows[2].tolist() == [expected]
 
     def test_deterministic_in_seed(self):
-        I = MonomialIdeal.of("a", "b")
-        first = _substituted(I, [random_invertible_matrix(7, P)], [P])
-        second = _substituted(I, [random_invertible_matrix(7, P)], [P])
-        assert (first[1] == second[1]).all()
+        gens = [(1, 0, 0, 0), (0, 1, 0, 0)]
+        first = _images(gens, 1, [random_invertible_matrix(7, P)], [P])
+        second = _images(gens, 1, [random_invertible_matrix(7, P)], [P])
+        assert (first == second).all()
 
     def test_linear_forms_stay_linear(self):
-        rows = _substituted(MonomialIdeal.of("a", "b"), [random_invertible_matrix(3, P)], [P])
-        assert list(rows) == [1] and rows[1].shape == (1, 2, 4)
+        rows = _images([(1, 0, 0, 0), (0, 1, 0, 0)], 1, [random_invertible_matrix(3, P)], [P])
+        assert rows.shape == (1, 2, 4)
 
     def test_matrix_invertible_and_deterministic(self):
         m1 = random_invertible_matrix(11, P)
         m2 = random_invertible_matrix(11, P)
         assert m1 == m2
         assert determinant(m1) % P != 0
-        assert _row_echelon(np.array([m1], dtype=np.int64), np.array([P]))[1] == [[0, 1, 2, 3]]
+        assert _row_echelon(np.array([m1], dtype=np.int64), [P]).tolist() == [[True] * 4]
 
     def test_matrices_match_numpy_rank_check(self):
         # the determinant test keeps exactly the matrices the numpy rank check kept
         for seed in range(1, 51):
             for prime in DEFAULT_PRIMES:
-                assert random_invertible_matrix(seed, prime) == reference_random_invertible_matrix(seed, prime)
+                expected = reference_random_invertible_matrix(seed, prime)
+                assert random_invertible_matrix(seed, prime) == tuple(map(tuple, expected))
+
+    def test_matrix_drawn_once_per_seed_and_prime(self):
+        random_invertible_matrix.cache_clear()
+        for _ in range(3):
+            gin_oracle(ideal_of_tuple((1, 0, 0, 0, 0, 1)))
+        assert random_invertible_matrix.cache_info().misses == 4
+        # the memo hands every caller the same matrix, so it must not be mutable
+        assert isinstance(random_invertible_matrix(1, P), tuple)
+        assert all(isinstance(row, tuple) for row in random_invertible_matrix(1, P))
 
     def test_members_keep_their_own_matrix_and_prime(self):
         I = ideal_of_tuple((2, 1, 0, 0, 0, 1))
         matrices = [random_invertible_matrix(s, p) for s in (1, 2) for p in DEFAULT_PRIMES]
         primes = [p for _ in (1, 2) for p in DEFAULT_PRIMES]
-        stacked = _substituted(I, matrices, primes)
+        stacked = generator_images(I, matrices, primes)
         for k, (m, p) in enumerate(zip(matrices, primes)):
-            single = _substituted(I, [m], [p])
+            single = generator_images(I, [m], [p])
             assert list(single) == list(stacked)
             assert all((single[d][0] == stacked[d][k]).all() for d in stacked)
 
     def test_products_of_linear_forms(self):
         # (a + 2b)(a - b) = a^2 + a*b - 2b^2 under x_0 -> a + 2b, x_1 -> a - b
         matrix = [[1, 2, 0, 0], [1, P - 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]
-        rows = _substituted(MonomialIdeal.of("a*b"), [matrix], [P])
+        rows = _images([(1, 1, 0, 0)], 2, [matrix], [P])
         expected = poly(((2, 0, 0, 0), 1), ((1, 1, 0, 0), 1), ((0, 2, 0, 0), -2))
-        assert rows[2].tolist() == [[[c % P for c in expected]]]
+        assert rows.tolist() == [[[c % P for c in expected]]]
+
+    def test_images_match_term_by_term_products(self):
+        # every monomial of degree 5, through its ancestors, against the product multiplied out
+        matrices = [random_invertible_matrix(s, p) for s in (1, 2) for p in DEFAULT_PRIMES]
+        primes = [p for _ in (1, 2) for p in DEFAULT_PRIMES]
+        rows = _images(list(monomials_of_degree(5)), 5, matrices, primes)
+        for k, (m, p) in enumerate(zip(matrices, primes)):
+            assert rows[k].tolist() == [reference_image(e, m, p) for e in monomials_of_degree(5)]
+
+    @pytest.mark.parametrize("d", range(13))
+    def test_degree_tables_match_monomial_lists(self, d):
+        exps, shifts = _degree(d)
+        assert list(map(tuple, exps.tolist())) == list(monomials_of_degree(d))
+        assert (shifts == reference_shifts(d)).all()
 
 
 class TestGroebnerBasis:
-    """The kernel: leading monomials of the row-reduced Macaulay matrices,
-    i.e. of a degrevlex Groebner basis truncated at the top degree."""
+    """The reference kernel: leading monomials of the row-reduced Macaulay
+    matrices, i.e. of a degrevlex Groebner basis truncated at the top degree."""
 
     def test_basis_is_descending_degrevlex(self):
         assert columns(2)[:4] == ((2, 0, 0, 0), (1, 1, 0, 0), (0, 2, 0, 0), (1, 0, 1, 0))
@@ -227,14 +300,16 @@ class TestGroebnerBasis:
 
     def test_monomial_input_round_trip(self):
         I = ideal_of_tuple((2, 1, 0, 0, 0, 1))
-        assert leading_monomials(_substituted(I, [IDENTITY], [P]), 6, [P]) == [I]
+        assert kernel_leads(I, [IDENTITY], [P], 6) == [I]
+        assert single_run_leads(I, [IDENTITY], [P], 6) == [I]
 
     def test_rejects_empty(self):
-        with pytest.raises(ValueError):
-            leading_monomials({2: [[[0] * 10]]}, 3, [P])
-        # a stack is refused when any one member has no non-zero polynomial
-        with pytest.raises(ValueError):
-            leading_monomials({2: [[[1] + [0] * 9], [[0] * 10]]}, 3, [P, P])
+        # the kernel's rows are a basis: a stack is refused when any one
+        # member has a dependent row
+        with pytest.raises(AssertionError, match="rank"):
+            _row_echelon(np.array([[[1] + [0] * 9]], dtype=np.int64) * [[[1]], [[0]]], [P, P])
+        with pytest.raises(AssertionError, match="rank"):
+            _row_echelon(np.array([[[1, 2, 0], [2, 4, 0]]], dtype=np.int64), [P])
 
 
 GIN_SUPPORTED = [t for t in iter_tuples(5) if gin_of_curve(t) is not None]
@@ -242,8 +317,9 @@ LADDER = [TetTuple((r, 0, r - 1, r - 1, 0, r)) for r in range(1, 5)]
 
 
 class TestStackedKernel:
-    """One elimination over a stack of (matrix, prime) runs gives every member
-    the lead ideal of its own single-run elimination."""
+    """One elimination in the top degree over a stack of (matrix, prime) runs,
+    read down to the lower degrees, gives every member the lead ideal of its
+    own degree-by-degree single-run elimination."""
 
     RUNS = [(s, p) for s in (1, 2) for p in DEFAULT_PRIMES]
 
@@ -253,22 +329,28 @@ class TestStackedKernel:
         for t in GIN_SUPPORTED + LADDER:
             I = ideal_of_tuple(t)
             top = betti_table_oracle(I).regularity
-            got = leading_monomials(_substituted(I, matrices, primes), top, primes)
-            assert got == single_run_leads(I, matrices, primes, top), t
+            assert kernel_leads(I, matrices, primes, top) == single_run_leads(I, matrices, primes, top), t
+
+    def test_matches_single_run_reference_up_to_weight_6(self):
+        # every tuple, not only those with a closed-form gin, in one run each
+        for k, t in enumerate(t for t in iter_tuples(6) if t.total):
+            I = ideal_of_tuple(t)
+            top = betti_table_oracle(I).regularity
+            matrix, p = random_invertible_matrix(k, DEFAULT_PRIMES[k % 2]), DEFAULT_PRIMES[k % 2]
+            assert kernel_leads(I, [matrix], [p], top) == single_run_leads(I, [matrix], [p], top), t
 
     def test_mixed_stack_reaches_different_pivots(self):
         # degenerate, identity and generic coordinates in one stack: the members
-        # reach different pivots and ranks, and each keeps its single-run leads
+        # reach different pivots, and each keeps its single-run leads
         q = DEFAULT_PRIMES[1]
         matrices = [DEGENERATE, IDENTITY, random_invertible_matrix(1, P), random_invertible_matrix(2, q)]
         primes = [P, q, P, q]
         for t in [t for t in GIN_SUPPORTED if t.total <= 4] + LADDER:
             I = ideal_of_tuple(t)
             top = betti_table_oracle(I).regularity
-            got = leading_monomials(_substituted(I, matrices, primes), top, primes)
-            assert got == single_run_leads(I, matrices, primes, top), t
+            assert kernel_leads(I, matrices, primes, top) == single_run_leads(I, matrices, primes, top), t
         # (2,1,0,0,0,1) up to its regularity: three distinct leads in one stack
-        got = leading_monomials(_substituted(ideal_of_tuple((2, 1, 0, 0, 0, 1)), matrices, primes), 3, primes)
+        got = kernel_leads(ideal_of_tuple((2, 1, 0, 0, 0, 1)), matrices, primes, 3)
         assert len(set(got)) == 3
 
 
@@ -348,7 +430,7 @@ class TestGinOracle:
 class TestOracleFailures:
     def test_disagreement(self, monkeypatch):
         I = ideal_of_tuple((2, 1, 0, 0, 0, 1))
-        assert is_strongly_stable(leading_monomials(_substituted(I, [DEGENERATE], [P]), 3, [P])[0])
+        assert is_strongly_stable(kernel_leads(I, [DEGENERATE], [P], 3)[0])
         real = groebner.random_invertible_matrix
         monkeypatch.setattr(
             groebner, "random_invertible_matrix", lambda seed, p: DEGENERATE if seed == 1 else real(seed, p)
@@ -405,17 +487,34 @@ class TestOracleFailures:
         with pytest.raises(DisagreementError, match="Hilbert function in degree 4"):
             gin_oracle(ideal_of_tuple((2, 1, 0, 0, 0, 1)))
 
+    def test_count_check_catches_a_lower_degree(self, monkeypatch):
+        # top pivots a*S_1 are Borel-fixed and agree, but read down they give
+        # (a): one monomial in degree 1, where the two skew lines have none
+        # (S_1 * a*S_1 also misses two monomials of degree 3)
+        lead = np.array([m in MonomialIdeal.of("a") for m in monomials_of_degree(2)])
+        monkeypatch.setattr(groebner, "_row_echelon", lambda rows, primes: np.tile(lead, (len(rows), 1)))
+        with pytest.raises(DisagreementError, match="Hilbert function in degree 1$"):
+            gin_oracle(ideal_of_tuple((1, 0, 0, 0, 0, 1)))
+
+    def test_unsaturated_input_refused_up_front(self, monkeypatch):
+        # I_(>=3) of two skew lines has no quadrics, but (I_3 : S_1)_2 has four
+        monkeypatch.setattr(groebner, "random_invertible_matrix", lambda seed, p: pytest.fail("drew a matrix"))
+        with pytest.raises(ValueError, match="saturated up to its regularity 3"):
+            gin_oracle(truncate(ideal_of_tuple((1, 0, 0, 0, 0, 1)), 3))
+
 
 class TestOracleSize:
-    @pytest.mark.parametrize("t", [(16,) * 6, (40, 0, 0, 0, 0, 40)])
+    @pytest.mark.parametrize("t", [(16,) * 6, (40, 0, 0, 0, 0, 40), (300, 0, 0, 0, 0, 0)])
     def test_huge_stack_refused_before_elimination(self, t, monkeypatch):
-        # their int64 stacks alone would take 5.2 GiB and 4.7 GiB
+        # their int64 stacks alone would take 1.5, 4.6 and 41 GiB; the guard
+        # sizes them from counts, before any monomial of the top degree is listed
         monkeypatch.setattr(groebner, "random_invertible_matrix", lambda seed, p: pytest.fail("drew a matrix"))
+        monkeypatch.setattr(groebner, "_degree", lambda d: pytest.fail("listed the monomials"))
         with pytest.raises(OracleTooLargeError, match="Macaulay"):
             gin_oracle(ideal_of_tuple(t))
 
     def test_moderate_stack_accepted(self, monkeypatch):
-        # a 91 MiB int64 stack passes the estimate and reaches the first draw
+        # a 33 MiB int64 stack (147 MiB at its peak) passes the estimate and reaches the first draw
         class Drawn(Exception):
             pass
 

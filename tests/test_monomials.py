@@ -193,7 +193,11 @@ class TestMonomial:
         with pytest.raises(ValueError):
             read(bad)
 
-    @pytest.mark.parametrize("build", [Monomial, lambda e: ideal_of_tuple((*e, 0, 1))], ids=["Monomial", "ideal_of_tuple"])
+    @pytest.mark.parametrize(
+        "build",
+        [Monomial, lambda e: ideal_of_tuple((*e, 0, 1)), lambda e: MonomialIdeal([(1, 0, 0, 0), e])],
+        ids=["Monomial", "ideal_of_tuple", "MonomialIdeal"],
+    )
     @pytest.mark.parametrize(
         "entries",
         [(1.5, 0, 0, 0), (True, 0, 0, 0), (0, -1, 0, 0), (1, 0, 0), (1, 0, 0, 0, 0), (None, 0, 0, 0)],
@@ -209,6 +213,16 @@ class TestMonomial:
         m = Monomial([1, 2, 3, 4])
         assert m == (1, 2, 3, 4) and hash(m) == hash((1, 2, 3, 4))
         assert MonomialIdeal((Monomial([1, 0, 0, 0]),)) == MonomialIdeal.of("a")
+
+    @pytest.mark.parametrize(
+        "gens", [((1, 0, 0, 0), (0, 1, 0, 0)), ([1, 0, 0, 0], [0, 1, 0, 0])], ids=["tuples", "lists"]
+    )
+    def test_ideal_wraps_plain_generators(self, gens):
+        # plain generators used to be kept as they were, and `in` then ended in an AttributeError
+        I = MonomialIdeal(gens)
+        assert all(type(g) is Monomial for g in I)
+        assert Monomial((1, 1, 0, 0)) in I and Monomial((0, 0, 1, 1)) not in I
+        assert I == MonomialIdeal.of("a", "b")
 
 
 class TestMinimalize:
