@@ -4,6 +4,7 @@ a per-item cost measured where it runs, and calls `refuse_over_limit`
 before it allocates."""
 
 ORACLE_MEMORY_LIMIT = 1 << 30
+PROCESS_FOOTPRINT = 140 << 20  # VmSize once cli has imported numpy and the oracles (Python 3.11, numpy 2.4)
 
 
 class TetracurvesError(Exception):
@@ -63,11 +64,12 @@ class EnumerationCapError(TetracurvesError):
 class OracleTooLargeError(TetracurvesError):
     """An oracle input, or an answer large by nature (a Betti table, a gin,
     a trace's steps or weights), would need more memory than
-    ORACLE_MEMORY_LIMIT."""
+    ORACLE_MEMORY_LIMIT leaves beside PROCESS_FOOTPRINT."""
 
 
 def refuse_over_limit(estimate: int, what: str) -> None:
     """Raise OracleTooLargeError, "<what> about <estimate in MiB> MiB", when
-    an estimate of `estimate` bytes exceeds ORACLE_MEMORY_LIMIT."""
-    if estimate > ORACLE_MEMORY_LIMIT:
+    an estimate of `estimate` bytes exceeds what ORACLE_MEMORY_LIMIT leaves
+    beside the PROCESS_FOOTPRINT the interpreter has already mapped."""
+    if estimate > ORACLE_MEMORY_LIMIT - PROCESS_FOOTPRINT:
         raise OracleTooLargeError(f"{what} about {estimate >> 20} MiB")

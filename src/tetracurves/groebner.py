@@ -13,7 +13,7 @@ one below the least generator degree, and |S_1 L| = dim I_(top+1) prove the
 initial ideal in any coordinates; in generic ones they hold for an input
 saturated up to top, as the gin of a saturated ideal is saturated.  The runs
 over two seeds and two primes share one elimination, each mod its own prime
-(`refuse_over_limit` refuses it beyond ORACLE_MEMORY_LIMIT bytes); a run
+(`refuse_over_limit` refuses it beyond the memory limit); a run
 whose initial ideal is not Borel-fixed is redrawn alone, and runs that
 disagree or counts that do not match raise instead of guessing.
 """
@@ -191,4 +191,4 @@ def gin_oracle(
     for d, size, dim in zip(range(low, top + 2), sizes, dims[low:]):
         if size != dim:
             raise DisagreementError(f"initial ideal of {ideal} in degree {top} loses the Hilbert function in degree {d}")
-    return StableIdeal(first)
+    return StableIdeal._from_minimal(first)  # minimal and stable: checked above

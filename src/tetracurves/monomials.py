@@ -203,7 +203,7 @@ def ideal_of_tuple(t: Sequence[int]) -> MonomialIdeal:
     generator unless lowering e0, e1 or e2 by one keeps the same least e3.
     Exponents of minimal generators never exceed the largest weight at their
     vertex, which bounds the grid.  Raises OracleTooLargeError when the grid
-    would need more than ORACLE_MEMORY_LIMIT bytes."""
+    would need more memory than `refuse_over_limit` allows."""
     import numpy as np
     a01, a02, a03, a12, a13, a23 = TetTuple(t)
     shape = (max(a01, a02, a03) + 1, max(a01, a12, a13) + 1, max(a02, a12, a23) + 1)
@@ -328,8 +328,8 @@ def hilbert_data(ideal: MonomialIdeal, upto: int) -> HilbertData:
     Raises BoundTooSmallError unless the values up to `upto` fix the degree
     and the h-vector, that is when upto < 1 or some h_d with d >= upto is
     nonzero; callers should pass roughly regularity + 3.  Raises
-    OracleTooLargeError when the lists of values would need more than
-    ORACLE_MEMORY_LIMIT bytes.
+    OracleTooLargeError when the lists of values would need more memory
+    than `refuse_over_limit` allows.
 
     The count runs over the columns (p0, p1, p2) of `exponent_box` capped at
     `upto`, so its cost is the box below the generators' lcm (or below upto,

@@ -31,14 +31,12 @@ from .tuples import (
     ReductionTrace,
     Run,
     TetTuple,
-    apply_reduction,
     buchsbaum_minimal_r,
     canonicalize,
     ci_power_form,
     degree_of_tuple,
     facet_weights,
     is_minimal,
-    max_weight_choices,
     pair_profile,
     reduction_applicable,
     reduction_trace,
@@ -93,7 +91,7 @@ class ResolutionRecipe:
     def assemble(self) -> BettiTable:
         """The table, counted run by run: position q of a run of period p at
         shift n has generator degrees w_q + n + q + m (p + drift_q).  Raises
-        OracleTooLargeError before a run takes it past ORACLE_MEMORY_LIMIT."""
+        OracleTooLargeError before a run takes it past the memory limit."""
         degrees, n = Counter(), 0
         for weights, drift, count, _ in self.runs:
             p = len(weights)
@@ -304,14 +302,3 @@ def classify(t: TetTuple) -> ClassificationReport:
         regularity=regularity_closed_form(t),
     )
 
-
-def all_max_weight_chains(t: TetTuple):
-    """Yield every maximal-weight reduction chain (all tie-break choices)."""
-    choices = max_weight_choices(t)
-    if not choices:
-        yield (t,)
-        return
-    for G in choices:
-        child = apply_reduction(t, G).child
-        for rest in all_max_weight_chains(child):
-            yield (t,) + rest

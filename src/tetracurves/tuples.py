@@ -5,8 +5,8 @@ A tetrahedral curve is encoded by six non-negative weights on the edges
 (a,b), (a,c), (a,d), (b,c), (b,d), (c,d) of the coordinate tetrahedron.  A
 `TetTuple` is a tuple of these six ints, validated once when it is made;
 the calculus indexes any sequence of six ints.  S4 acts on the vertices,
-and so on the edges, through one table of 24 edge-index rows: `permute`,
-`canonicalize` and `minimal_by_weight_test` read orbits off it.  S4 moves
+and so on the edges, through one table of 24 edge-index rows: `permute`
+applies it, and only `canonicalize` reads orbits off it.  S4 moves
 the three pairs of opposite edges and the weights inside them, so
 `pair_profile` is an orbit invariant, complete where at most one pair has
 unequal weights: the shapes the calculus names are read off it.
@@ -39,9 +39,9 @@ counting as non-negative); the least k where one would lose it is solved
 by floor division and jumped at once.  A jump is recorded as one `Run`:
 the period's vertices, its first step weights, their drift per repetition
 and the repeat count, so the trace's record does not grow with the
-weights.  Its views `weights`, `steps` and `chain` are expanded from the
-runs when read, each refused with OracleTooLargeError beyond the memory
-limit; the classification flags, the linearity of the Betti table and
+weights.  Its views `weights` and `steps` are expanded from the runs when
+read, each refused with OracleTooLargeError beyond the memory limit; the
+classification flags, the linearity of the Betti table and
 `len(steps)` are read off the runs and the CI-power base, kept as (chain
 index, r) alone, where a run starts.
 """
@@ -252,25 +252,6 @@ def is_minimal(t: Sequence[int]) -> bool:
     return any(t) and not any(_applicable(t, v) for v in range(NVARS))
 
 
-def minimal_by_weight_test(t: TetTuple) -> bool:
-    """The numerical minimality test: after moving a maximal weight to the
-    last edge, a_1 > max(a_3+a_5, a_2+a_4) and a_6 > max(a_4+a_5, a_2+a_3).
-
-    Checked over every normalization with the maximum in last position;
-    must agree with `is_minimal`.
-    """
-    if t.is_trivial:
-        return False
-    top = max(t)
-    for row in _PERMUTED_EDGES.values():
-        a1, a2, a3, a4, a5, a6 = (t[i] for i in row)
-        if a6 != top:
-            continue
-        if a1 > max(a3 + a5, a2 + a4) and a6 > max(a4 + a5, a2 + a3):
-            return True
-    return False
-
-
 def _max_weight_vertex(e: Sequence[int]) -> tuple[int | None, tuple[int, int, int, int]]:
     """The vertex of an applicable reduction of maximal facet weight at e,
     ties broken A < B < C < D (None when e is trivial or minimal), and the
@@ -290,12 +271,6 @@ def _max_weight_vertex(e: Sequence[int]) -> tuple[int | None, tuple[int, int, in
         if not is_minimal(e):
             raise AssertionError(f"no maximal-weight reduction found for {tuple(e)}")
     return None, fw
-
-
-def max_weight_choices(t: TetTuple) -> list[int]:
-    """The vertices of all applicable reductions along facets of maximal weight."""
-    weights = facet_weights(t)
-    return [v for v in range(NVARS) if weights[v] == max(weights) and _applicable(t, v)]
 
 
 class TerminalKind(Enum):
@@ -365,8 +340,8 @@ class ReductionTrace:
     base the Betti table of an ACM, not componentwise linear curve is built
     on: the topmost chain element (0,r,r,r,r,0), as (chain index, r), where
     a run starts.  The views `weights` (the maximal facet weight of each
-    parent), `steps` and `chain` (which includes the terminal) are expanded
-    from the runs when read, behind the size guard.
+    parent) and `steps` are expanded from the runs when read, behind the
+    size guard; the chain is the steps' parents, then `terminal`.
     """
 
     start: TetTuple
@@ -388,10 +363,6 @@ class ReductionTrace:
     @functools.cached_property
     def steps(self) -> _TraceSteps:
         return _TraceSteps(self.start, self.runs, self.step_count)
-
-    @property
-    def chain(self) -> tuple[TetTuple, ...]:
-        return tuple(s.parent for s in self.steps) + (self.terminal,)
 
     @property
     def is_acm(self) -> bool:

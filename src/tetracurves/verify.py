@@ -157,8 +157,19 @@ def check_bdl_reconstruction(case):
     return rebuilt != ideal_of_tuple(step.parent) and (step.parent, step.G_name.upper())
 
 
+def minimal_by_weight(t: TetTuple, margin: int = 0) -> bool:
+    """The paper's numerical minimality test at margin 0, and the deep minimal
+    curves at margin 2: some relabelling with a maximal weight a_6 has
+    a_1 > max(a_3+a_5, a_2+a_4) + margin and a_6 > max(a_4+a_5, a_2+a_3) + margin."""
+    top = max(t)
+    return any(
+        a6 == top and a1 > max(a3 + a5, a2 + a4) + margin and a6 > max(a4 + a5, a2 + a3) + margin
+        for a1, a2, a3, a4, a5, a6 in (tuples.permute(t, pi) for pi in tuples.VERTEX_PERMUTATIONS)
+    )
+
+
 check_minimality_criterion = Check("definitional minimality equals the weight criterion", _tuples,
-                                   lambda t: tuples.is_minimal(t) != tuples.minimal_by_weight_test(t))
+                                   lambda t: tuples.is_minimal(t) != minimal_by_weight(t))
 check_maxweight_monotone = Check(
     "maximal facet weight strictly drops along traces",
     lambda b, *_: (s for s in _steps(b) if tuples.ci_power_form(s.parent) is None),
@@ -191,6 +202,18 @@ def check_s4_invariance(t):
 
 # ---------------------------------------------------------------- betti
 
+def max_weight_chains(t: TetTuple):
+    """Every maximal-weight reduction chain of t, top first and terminal last:
+    one per way of breaking the facet-weight ties, the first choices first."""
+    weights = tuples.facet_weights(t)
+    choices = [G for G in range(tuples.NVARS) if weights[G] == max(weights) and tuples.reduction_applicable(t, G)]
+    if not choices:
+        yield (t,)
+    for G in choices:
+        for rest in max_weight_chains(tuples.apply_reduction(t, G).child):
+            yield (t, *rest)
+
+
 def check_builder_vs_oracle_all_choices(bound: int, seeds=None, primes=None) -> CheckResult:
     failed = set()  # a tuple's tie-breaks after its first failing one are skipped
 
@@ -205,7 +228,7 @@ def check_builder_vs_oracle_all_choices(bound: int, seeds=None, primes=None) -> 
         (t, expected, chain)
         for t in iter_tuples(bound)
         for expected in [oracle_table(t)]
-        for chain in resolution.all_max_weight_chains(t)
+        for chain in max_weight_chains(t)
         if t not in failed
     )
     return _sweep("assembled table equals oracle for every tie-break", cases, fails)
@@ -380,24 +403,25 @@ TWO_SKEW_LINES = TetTuple((1, 0, 0, 0, 0, 1))
 
 
 def brute_force_linear_in_class(minimal: TetTuple, max_entry: int) -> set[TetTuple]:
-    """Independent of the ascent: scan all tuples up to an entry bound."""
+    """Independent of the ascent: scan all tuples up to an entry bound, and
+    decide linearity with the Koszul oracle, once per orbit."""
     target = tuples.canonicalize(minimal)
     grid = map(TetTuple, itertools.product(range(max_entry + 1), repeat=6))
-    return {
+    in_class = {
         tuples.canonicalize(t)
         for t in grid
         if not t.is_trivial
         and (trace := tuples.reduction_trace(t)).terminal_kind is TerminalKind.MINIMAL
         and tuples.canonicalize(trace.terminal) == target
-        and resolution.betti_table(t).is_linear
     }
+    return {c for c in in_class if oracle_table(c).is_linear}
 
 
 def check_two_skew_vs_brute_force(bound=None, seeds=None, primes=None) -> CheckResult:
     name = "two-skew-lines ascent equals brute force, oracle-linear"
     got = resolution.enumerate_linear_in_class(TWO_SKEW_LINES)
     brute = brute_force_linear_in_class(TWO_SKEW_LINES, 4)
-    if got == brute and all(oracle_table(c).is_linear for c in got):
+    if got == brute:  # the brute force keeps oracle-linear orbits only
         return CheckResult(name, True, f"{len(got)} orbits")
     return CheckResult(name, False, f"ascent {sorted(map(str, got))} vs brute {sorted(map(str, brute))}")
 
@@ -468,17 +492,9 @@ def check_acm_linear_families(bound: int, seeds=None, primes=None) -> CheckResul
     return result
 
 
-def _deep(t):
-    top = max(t)
-    return any(
-        a6 == top and a1 > max(a3 + a5 + 2, a2 + a4 + 2) and a6 > max(a4 + a5 + 2, a2 + a3 + 2)
-        for a1, a2, a3, a4, a5, a6 in (tuples.permute(t, pi) for pi in tuples.VERTEX_PERMUTATIONS)
-    )
-
-
 check_no_nonmin = Check(
     "deep minimal curves admit only minimal ascents",
-    lambda *_: (t for t in iter_tuples(12) if tuples.is_minimal(t) and _deep(t)),
+    lambda *_: (t for t in iter_tuples(12) if tuples.is_minimal(t) and minimal_by_weight(t, 2)),
     lambda t: any(not tuples.is_minimal(parent) for parent, _ in resolution.ascent_candidates(t)),
 )
 

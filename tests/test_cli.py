@@ -312,6 +312,9 @@ class TestBoundedAnswers:
         ["betti", HUGE], ["gin", HUGE], ["reduce", "--trace", HUGE],
         # 2,000,004 entries: about 1.17 GB of RSS, which the guard once let through
         ["betti", "1000000,1000000,1000000,1,1,1"],
+        # a 1,022 MiB estimate passed the full 1 GiB, ran 23 s, then ended in a MemoryError
+        # beside the 140 MiB the interpreter had already mapped
+        ["gin", "--oracle-check", "80,0,0,0,0,0"],
     ])
     def test_large_answers_are_typed_errors(self, argv):
         start = time.perf_counter()

@@ -132,3 +132,12 @@ def test_memory_limit_has_one_home(monkeypatch, call):
     monkeypatch.setattr(exceptions, "ORACLE_MEMORY_LIMIT", 0)
     with pytest.raises(OracleTooLargeError):
         call()
+
+
+def test_guard_leaves_room_for_the_mapped_process():
+    """An estimate is compared with the limit less what the interpreter has
+    already mapped (numpy and the oracles loaded)."""
+    room = exceptions.ORACLE_MEMORY_LIMIT - exceptions.PROCESS_FOOTPRINT
+    exceptions.refuse_over_limit(room, "an estimate that fits")
+    with pytest.raises(OracleTooLargeError):
+        exceptions.refuse_over_limit(room + 1, "an estimate one byte over")

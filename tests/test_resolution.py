@@ -18,7 +18,6 @@ from tetracurves.monomials import Monomial, MonomialIdeal, ideal_of_tuple
 from tetracurves.resolution import (
     ResolutionRecipe,
     acm_linear_family,
-    all_max_weight_chains,
     ascent_candidates,
     betti_table,
     ci_power_betti,
@@ -36,7 +35,6 @@ from tetracurves.tuples import (
     canonicalize,
     ci_power_form,
     facet_weights,
-    max_weight_choices,
     reduction_applicable,
     reduction_trace,
 )
@@ -147,7 +145,7 @@ class TestBettiTableAssembly:
     def test_recipe_structure_acm_not_cwl(self):
         trace = reduction_trace(T("1,3,4,2,3,0"))
         recipe = resolution_recipe(trace)
-        assert trace.chain[trace.first_ci_power[0]] == T("0,2,2,2,2,0")
+        assert trace.steps[trace.first_ci_power[0]].parent == T("0,2,2,2,2,0")
         assert recipe.base_betti == ci_power_betti(2)
         assert self.steps_above_base(recipe) == 2
 
@@ -165,7 +163,7 @@ class TestBettiTableAssembly:
     def test_tie_break_independent(self):
         t = T("3,3,3,1,2,4")
         expected = betti_table(t)
-        chains = list(all_max_weight_chains(t))
+        chains = list(verify.max_weight_chains(t))
         assert len(chains) > 1
         for chain in chains:
             assert recipe_from_chain(chain).assemble() == expected
@@ -187,10 +185,7 @@ def pairwise_assemble(recipe):
 
 def stepwise_chain(t):
     """Test-only reference chain: the first maximal-weight choice at each step."""
-    chain = [t]
-    while choices := max_weight_choices(chain[-1]):
-        chain.append(apply_reduction(chain[-1], choices[0]).child)
-    return tuple(chain)
+    return next(verify.max_weight_chains(t))
 
 
 class TestLinearAssembly:
@@ -238,7 +233,7 @@ def element_ci_recipe(trace):
         runs.append(run)
         above += len(run.weights) * run.count
     assert above == index  # a run starts at the element
-    return ResolutionRecipe(ci_power_betti(ci_power_form(trace.chain[index])), tuple(runs))
+    return ResolutionRecipe(ci_power_betti(ci_power_form(trace.steps[index].parent)), tuple(runs))
 
 
 class TestCiPowerBase:

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from tetracurves.exceptions import NotApplicableError, TrivialCurveError
-from tetracurves import resolution, tuples
+from tetracurves import resolution, tuples, verify
 from tetracurves.koszul import BettiTable
 from tetracurves.monomials import Monomial
 from tetracurves.tuples import (
@@ -21,7 +21,6 @@ from tetracurves.tuples import (
     facet_weights,
     is_cwl,
     is_minimal,
-    minimal_by_weight_test,
     pair_profile,
     permute,
     reduction_applicable,
@@ -38,6 +37,11 @@ permutations = st.sampled_from(VERTEX_PERMUTATIONS)
 
 def T(text):
     return TetTuple.parse(text)
+
+
+def chain_of(trace):
+    """The trace's chain: the parents of its steps, then its terminal."""
+    return tuple(s.parent for s in trace.steps) + (trace.terminal,)
 
 
 class TestTetTuple:
@@ -216,13 +220,13 @@ class TestReductionTrace:
         trace = reduction_trace(T("3,3,3,1,2,4"))
         assert trace.terminal == T("1,0,0,0,0,1")
         assert trace.terminal_kind is TerminalKind.MINIMAL
-        chain = [str(c) for c in trace.chain]
+        chain = [str(c) for c in chain_of(trace)]
         for expected in ("2,2,2,1,2,4", "2,2,1,1,1,3", "2,1,1,0,1,2"):
             assert expected in chain
 
     def test_acm_chain(self):
         trace = reduction_trace(T("1,2,1,2,0,2"))
-        assert [str(c) for c in trace.chain] == [
+        assert [str(c) for c in chain_of(trace)] == [
             "1,2,1,2,0,2",
             "1,1,1,1,0,1",
             "0,0,0,1,0,1",
@@ -235,7 +239,7 @@ class TestReductionTrace:
         trace = reduction_trace(T("1,3,4,2,3,0"))
         index, r = trace.first_ci_power
         assert r == 2
-        assert trace.chain[index] == T("0,2,2,2,2,0")
+        assert chain_of(trace)[index] == T("0,2,2,2,2,0")
         assert trace.is_acm
 
     def test_trace_of_trivial(self):
@@ -314,7 +318,7 @@ class TestCompressedTrace:
                 cur = step.child
             trace = reduction_trace(t)
             assert trace.steps == tuple(steps)
-            assert trace.chain == tuple(s.parent for s in steps) + (cur,)
+            assert trace.terminal == cur
 
     def test_len_of_steps_builds_no_step(self, monkeypatch):
         def refuse(*args):
@@ -338,7 +342,7 @@ class TestMinimality:
 
     @given(tet_tuples)
     def test_weight_criterion_agrees(self, t):
-        assert is_minimal(t) == minimal_by_weight_test(t)
+        assert is_minimal(t) == verify.minimal_by_weight(t)
 
 
 def reference_permute(t, pi):

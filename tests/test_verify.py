@@ -82,6 +82,59 @@ def test_failing_check_names_its_first_failing_inputs(monkeypatch, mutate, check
     assert result.detail == detail
 
 
+def former_minimal_by_weight_test(t):
+    """Test-only copy of the former `tuples.minimal_by_weight_test`, over the
+    table of 24 edge-index rows (the row of pi is the image of 0..5)."""
+    if t.is_trivial:
+        return False
+    top = max(t)
+    for row in (tuples.permute(range(6), pi) for pi in tuples.VERTEX_PERMUTATIONS):
+        a1, a2, a3, a4, a5, a6 = (t[i] for i in row)
+        if a6 != top:
+            continue
+        if a1 > max(a3 + a5, a2 + a4) and a6 > max(a4 + a5, a2 + a3):
+            return True
+    return False
+
+
+def former_deep(t):
+    """Test-only copy of the former `verify._deep`."""
+    top = max(t)
+    return any(
+        a6 == top and a1 > max(a3 + a5 + 2, a2 + a4 + 2) and a6 > max(a4 + a5 + 2, a2 + a3 + 2)
+        for a1, a2, a3, a4, a5, a6 in (tuples.permute(t, pi) for pi in tuples.VERTEX_PERMUTATIONS)
+    )
+
+
+def test_weight_criterion_matches_both_former_copies():
+    deep = 0
+    for t in verify.iter_tuples(10, include_trivial=True):
+        assert verify.minimal_by_weight(t) == former_minimal_by_weight_test(t), t
+        assert verify.minimal_by_weight(t, 2) == former_deep(t), t
+        deep += former_deep(t)
+    assert deep  # margin 2 is not vacuous at weight <= 10
+
+
+def test_two_skew_brute_force_decides_linearity_by_the_oracle(monkeypatch):
+    # a closed form that reads the linear orbit (1,2,3,3,2,1), above level 0,
+    # as non-linear drops it from the ascent; a brute force that read the
+    # same closed form would drop it too and agree
+    closed_form, target = resolution.betti_table, tuples.canonicalize((1, 2, 3, 3, 2, 1))
+
+    def broken(t):
+        table = closed_form(t)
+        if tuples.canonicalize(t) != target:
+            return table
+        return table + BettiTable.from_dict({(0, table.min_generator_degree + 1): 1})
+
+    assert verify.check_two_skew_vs_brute_force().detail == "8 orbits"
+    monkeypatch.setattr(resolution, "betti_table", broken)
+    result = verify.check_two_skew_vs_brute_force()
+    assert not result.passed
+    assert "1,2,3,3,2,1" in result.detail.split(" vs brute ")[1]
+    assert "1,2,3,3,2,1" not in result.detail.split(" vs brute ")[0]
+
+
 def test_liaison_addition_names_its_bound():
     result = verify.run_suite("liaison-addition", bound=2)
     assert [(c.name, c.passed, c.detail) for c in result.checks] == [
