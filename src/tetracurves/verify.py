@@ -375,6 +375,21 @@ def check_gin_regularity(case):
     return gin_mod.ek_betti(_oracle_gin(t, seeds, primes)).regularity != tuples.regularity_closed_form(t) and t
 
 
+# the paper's transfer of a minimal curve's gin up its even liaison class, for
+# every minimal base, with both gins from the oracle: gin(C) = a^n gin(C_0) +
+# (a^j b^(e_j) : j < n) over the n links, e_j the j-th link's weight from the top
+@row("links folded over the terminal's oracle gin equal the oracle", lambda b, seeds, primes: (
+    (trace, seeds, primes)
+    for t in iter_tuples(10)  # the non-ACM, non-minimal orbits of weight <= 10
+    if t == tuples.canonicalize(t) and not (trace := tuples.reduction_trace(t)).is_acm and trace.step_count
+))
+def check_gin_transfer(case):
+    trace, seeds, primes = case
+    base = (monomials.Monomial((trace.step_count, 0, 0, 0)) * g for g in _oracle_gin(trace.terminal, seeds, primes))
+    links = (monomials.Monomial((j, e, 0, 0)) for j, e in enumerate(trace.weights))
+    return MonomialIdeal((*base, *links)) != _oracle_gin(trace.start, seeds, primes) and trace.start
+
+
 # ---------------------------------------------------------------- enumeration
 
 PUBLISHED_TWO_SKEW_ORBITS = (
@@ -542,7 +557,7 @@ SUITES = {
     "cwl": (6, (check_cwl_oracle, check_schwartau, check_hope)),
     "regularity": (7, (check_regularity,)),
     "gin": (6, (check_gin_acm_examples, check_ek_vs_prediction, check_gin_acm_wellformed, check_buchsbaum_gin,
-                check_gin_vs_oracle, check_gin_regularity)),
+                check_gin_vs_oracle, check_gin_regularity, check_gin_transfer)),
     "enumeration": (10, (check_two_skew_vs_brute_force, check_two_skew_vs_published, check_acm_linear_families,
                          check_no_nonmin)),
     "liaison-addition": (4, (check_liaison_addition,)),

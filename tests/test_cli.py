@@ -312,9 +312,10 @@ class TestBoundedAnswers:
         ["betti", HUGE], ["gin", HUGE], ["reduce", "--trace", HUGE],
         # 2,000,004 entries: about 1.17 GB of RSS, which the guard once let through
         ["betti", "1000000,1000000,1000000,1,1,1"],
-        # a 1,022 MiB estimate passed the full 1 GiB, ran 23 s, then ended in a MemoryError
-        # beside the 140 MiB the interpreter had already mapped
-        ["gin", "--oracle-check", "80,0,0,0,0,0"],
+        # the least fat line the oracle's guard refuses: an 892 MiB estimate beside the
+        # 140 MiB the interpreter has mapped (80,0,0,0,0,0 was refused at 1,022 MiB before
+        # the hyperplane section; at the full 1 GiB it had ended in a MemoryError)
+        ["gin", "--oracle-check", "197,0,0,0,0,0"],
     ])
     def test_large_answers_are_typed_errors(self, argv):
         start = time.perf_counter()
@@ -323,6 +324,13 @@ class TestBoundedAnswers:
         assert done.returncode == 1
         assert json.loads(done.stdout)["result"]["error"] == "OracleTooLargeError"
         assert "Traceback" not in done.stderr
+
+
+    def test_fat_line_oracle_fits_in_one_gib(self):
+        # 81 rows of 3,321 columns on the hyperplane section: a 61 MiB estimate
+        done = self.cli("gin", "--oracle-check", "80,0,0,0,0,0", limit=1 << 30)
+        assert done.returncode == 0, done.stderr
+        assert json.loads(done.stdout)["result"]["oracle_match"] is True
 
 
 _small = st.integers(0, 6).map(str)

@@ -13,8 +13,9 @@ from tetracurves.groebner import (
     DEFAULT_PRIMES,
     _degree,
     _images,
+    _read,
     _row_echelon,
-    _saturation,
+    _staircase,
     check_primes,
     gin_oracle,
     random_invertible_matrix,
@@ -23,7 +24,7 @@ from tetracurves.koszul import betti_table_oracle
 from tetracurves.monomials import (
     Monomial,
     MonomialIdeal,
-    component_ideal,
+    exponent_box,
     ideal_of_tuple,
     monomials_of_degree,
     truncate,
@@ -41,6 +42,11 @@ DEGENERATE = [[1, 2, 0, 2], [0, 1, 0, 1], [1, 2, 1, 2], [1, 1, 2, 0]]
 def columns(d):
     """Exponent vectors of the degree-d Macaulay-matrix columns."""
     return tuple(m.exps for m in monomials_of_degree(d))
+
+
+def plane(d):
+    """The columns of the hyperplane section in degree d: those free of d."""
+    return columns(d)[: math.comb(d + 2, 2)]
 
 
 def poly(*terms):
@@ -73,8 +79,9 @@ def leads(rows, top):
 
 # Single-run reference kernel: one Macaulay matrix per degree, holding the
 # degree-d generators and the a, b, c, d shifts of the degree-(d-1) echelon
-# rows, row-reduced on its own.  The oracle's kernel (one elimination in the
-# top degree, lower degrees read off) must give every run these leads.
+# rows, row-reduced on its own, in four variables.  In generic coordinates the
+# oracle's kernel (the hyperplane section, every run and degree in one
+# elimination) must give every run these leads.
 
 
 @functools.lru_cache(maxsize=None)
@@ -151,46 +158,57 @@ def reference_image(exps, matrix, p):
 
 
 def generator_images(ideal, matrices, primes):
-    """{degree d: stacked coefficient rows of the degree-d minimal generators}."""
+    """{degree d: stacked coefficient rows, on the hyperplane section, of the degree-d minimal generators}."""
     degrees = sorted({g.degree for g in ideal})
-    return {d: _images([g for g in ideal if g.degree == d], d, matrices, primes) for d in degrees}
+    return {d: _images([[g for g in ideal if g.degree == d]], d, matrices, primes) for d in degrees}
+
+
+def four_variable_images(ideal, matrix, p):
+    """{degree d: coefficient rows over monomials_of_degree(d) of the images of the degree-d minimal generators}."""
+    degrees = sorted({g.degree for g in ideal})
+    return {d: [reference_image(g, matrix, p) for g in ideal if g.degree == d] for d in degrees}
 
 
 def kernel_leads(ideal, matrices, primes, top):
-    """The oracle kernel's lead ideal of each run: the pivots of one
-    elimination in degree `top`, read down to one below the least generator
-    degree."""
-    low = min(ideal.min_generator_degree - 1, top)
-    tops = list(component_ideal(ideal, top))
-    masks = _row_echelon(_images(tops, top, matrices, primes), primes)
-    return [_saturation(mask, top, low)[0] for mask in masks]
+    """The oracle kernel's lead ideal of each run: the images of the
+    staircase rows of each degree up to `top` on the hyperplane section, one
+    stacked elimination, read degree by degree."""
+    low = min(ideal.min_generator_degree, top)
+    rows = _staircase(*exponent_box(ideal, bound=top + 1), top, low)[1]
+    masks = _row_echelon(_images(rows, low, matrices, primes), np.repeat(primes, len(rows)))
+    return [_read(mask, low)[0] for mask in masks.reshape(len(matrices), len(rows), -1)]
 
 
 def single_run_leads(ideal, matrices, primes, top):
-    """Reference leads of each run, reduced degree by degree on its own."""
-    return [
-        reference_leading_monomials({d: rows[0] for d, rows in generator_images(ideal, [m], [p]).items()}, top, p)
-        for m, p in zip(matrices, primes)
-    ]
+    """Reference leads of each run, reduced degree by degree on its own in four variables."""
+    return [reference_leading_monomials(four_variable_images(ideal, m, p), top, p) for m, p in zip(matrices, primes)]
+
+
+def section_leads(ideal, matrices, primes, top):
+    """The reference leads less their generators divisible by d: the initial
+    ideal of the hyperplane section, as in(J + (d)) = in(J) + (d) in revlex."""
+    return [MonomialIdeal(tuple(g for g in lead if not g[3])) for lead in single_run_leads(ideal, matrices, primes, top)]
 
 
 class TestSubstitution:
     def test_identity_matrix_fixes_generators(self):
+        # on the hyperplane section d -> 0: a*c and b*c stay, a*d and b*d vanish
         I = ideal_of_tuple((1, 0, 0, 0, 0, 1))
         rows = generator_images(I, [IDENTITY], [P])
         assert list(rows) == [2]
-        expected = [[1 if e == g.exps else 0 for e in columns(2)] for g in I.generators]
+        expected = [[1 if e == g.exps else 0 for e in plane(2)] for g in I.generators]
         assert rows[2].tolist() == [expected]
+        assert [any(row) for row in expected] == [not g[3] for g in I.generators] == [True, True, False, False]
 
     def test_deterministic_in_seed(self):
-        gens = [(1, 0, 0, 0), (0, 1, 0, 0)]
+        gens = [[(1, 0, 0, 0), (0, 1, 0, 0)]]
         first = _images(gens, 1, [random_invertible_matrix(7, P)], [P])
         second = _images(gens, 1, [random_invertible_matrix(7, P)], [P])
         assert (first == second).all()
 
     def test_linear_forms_stay_linear(self):
-        rows = _images([(1, 0, 0, 0), (0, 1, 0, 0)], 1, [random_invertible_matrix(3, P)], [P])
-        assert rows.shape == (1, 2, 4)
+        rows = _images([[(1, 0, 0, 0), (0, 1, 0, 0)]], 1, [random_invertible_matrix(3, P)], [P])
+        assert rows.shape == (1, 2, 3)
 
     def test_matrix_invertible_and_deterministic(self):
         m1 = random_invertible_matrix(11, P)
@@ -228,23 +246,36 @@ class TestSubstitution:
     def test_products_of_linear_forms(self):
         # (a + 2b)(a - b) = a^2 + a*b - 2b^2 under x_0 -> a + 2b, x_1 -> a - b
         matrix = [[1, 2, 0, 0], [1, P - 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]
-        rows = _images([(1, 1, 0, 0)], 2, [matrix], [P])
-        expected = poly(((2, 0, 0, 0), 1), ((1, 1, 0, 0), 1), ((0, 2, 0, 0), -2))
+        rows = _images([[(1, 1, 0, 0)]], 2, [matrix], [P])
+        expected = poly(((2, 0, 0, 0), 1), ((1, 1, 0, 0), 1), ((0, 2, 0, 0), -2))[: len(plane(2))]
         assert rows.tolist() == [[[c % P for c in expected]]]
 
     def test_images_match_term_by_term_products(self):
-        # every monomial of degree 5, through its ancestors, against the product multiplied out
+        # every monomial of degrees 3 to 5, each degree's rows injected at its
+        # level of the ancestor tree, against the product multiplied out with
+        # d -> 0, which keeps the coefficients of the d-free monomials
         matrices = [random_invertible_matrix(s, p) for s in (1, 2) for p in DEFAULT_PRIMES]
         primes = [p for _ in (1, 2) for p in DEFAULT_PRIMES]
-        rows = _images(list(monomials_of_degree(5)), 5, matrices, primes)
+        degrees = range(3, 6)
+        stack = _images([list(monomials_of_degree(d)) for d in degrees], 3, matrices, primes)
+        stack = stack.reshape(len(matrices), len(degrees), *stack.shape[1:])
         for k, (m, p) in enumerate(zip(matrices, primes)):
-            assert rows[k].tolist() == [reference_image(e, m, p) for e in monomials_of_degree(5)]
+            section = [row[:3] + (0,) for row in m]
+            for member, d in zip(stack[k], degrees):
+                width, count = len(plane(d)), len(monomials_of_degree(d))
+                expected = [reference_image(e, section, p)[:width] for e in monomials_of_degree(d)]
+                assert member[:count, :width].tolist() == expected
+                assert not member[count:].any() and not member[:, width:].any()
 
     @pytest.mark.parametrize("d", range(13))
     def test_degree_tables_match_monomial_lists(self, d):
         exps, shifts = _degree(d)
         assert list(map(tuple, exps.tolist())) == list(monomials_of_degree(d))
         assert (shifts == reference_shifts(d)).all()
+        # the planar tables are their first C(d+2, 2) entries, listed on their own
+        exps, shifts = _degree(d, planar=True)
+        assert list(map(tuple, exps.tolist())) == list(plane(d))
+        assert (shifts[:3] == reference_shifts(d)[:3, : len(plane(d))]).all()
 
 
 class TestGroebnerBasis:
@@ -299,17 +330,20 @@ class TestGroebnerBasis:
             assert leads(rows, max(g.degree for g in expected.generators)) == expected
 
     def test_monomial_input_round_trip(self):
+        # the reference keeps the ideal; the kernel, on the hyperplane section
+        # d -> 0, keeps its generators free of d
         I = ideal_of_tuple((2, 1, 0, 0, 0, 1))
-        assert kernel_leads(I, [IDENTITY], [P], 6) == [I]
         assert single_run_leads(I, [IDENTITY], [P], 6) == [I]
+        assert kernel_leads(I, [IDENTITY], [P], 6) == [MonomialIdeal.of("a^2*c", "a*b*c", "b^2*c")]
+        assert kernel_leads(I, [IDENTITY], [P], 6) == section_leads(I, [IDENTITY], [P], 6)
 
-    def test_rejects_empty(self):
-        # the kernel's rows are a basis: a stack is refused when any one
-        # member has a dependent row
-        with pytest.raises(AssertionError, match="rank"):
-            _row_echelon(np.array([[[1] + [0] * 9]], dtype=np.int64) * [[[1]], [[0]]], [P, P])
-        with pytest.raises(AssertionError, match="rank"):
-            _row_echelon(np.array([[[1, 2, 0], [2, 4, 0]]], dtype=np.int64), [P])
+    def test_dependent_rows_take_no_pivot(self):
+        # a zero member, and a member with a dependent row, in stacks with
+        # full-rank members: no pivot for the zero rows, the others unchanged
+        got = _row_echelon(np.array([[[1] + [0] * 9]], dtype=np.int64) * [[[1]], [[0]]], [P, P])
+        assert got.tolist() == [[True] + [False] * 9, [False] * 10]
+        got = _row_echelon(np.array([[[1, 2, 0], [2, 4, 0]], [[0, 1, 0], [1, 0, 0]]], dtype=np.int64), [P, P])
+        assert got.tolist() == [[True, False, False], [True, True, False]]
 
 
 GIN_SUPPORTED = [t for t in iter_tuples(5) if gin_of_curve(t) is not None]
@@ -341,14 +375,14 @@ class TestStackedKernel:
 
     def test_mixed_stack_reaches_different_pivots(self):
         # degenerate, identity and generic coordinates in one stack: the members
-        # reach different pivots, and each keeps its single-run leads
+        # reach different pivots, and each keeps the leads of its own section
         q = DEFAULT_PRIMES[1]
         matrices = [DEGENERATE, IDENTITY, random_invertible_matrix(1, P), random_invertible_matrix(2, q)]
         primes = [P, q, P, q]
         for t in [t for t in GIN_SUPPORTED if t.total <= 4] + LADDER:
             I = ideal_of_tuple(t)
             top = betti_table_oracle(I).regularity
-            assert kernel_leads(I, matrices, primes, top) == single_run_leads(I, matrices, primes, top), t
+            assert kernel_leads(I, matrices, primes, top) == section_leads(I, matrices, primes, top), t
         # (2,1,0,0,0,1) up to its regularity: three distinct leads in one stack
         got = kernel_leads(ideal_of_tuple((2, 1, 0, 0, 0, 1)), matrices, primes, 3)
         assert len(set(got)) == 3
@@ -488,13 +522,19 @@ class TestOracleFailures:
             gin_oracle(ideal_of_tuple((2, 1, 0, 0, 0, 1)))
 
     def test_count_check_catches_a_lower_degree(self, monkeypatch):
-        # top pivots a*S_1 are Borel-fixed and agree, but read down they give
-        # (a): one monomial in degree 1, where the two skew lines have none
-        # (S_1 * a*S_1 also misses two monomials of degree 3)
-        lead = np.array([m in MonomialIdeal.of("a") for m in monomials_of_degree(2)])
-        monkeypatch.setattr(groebner, "_row_echelon", lambda rows, primes: np.tile(lead, (len(rows), 1)))
-        with pytest.raises(DisagreementError, match="Hilbert function in degree 1$"):
-            gin_oracle(ideal_of_tuple((1, 0, 0, 0, 0, 1)))
+        # rows of the least degree, 4, that are all dependent: every run reads
+        # the gin from degree 5 on, which is Borel-fixed, and the runs agree,
+        # but degree 4 has no pivot where I_4 has two monomials
+        real = groebner._images
+
+        def dependent_low_degree(rows, low, matrices, primes):
+            stack = real(rows, low, matrices, primes)
+            stack.reshape(len(matrices), len(rows), *stack.shape[1:])[:, 0] = 0
+            return stack
+
+        monkeypatch.setattr(groebner, "_images", dependent_low_degree)
+        with pytest.raises(DisagreementError, match="Hilbert function in degree 4$"):
+            gin_oracle(ideal_of_tuple((1, 2, 2, 2, 1, 2)))
 
     def test_unsaturated_input_refused_up_front(self, monkeypatch):
         # I_(>=3) of two skew lines has no quadrics, but (I_3 : S_1)_2 has four
@@ -506,15 +546,15 @@ class TestOracleFailures:
 class TestOracleSize:
     @pytest.mark.parametrize("t", [(16,) * 6, (40, 0, 0, 0, 0, 40), (300, 0, 0, 0, 0, 0)])
     def test_huge_stack_refused_before_elimination(self, t, monkeypatch):
-        # their int64 stacks alone would take 1.5, 4.6 and 41 GiB; the guard
-        # sizes them from counts, before any monomial of the top degree is listed
+        # estimates of 1.16, 1.25 and 3.06 GiB: the stacks and the largest image
+        # layers, sized from counts before any monomial of the top degree is listed
         monkeypatch.setattr(groebner, "random_invertible_matrix", lambda seed, p: pytest.fail("drew a matrix"))
-        monkeypatch.setattr(groebner, "_degree", lambda d: pytest.fail("listed the monomials"))
+        monkeypatch.setattr(groebner, "_degree", lambda d, planar=False: pytest.fail("listed the monomials"))
         with pytest.raises(OracleTooLargeError, match="Macaulay"):
             gin_oracle(ideal_of_tuple(t))
 
     def test_moderate_stack_accepted(self, monkeypatch):
-        # a 33 MiB int64 stack (147 MiB at its peak) passes the estimate and reaches the first draw
+        # a 45 MiB estimate (29 MiB tracemalloc peak) passes and reaches the first draw
         class Drawn(Exception):
             pass
 

@@ -188,9 +188,10 @@ def test_gin_checks_share_one_oracle_gin_per_tuple(monkeypatch):
     result = verify.run_suite("gin", bound=4)
     assert result.passed
     # three Buchsbaum models, of which (1,0,0,0,0,1) is also a tuple of weight <= 4, then one call
-    # per tuple for the oracle and regularity checks together
-    assert [c.detail for c in result.checks[-3:]] == ["6 cases", "194 cases", "194 cases"]
-    assert len(calls) == 2 + 194
+    # per tuple for the oracle and regularity checks together, then one per curve or terminal of
+    # the transfer row's 129 orbits (weight <= 10 at any bound) not met before
+    assert [c.detail for c in result.checks[-4:]] == ["6 cases", "194 cases", "194 cases", "129 cases"]
+    assert len(calls) == len(set(calls)) == 2 + 194 + 167
 
 
 def test_a_row_lowers_the_bound_to_its_cap():
