@@ -18,7 +18,7 @@ import random
 
 from .exceptions import DisagreementError, NotBorelFixedError, refuse_over_limit
 from .gin import StableIdeal, is_strongly_stable
-from .koszul import betti_table_oracle
+from .koszul import _box_betti_table
 from .monomials import Monomial, MonomialIdeal, NVARS, exponent_box, standard_counts
 
 DEFAULT_PRIMES = (32003, 31991)
@@ -159,10 +159,12 @@ def gin_oracle(
     primes = check_primes(primes)
     if ideal.is_zero or ideal.is_unit:
         raise ValueError("gin oracle needs a proper non-zero ideal")
-    top = betti_table_oracle(ideal).regularity
+    # one box for the regularity and the counts: no generator's exponent
+    # exceeds its degree, which is at most reg, so a cap at reg + 1 cuts nothing
+    least, box = exponent_box(ideal)
+    top = _box_betti_table(least, box).regularity
     low = min(ideal.min_generator_degree, top)
     runs = [(seed, prime) for seed in seeds for prime in primes]
-    least, box = exponent_box(ideal, bound=top + 1)
     dims = [math.comb(d + 3, 3) - v for d, v in enumerate(standard_counts(least, box, top + 1))]  # dim I_d
     ranks = [b - a for a, b in zip([0, *dims], dims)]  # dim I_d - dim I_(d-1): rows, then pivots, in degree d
     cells = (top + 1 - low) * max(ranks[low : top + 1]) * math.comb(top + 2, 2) + max(  # the stack, the largest layer

@@ -5,6 +5,7 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, strategies as st
 
 from tetracurves import groebner
 from tetracurves.exceptions import DisagreementError, NotBorelFixedError, OracleTooLargeError
@@ -452,6 +453,16 @@ class TestGinOracle:
         )
         assert gin_oracle(ideal_of_tuple(t)) == expected
 
+    @given(st.lists(st.tuples(*[st.integers(0, 5)] * 4).map(Monomial), min_size=1, max_size=6))
+    def test_regularity_cap_cuts_no_generator(self, gens):
+        # the oracle reads reg and the Hilbert counts off one uncapped box:
+        # capped at reg + 1 it is the same box
+        I = MonomialIdeal(tuple(gens))
+        assume(not I.is_unit)
+        least, top = exponent_box(I)
+        capped_least, capped_top = exponent_box(I, bound=betti_table_oracle(I).regularity + 1)
+        assert np.array_equal(least, capped_least) and np.array_equal(top, capped_top)
+
     def test_rejects_unit(self):
         with pytest.raises(ValueError):
             gin_oracle(MonomialIdeal.of("1"))
@@ -506,13 +517,13 @@ class TestOracleFailures:
         assert len(checked) == 1
 
     def test_hilbert_check_catches_low_top_degree(self, monkeypatch):
-        real = groebner.betti_table_oracle
+        real = groebner._box_betti_table
 
         class OneTooLow:
-            def __init__(self, ideal):
-                self.regularity = real(ideal).regularity - 1
+            def __init__(self, least, top):
+                self.regularity = real(least, top).regularity - 1
 
-        monkeypatch.setattr(groebner, "betti_table_oracle", OneTooLow)
+        monkeypatch.setattr(groebner, "_box_betti_table", OneTooLow)
         with pytest.raises(DisagreementError, match="Hilbert function in degree 6"):
             gin_oracle(ideal_of_tuple((3, 0, 0, 0, 0, 3)))
 

@@ -1,16 +1,19 @@
 import itertools
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import example, given, strategies as st
 
 from tetracurves.koszul import (
     BettiTable,
+    _complexes,
     betti_table_oracle,
     cached_betti_oracle,
     reduced_homology_ranks,
 )
 from tetracurves.monomials import Monomial, MonomialIdeal, ideal_of_tuple
+from tetracurves.verify import iter_tuples
 
 monomials = st.tuples(*[st.integers(0, 3)] * 4).map(Monomial)
 
@@ -131,6 +134,23 @@ class TestHomology:
         for mask in masks:
             assert reduced_homology_ranks(mask) == homology_reference(mask), bin(mask)
 
+    @pytest.mark.parametrize("mask", [
+        sum(1 << s for s in (0b000, 0b001, 0b010, 0b100, 0b011, 0b101, 0b111)),  # abc without the edge bc
+        1 << 0b0011,  # the edge ab alone, without its vertices or the empty face
+        1 << 16,
+        -1,
+    ])
+    def test_rejects_masks_that_are_not_complexes(self, mask):
+        with pytest.raises(ValueError, match="not a simplicial complex"):
+            reduced_homology_ranks(mask)
+
+    def test_table_lists_every_complex_with_its_reference_ranks(self):
+        number, ranks = _complexes()
+        masks = np.flatnonzero(number >= 0).tolist()
+        assert masks == downward_closed_masks()
+        assert number[masks].tolist() == list(range(len(masks)))
+        assert [tuple(row) for row in ranks.tolist()] == [homology_reference(m) for m in masks]
+
 
 class TestUpperKoszul:
     def test_koszul_syzygy_of_two_variables(self):
@@ -209,7 +229,9 @@ class TestBettiOracle:
         assert all(type(x) is int for entry in got.entries for x in entry)
 
     def test_tetrahedral_ideals_match_upper_koszul_reference(self):
-        for t in ((1, 0, 0, 0, 0, 1), (2, 0, 1, 1, 0, 2), (3, 3, 3, 1, 2, 4), (2, 1, 1, 1, 0, 2)):
+        # every tuple of weight <= 5 (about 1 s), then three heavier ones
+        heavier = ((2, 0, 1, 1, 0, 2), (3, 3, 3, 1, 2, 4), (2, 1, 1, 1, 0, 2))
+        for t in [*(t for t in iter_tuples(5) if t.total), *heavier]:
             I = ideal_of_tuple(t)
             assert betti_table_oracle(I) == koszul_reference(I), t
 
