@@ -6,7 +6,8 @@ so equality of `MonomialIdeal` values is equality of ideals.  The module
 covers the constructions needed for tetrahedral curves: the curve's ideal
 (the intersection of powers of edge ideals), basic double links
 ``g*I + (F)``, graded components ``(I_d)``, truncations ``I_{>=d}``, and
-Hilbert-function data for the quotient ring.
+Hilbert-function data for the quotient ring.  The curve's ideal carries the
+grid it is built from, its `exponent_box`, which the oracles read as is.
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ from .tuples import NVARS, VARIABLES, TetTuple, variable_index
 # to the bound (the lists of values and the JSON answer; 125 to 147 as the
 # slope of peak RSS of `hilbert --format json` from 1 to 2..6 million)
 _GRID_BYTES_PER_CELL = 17
+_BOX_BYTES_PER_CELL = 8  # exponent_box's int64 least, accumulated in place
 _BYTES_PER_MONOMIAL = 160
 _HILBERT_BYTES_PER_DEGREE = 150
 
@@ -191,6 +193,10 @@ class MonomialIdeal(tuple):
         return f"MonomialIdeal{self}"
 
 
+class _BoxedIdeal(MonomialIdeal):
+    """An `ideal_of_tuple` ideal: a `MonomialIdeal` carrying its `exponent_box`."""
+
+
 def ideal_of_tuple(t: Sequence[int]) -> MonomialIdeal:
     """The saturated ideal of a tetrahedral curve: the intersection of the
     powers (x,y)^a_i over the six coordinate lines; the unit ideal when every
@@ -202,16 +208,18 @@ def ideal_of_tuple(t: Sequence[int]) -> MonomialIdeal:
     is max(0, a03 - e0, a13 - e1, a23 - e2).  That point is a minimal
     generator unless lowering e0, e1 or e2 by one keeps the same least e3.
     Exponents of minimal generators never exceed the largest weight at their
-    vertex, which bounds the grid.  Raises OracleTooLargeError when the grid
-    would need more memory than `refuse_over_limit` allows."""
+    vertex, and one reaches it (those free of y have x^w, w = a_xy): the grid
+    is the `exponent_box` the ideal carries.  Raises OracleTooLargeError when
+    the grid would need more memory than `refuse_over_limit` allows."""
     import numpy as np
     a01, a02, a03, a12, a13, a23 = TetTuple(t)
-    shape = (max(a01, a02, a03) + 1, max(a01, a12, a13) + 1, max(a02, a12, a23) + 1)
+    top = (max(a01, a02, a03), max(a01, a12, a13), max(a02, a12, a23), max(a03, a13, a23))
+    shape = tuple(k + 1 for k in top[:3])
     refuse_over_limit(math.prod(shape) * _GRID_BYTES_PER_CELL, f"the ideal's exponent grid {list(shape)} needs")
     e0, e1, e2 = np.indices(shape, sparse=True)
     meets = (e0 + e1 >= a01) & (e0 + e2 >= a02) & (e1 + e2 >= a12)
     least = np.maximum(np.maximum(a03 - e0, a13 - e1), np.maximum(a23 - e2, 0))
-    least = np.where(meets, least, max(a03, a13, a23) + 1)
+    least = np.where(meets, least, top[3] + 1)
     minimal = meets.copy()
     minimal[1:] &= least[:-1] > least[1:]
     minimal[:, 1:] &= least[:, :-1] > least[:, 1:]
@@ -220,7 +228,10 @@ def ideal_of_tuple(t: Sequence[int]) -> MonomialIdeal:
     # display order (`display_key`): ascending degree, then ascending e3, e2,
     # e1, e0, which is descending degrevlex
     order = np.lexsort((exps[:, 0], exps[:, 1], exps[:, 2], exps[:, 3], exps.sum(axis=1)))
-    return MonomialIdeal._from_minimal(map(Monomial, exps[order].tolist()))
+    ideal = _BoxedIdeal._from_minimal(map(Monomial, exps[order].tolist()))
+    ideal._box = least, np.array(top)
+    least.flags.writeable = ideal._box[1].flags.writeable = False
+    return ideal
 
 
 def _exponent_rows(monomials: Sequence[Monomial]) -> np.ndarray:
@@ -244,14 +255,25 @@ def exponent_box(
     `(least, top)`: least[p0, p1, p2] is the least p3 <= top[3] with x^p in
     the ideal, or top[3] + 1 when there is none.  It is the prefix minimum of
     the generators' d-exponents; a generator past a cap divides no box point
-    and is dropped."""
+    and is dropped.  An `ideal_of_tuple` ideal carries its uncapped box,
+    read-only; a cap crops it and sets entries above top[3] to top[3] + 1.
+    Raises OracleTooLargeError before a box built from the generators would
+    need more memory than `refuse_over_limit` allows."""
     import numpy as np
+    if isinstance(ideal, _BoxedIdeal):
+        least, top = ideal._box
+        if bound is None or bound >= top.max():
+            return least, top
+        top = np.minimum(top, bound)
+        return np.minimum(least[: top[0] + 1, : top[1] + 1, : top[2] + 1], top[3] + 1), top
     gens = _exponent_rows(ideal)
     top = gens.max(axis=0, initial=0)
     if bound is not None:
         top = np.minimum(top, bound)
         gens = gens[(gens <= top).all(axis=1)]
-    least = np.full(top[:3] + 1, top[3] + 1)
+    shape = (top[:3] + 1).tolist()
+    refuse_over_limit(math.prod(shape) * _BOX_BYTES_PER_CELL, f"the exponent box {shape} needs")
+    least = np.full(shape, top[3] + 1)
     # minimal generators differ in (e0, e1, e2), so no entry is written twice
     least[gens[:, 0], gens[:, 1], gens[:, 2]] = gens[:, 3]
     for axis in range(3):
@@ -332,25 +354,26 @@ def hilbert_data(ideal: MonomialIdeal, upto: int) -> HilbertData:
     than `refuse_over_limit` allows.
 
     The count runs over the columns (p0, p1, p2) of `exponent_box` capped at
-    `upto`, so its cost is the box below the generators' lcm (or below upto,
-    whichever is smaller), not the (upto + 1)^4 grid.  A monomial of degree
-    <= upto has no exponent above upto, so clipping it to the box keeps its
-    membership.  A box point p outside the ideal with t coordinates on the
-    box's upper face stands for the monomials that clip to it, x^p / (1 - x)^t
-    as a series.  Summed over the standard points of one column (p3 below
-    least[p0, p1, p2]) that is (x^s - x^(s + least)) / (1 - x)^(u + 1), with
-    s = p0 + p1 + p2 and u the number of p0, p1, p2 on the upper face; the
-    second term drops when no p3 in the box is in the ideal.  When no
-    generator has an exponent above upto, every term starts and ends by
-    degree top.sum(), so h_d vanishes past top.sum() + 1 when R/I has
-    dimension <= 2 (a curve) and not at top.sum() + 2 otherwise: the count
-    runs on that far to read every h_d with d >= upto.
+    upto + 1, whose top shows whether a generator passes upto, so its cost is
+    the box below the generators' lcm (or below upto + 1), not the
+    (upto + 1)^4 grid.  A monomial of degree <= upto has no exponent above
+    upto, so clipping it to the box keeps its membership.  A box point p
+    outside the ideal with t coordinates on the box's upper face stands for
+    the monomials that clip to it, x^p / (1 - x)^t as a series.  Summed over
+    the standard points of one column (p3 below least[p0, p1, p2]) that is
+    (x^s - x^(s + least)) / (1 - x)^(u + 1), with s = p0 + p1 + p2 and u the
+    number of p0, p1, p2 on the upper face; the second term drops when no p3
+    in the box is in the ideal.  When no generator has an exponent above
+    upto, every term starts and ends by degree top.sum(), so h_d vanishes
+    past top.sum() + 1 when R/I has dimension <= 2 (a curve) and not at
+    top.sum() + 2 otherwise: the count runs on that far to read every h_d
+    with d >= upto.
     """
     if upto < 0:
         raise ValueError("upto must be non-negative")
     refuse_over_limit((upto + 1) * _HILBERT_BYTES_PER_DEGREE, f"the Hilbert function up to degree {upto} needs")
-    least, top = exponent_box(ideal, bound=upto)
-    capped = any(e > upto for g in ideal for e in g)
+    least, top = exponent_box(ideal, bound=upto + 1)
+    capped = bool((top > upto).any())
     last = upto if capped else max(upto, int(top.sum()) + 2)  # the degree counted to
     values = standard_counts(least, top, last)
     first = [b - a for a, b in zip([0] + values, values)]

@@ -2,8 +2,10 @@ import functools
 import itertools
 import math
 import operator
+import random
 import tracemalloc
 
+import numpy as np
 import pytest
 from hypothesis import example, given, strategies as st
 
@@ -23,6 +25,7 @@ from tetracurves.monomials import (
     basic_double_link,
     component_ideal,
     display_key,
+    exponent_box,
     hilbert_data,
     ideal_of_tuple,
     minimalize,
@@ -30,7 +33,7 @@ from tetracurves.monomials import (
     truncate,
     variable_index,
 )
-from tetracurves.tuples import EDGES, degree_of_tuple, regularity_closed_form
+from tetracurves.tuples import EDGES, TetTuple, degree_of_tuple, regularity_closed_form
 from tetracurves.verify import iter_tuples
 
 monomials = st.tuples(*[st.integers(0, 4)] * 4).map(Monomial)
@@ -323,6 +326,39 @@ class TestIdealOfTuple:
             ideal_of_tuple((1, 0, 0, 0, 1))
         with pytest.raises(ValueError):
             ideal_of_tuple((1, 0, 0, -1, 0, 1))
+
+
+class TestExponentBox:
+    def test_carried_box_is_the_box_of_the_generators(self):
+        # every tuple of weight <= 8 and 200 seeded tuples with entries up to
+        # 25, uncapped and at every cap from 0 to one past the lcm's largest entry
+        rng = random.Random(20261021)
+        seeded = (TetTuple(rng.randint(0, 25) for _ in range(6)) for _ in range(200))
+        for t in itertools.chain(iter_tuples(8), seeded):
+            ideal = ideal_of_tuple(t)
+            plain = MonomialIdeal._from_minimal(tuple(ideal))
+            assert (ideal, hash(ideal), repr(ideal)) == (plain, hash(plain), repr(plain))
+            lcm = exponent_box(plain)[1]
+            for bound in (None, *range(int(lcm.max()) + 2)):
+                least, top = exponent_box(ideal, bound)
+                expected_least, expected_top = exponent_box(plain, bound)
+                assert top.tolist() == expected_top.tolist(), (t, bound)
+                assert np.array_equal(least, expected_least), (t, bound)
+
+    def test_carried_arrays_are_read_only(self):
+        least, top = exponent_box(ideal_of_tuple((7, 5, 5, 2, 1, 6)))
+        with pytest.raises(ValueError):
+            least[0, 0, 0] = 0
+        with pytest.raises(ValueError):
+            top[3] = 0
+
+    def test_huge_box_is_typed_error(self, capped_python):
+        # a 7.47 GiB least array ran out of memory before the oracles' guards
+        for call in ("koszul.betti_table_oracle", "groebner.gin_oracle"):
+            done = capped_python("from tetracurves import groebner, koszul; "
+                                 "from tetracurves.monomials import MonomialIdeal; "
+                                 f"{call}(MonomialIdeal.of('a*b', 'a*c', 'b*c', 'a^1000', 'b^1000', 'c^1000'))")
+            assert "OracleTooLargeError: the exponent box [1001, 1001, 1001] needs" in done.stderr, call
 
 
 class TestContains:
