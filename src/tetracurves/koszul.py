@@ -207,14 +207,13 @@ def _box_betti_table(least: np.ndarray, top: np.ndarray) -> BettiTable:
     return BettiTable(tuple(zip(rows.tolist(), cols.tolist(), betti[rows, cols].tolist())))
 
 
-_MEMO: dict[tuple, BettiTable] = {}  # least recently used first
-
-
 def cached_betti_oracle(ideal: MonomialIdeal) -> BettiTable:
-    """Memoized oracle for the last 8,192 ideals, keyed by the plain tuple of
-    minimal generators: no key keeps the box an `ideal_of_tuple` ideal carries."""
-    key = tuple(ideal)
-    table = _MEMO[key] = _MEMO.pop(key, None) or betti_table_oracle(ideal)
-    if len(_MEMO) > 8192:
-        del _MEMO[next(iter(_MEMO))]
-    return table
+    """Memoized oracle, keyed by the plain tuple of minimal generators: no
+    key keeps the box an `ideal_of_tuple` ideal carries."""
+    return _oracle_of(tuple(ideal))
+
+
+@functools.lru_cache(maxsize=8192)
+def _oracle_of(gens: tuple) -> BettiTable:
+    from .monomials import MonomialIdeal
+    return betti_table_oracle(MonomialIdeal._from_minimal(gens))

@@ -209,8 +209,11 @@ def ideal_of_tuple(t: Sequence[int]) -> MonomialIdeal:
     generator unless lowering e0, e1 or e2 by one keeps the same least e3.
     Exponents of minimal generators never exceed the largest weight at their
     vertex, and one reaches it (those free of y have x^w, w = a_xy): the grid
-    is the `exponent_box` the ideal carries.  Raises OracleTooLargeError when
-    the grid would need more memory than `refuse_over_limit` allows."""
+    is the `exponent_box` the ideal carries, read-only, for as long as the
+    ideal lives (prod(top[:3] + 1) int64 cells; a long-lived collection can
+    keep `MonomialIdeal._from_minimal(tuple(I))` copies, which hold only the
+    generators).  Raises OracleTooLargeError when the grid would need more
+    memory than `refuse_over_limit` allows."""
     import numpy as np
     a01, a02, a03, a12, a13, a23 = TetTuple(t)
     top = (max(a01, a02, a03), max(a01, a12, a13), max(a02, a12, a23), max(a03, a13, a23))
@@ -256,16 +259,12 @@ def exponent_box(
     the ideal, or top[3] + 1 when there is none.  It is the prefix minimum of
     the generators' d-exponents; a generator past a cap divides no box point
     and is dropped.  An `ideal_of_tuple` ideal carries its uncapped box,
-    read-only; a cap crops it and sets entries above top[3] to top[3] + 1.
+    read-only, which is returned when no cap cuts it.
     Raises OracleTooLargeError before a box built from the generators would
     need more memory than `refuse_over_limit` allows."""
     import numpy as np
-    if isinstance(ideal, _BoxedIdeal):
-        least, top = ideal._box
-        if bound is None or bound >= top.max():
-            return least, top
-        top = np.minimum(top, bound)
-        return np.minimum(least[: top[0] + 1, : top[1] + 1, : top[2] + 1], top[3] + 1), top
+    if isinstance(ideal, _BoxedIdeal) and (bound is None or bound >= ideal._box[1].max()):
+        return ideal._box
     gens = _exponent_rows(ideal)
     top = gens.max(axis=0, initial=0)
     if bound is not None:
