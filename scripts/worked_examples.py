@@ -4,11 +4,12 @@ weights, the three assembled minimal free resolutions, the gin displays for
 two ACM curves, and the Buchsbaum gin recursion checked against the
 finite-field Groebner oracle."""
 
-from tetracurves.gin import ek_betti, gin_acm, gin_buchsbaum_minimal
+from tetracurves.gin import ek_betti, gin_buchsbaum_minimal, gin_of_curve
 from tetracurves.groebner import gin_oracle
 from tetracurves.monomials import ideal_of_tuple
-from tetracurves.resolution import betti_table, gin_betti_prediction
+from tetracurves.resolution import betti_table
 from tetracurves.tuples import TetTuple, facet_weights, reduction_trace
+from tetracurves.verify import gin_betti_prediction
 
 
 def show_reduction(text: str) -> None:
@@ -31,7 +32,7 @@ def show_resolution(text: str) -> None:
 
 def show_gin(text: str) -> None:
     t = TetTuple.parse(text)
-    g = gin_acm(t)
+    g = gin_of_curve(t)
     print(f"gin({t}) = ({', '.join(g.generator_strings())})")
     print(f"  {ek_betti(g).render_resolution('gin(J)')}\n")
 

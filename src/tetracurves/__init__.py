@@ -12,26 +12,16 @@ import importlib as _importlib
 # each public name and the submodule that defines it
 _EXPORTS = {
     **dict.fromkeys(("BettiTable", "betti_table_oracle", "reduced_homology_ranks"), "koszul"),
+    **dict.fromkeys(("HilbertData", "Monomial", "MonomialIdeal", "hilbert_data", "ideal_of_tuple"), "monomials"),
     **dict.fromkeys(
         (
-            "HilbertData", "Monomial", "MonomialIdeal", "basic_double_link", "component_ideal",
-            "hilbert_data", "ideal_of_tuple", "truncate",
-        ),
-        "monomials",
-    ),
-    **dict.fromkeys(
-        (
-            "acm_linear_family", "ascent_candidates", "betti_table", "ci_power_betti", "classify",
-            "enumerate_linear_in_class", "gin_betti_prediction", "minimal_curve_betti",
+            "ascent_candidates", "betti_table", "ci_power_betti", "classify", "enumerate_linear_in_class",
+            "minimal_curve_betti",
         ),
         "resolution",
     ),
     **dict.fromkeys(
-        (
-            "StableIdeal", "ek_betti", "gin_acm", "gin_buchsbaum_minimal", "gin_of_curve",
-            "is_strongly_stable",
-        ),
-        "gin",
+        ("StableIdeal", "ek_betti", "gin_buchsbaum_minimal", "gin_of_curve", "is_strongly_stable"), "gin"
     ),
     "gin_oracle": "groebner",
     **dict.fromkeys(
@@ -39,7 +29,6 @@ _EXPORTS = {
             "ClassificationReport", "ReductionStep", "ReductionTrace", "TetTuple", "apply_reduction",
             "canonicalize", "ci_power_form", "degree_of_tuple", "facet_weights", "is_cwl",
             "is_minimal", "reduction_applicable", "reduction_trace", "regularity_closed_form",
-            "schwartau_status",
         ),
         "tuples",
     ),

@@ -28,10 +28,6 @@ class IsACMError(TetracurvesError):
     """An operation restricted to non-ACM curves received an ACM one."""
 
 
-class NotACMError(TetracurvesError):
-    """An operation restricted to ACM curves received a non-ACM one."""
-
-
 class FNotInIdealError(TetracurvesError):
     """The form F of a basic double link does not lie in the ideal."""
 

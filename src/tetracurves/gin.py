@@ -6,17 +6,20 @@ maximal-weight basic double link the gin transforms as
 gin(J) = a*gin(I) + (b^e) with e the maximal facet weight of J, so the
 links of a curve's reduction chain fold over the gin of a base: the
 trivial curve or the chain's first CI power (0,r,r,r,r,0) for ACM curves,
-whose gin is then the lex ideal in a, b of the h-vector, or a minimal
-arithmetically Buchsbaum curve (r,0,r-1,r-1,0,r) up to symmetry.  The fold
-reads one reduction trace, never builds the curve's ideal, and minimalizes
-its one generator list and checks it for strong stability once.
+whose gin is then the lex ideal in a, b of the h-vector (in each degree d
+the first d+1-h_d monomials of k[a,b]_d), or a minimal arithmetically
+Buchsbaum curve (r,0,r-1,r-1,0,r) up to symmetry.  The fold reads one
+reduction trace, never builds the curve's ideal, and minimalizes its one
+generator list and checks it for strong stability once.  The paper's
+prediction of the gin's Betti table is a published claim, checked in
+`verify` against `ek_betti` of these gins.
 """
 
 from __future__ import annotations
 
 from math import comb
 
-from .exceptions import NotACMError, NotStableError, TrivialCurveError, refuse_over_limit
+from .exceptions import NotStableError, TrivialCurveError, refuse_over_limit
 from .koszul import BettiTable
 from .monomials import DivisorIndex, Monomial, MonomialIdeal
 from .tuples import TetTuple, buchsbaum_minimal_r, reduction_trace
@@ -58,8 +61,9 @@ class StableIdeal(MonomialIdeal):
 
 
 def max_variable_index(m: Monomial) -> int:
-    """Position (a=1, ..., d=4) of the last variable dividing m."""
-    return max(i + 1 for i, e in enumerate(m) if e > 0)
+    """Position (a=1, ..., d=4) of the last variable dividing m; 1 for m = 1,
+    so the unit ideal's table is the trivial ((0, 0, 1),)."""
+    return max((i + 1 for i, e in enumerate(m) if e > 0), default=1)
 
 
 def ek_betti(stable: StableIdeal) -> BettiTable:
@@ -112,19 +116,6 @@ def _folded_gin(trace) -> StableIdeal | None:
     gens = base(r, n)
     gens += (Monomial((j, e, 0, 0)) for j, e in zip(range(n), trace.weights))
     return StableIdeal(gens)
-
-
-def gin_acm(t: TetTuple) -> StableIdeal:
-    """gin of an ACM curve: the lex ideal in a, b whose artinian quotient
-    has the curve's h-vector (in each degree d it spans the first
-    d+1-h_d monomials of k[a,b]_d in lex order), folded over the trivial
-    curve or the chain's first CI power."""
-    if t.is_trivial:
-        raise TrivialCurveError("gin is undefined for the trivial curve")
-    trace = reduction_trace(t)
-    if not trace.is_acm:
-        raise NotACMError(f"({t}) is not arithmetically Cohen-Macaulay")
-    return _folded_gin(trace)
 
 
 def gin_buchsbaum_minimal(r: int) -> StableIdeal:

@@ -47,8 +47,8 @@ def _is_prime(p: int) -> bool:
 
 @functools.lru_cache(maxsize=64)
 def _degree(d: int, planar: bool = False) -> tuple[np.ndarray, np.ndarray]:
-    """The exponents of monomials_of_degree(d) as int64 rows, and the shifts:
-    row j maps each to the index of x_j times it in monomials_of_degree(d+1);
+    """The exponents of the degree-d monomials in `display_key` order as int64
+    rows, and the shifts: row j maps each to the index of x_j times it in degree d+1;
     `planar` keeps the first C(d+2, 2), those of k[a,b,c].  The monomials run in
     blocks of equal (e3, e2), e1 ascending; x_0 adds C(d+3,2) - C(d-e3+3,2) + e2."""
     import numpy as np

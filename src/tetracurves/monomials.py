@@ -3,34 +3,31 @@
 Monomials are exponent vectors over the four variables a, b, c, d.  A
 monomial ideal is stored by its minimal generating set (which is unique),
 so equality of `MonomialIdeal` values is equality of ideals.  The module
-covers the constructions needed for tetrahedral curves: the curve's ideal
-(the intersection of powers of edge ideals), basic double links
-``g*I + (F)``, graded components ``(I_d)``, truncations ``I_{>=d}``, and
-Hilbert-function data for the quotient ring.  The curve's ideal carries the
-grid it is built from, its `exponent_box`, which the oracles read as is.
+covers what the answers and the oracles read: the curve's ideal (the
+intersection of powers of edge ideals), its membership on the exponent box,
+and Hilbert-function data for the quotient ring.  The curve's ideal carries
+the grid it is built from, its `exponent_box`, which the oracles read as is.
+The constructions that only checks read (basic double links ``g*I + (F)``,
+graded components ``(I_d)`` and truncations ``I_{>=d}``) live in `verify`.
 """
 
 from __future__ import annotations
 
 import bisect
-import functools
 import itertools
 import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .exceptions import BoundTooSmallError, FNotInIdealError, GDividesFError, refuse_over_limit
+from .exceptions import BoundTooSmallError, refuse_over_limit
 from .tuples import NVARS, VARIABLES, TetTuple, variable_index
 
 # the grid's peak bytes per cell (two int64 arrays of the least d-exponent
-# and boolean masks; 17.0 measured), component_ideal's per monomial of the
-# degree (the monomials and their int64 rows; 152 by tracemalloc, 153 as the
-# slope of peak RSS from degree 150 to 300) and hilbert_data's per degree up
-# to the bound (the lists of values and the JSON answer; 125 to 147 as the
-# slope of peak RSS of `hilbert --format json` from 1 to 2..6 million)
+# and boolean masks; 17.0 measured) and hilbert_data's per degree up to the
+# bound (the lists of values and the JSON answer; 125 to 147 as the slope of
+# peak RSS of `hilbert --format json` from 1 to 2..6 million)
 _GRID_BYTES_PER_CELL = 17
 _BOX_BYTES_PER_CELL = 8  # exponent_box's int64 least, accumulated in place
-_BYTES_PER_MONOMIAL = 160
 _HILBERT_BYTES_PER_DEGREE = 150
 
 
@@ -194,7 +191,12 @@ class MonomialIdeal(tuple):
 
 
 class _BoxedIdeal(MonomialIdeal):
-    """An `ideal_of_tuple` ideal: a `MonomialIdeal` carrying its `exponent_box`."""
+    """An `ideal_of_tuple` ideal: a `MonomialIdeal` carrying its `exponent_box`.
+    A copy (`pickle`, `copy`, `deepcopy`) is a plain `MonomialIdeal` of the same
+    generators, so no writable copy of the box stands in for the ideal."""
+
+    def __reduce__(self):
+        return MonomialIdeal._from_minimal, (tuple(self),)
 
 
 def ideal_of_tuple(t: Sequence[int]) -> MonomialIdeal:
@@ -211,9 +213,9 @@ def ideal_of_tuple(t: Sequence[int]) -> MonomialIdeal:
     vertex, and one reaches it (those free of y have x^w, w = a_xy): the grid
     is the `exponent_box` the ideal carries, read-only, for as long as the
     ideal lives (prod(top[:3] + 1) int64 cells; a long-lived collection can
-    keep `MonomialIdeal._from_minimal(tuple(I))` copies, which hold only the
-    generators).  Raises OracleTooLargeError when the grid would need more
-    memory than `refuse_over_limit` allows."""
+    keep copies, `copy.copy(I)` or `MonomialIdeal._from_minimal(tuple(I))`,
+    which hold only the generators).  Raises OracleTooLargeError when the
+    grid would need more memory than `refuse_over_limit` allows."""
     import numpy as np
     a01, a02, a03, a12, a13, a23 = TetTuple(t)
     top = (max(a01, a02, a03), max(a01, a12, a13), max(a02, a12, a23), max(a03, a13, a23))
@@ -278,55 +280,6 @@ def exponent_box(
     for axis in range(3):
         np.minimum.accumulate(least, axis=axis, out=least)
     return least, top
-
-
-def basic_double_link(ideal: MonomialIdeal, g: int | str, F: Monomial) -> MonomialIdeal:
-    """Minimal generators of g*I + (F) for a variable g and F in I."""
-    gi = variable_index(g)
-    if F[gi] > 0:
-        raise GDividesFError(f"{VARIABLES[gi]} divides {F}; (g, F) is not a regular sequence")
-    if not ideal.contains(F):
-        raise FNotInIdealError(f"{F} is not in {ideal}")
-    xg = Monomial.variable(gi)
-    return MonomialIdeal((*(xg * m for m in ideal), F))
-
-
-@functools.lru_cache(maxsize=64)
-def monomials_of_degree(d: int) -> tuple[Monomial, ...]:
-    """All monomials of total degree d in four variables, in `display_key` order."""
-    return tuple(
-        Monomial((d - e3 - e2 - e1, e1, e2, e3))
-        for e3 in range(d + 1)
-        for e2 in range(d - e3 + 1)
-        for e1 in range(d - e3 - e2 + 1)
-    )
-
-
-def component_ideal(ideal: MonomialIdeal, d: int) -> MonomialIdeal:
-    """(I_d): the ideal generated by the degree-d monomials of I.
-
-    Membership is read off `exponent_box` capped at d: a degree-d exponent
-    vector clipped to the box on all four axes keeps its membership.  The
-    members are minimal as they stand, since no monomial divides another of
-    the same degree."""
-    import numpy as np
-    if d < 0:
-        raise ValueError("degree must be non-negative")
-    refuse_over_limit(math.comb(d + 3, 3) * _BYTES_PER_MONOMIAL, f"the monomials of degree {d} need")
-    least, top = exponent_box(ideal, bound=d)
-    basis = monomials_of_degree(d)
-    e = np.minimum(_exponent_rows(basis), top)
-    member = e[:, 3] >= least[e[:, 0], e[:, 1], e[:, 2]]
-    return MonomialIdeal._from_minimal(itertools.compress(basis, member.tolist()))
-
-
-def truncate(ideal: MonomialIdeal, d: int) -> MonomialIdeal:
-    """I_{>=d}: the ideal generated by all elements of I of degree at least d.
-
-    No element of I_d divides a minimal generator of higher degree, so the
-    union is minimal."""
-    high = (g for g in ideal if g.degree > d)
-    return MonomialIdeal._from_minimal((*component_ideal(ideal, d), *high))
 
 
 @dataclass(frozen=True)

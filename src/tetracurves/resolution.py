@@ -9,6 +9,9 @@ case), the unit ideal contributing a single shifted generator (ACM
 componentwise-linear case), or the topmost chain element of CI-power shape
 (0,r,r,r,r,0) (ACM non-componentwise-linear case), whose mapping cone is
 the one step where minimality fails.
+
+The published claims on these tables (the six ACM families with linear
+resolution, the gin's table) are checks in `verify`.
 """
 
 from __future__ import annotations
@@ -160,46 +163,6 @@ def betti_table(t: TetTuple) -> BettiTable:
     return resolution_recipe(reduction_trace(t)).assemble()
 
 
-# the canonical form of each fixed family's model; the profile cannot stand
-# in, as two pairs of (1,1,0,1,0,0) have unequal weights
-_FIXED_LINEAR_ACM_FAMILIES = {
-    canonicalize(model): tag
-    for tag, model in (
-        ("b", (1, 1, 0, 1, 0, 0)),
-        ("c", (1, 1, 1, 1, 1, 1)),
-        ("d", (2, 1, 0, 1, 0, 1)),
-        ("e", (2, 1, 1, 1, 1, 2)),
-    )
-}
-
-
-def acm_linear_family(t: TetTuple) -> tuple[str, int | None] | None:
-    """Match t against the six families of ACM curves with linear
-    resolution, all up to symmetry:
-
-    (a) fat lines (r,0,0,0,0,0), returned as ("a", r);
-    (b) three concurrent non-coplanar lines (1,1,0,1,0,0);
-    (c) (1,1,1,1,1,1);
-    (d) (2,1,0,1,0,1);
-    (e) (2,1,1,1,1,2);
-    (f) one orbit per generator degree s >= 2, returned as ("f", s):
-        (0,0,1,1,0,1), a chain of three lines, then (0,1,1,1,2,0),
-        (0,1,2,2,2,0), (0,2,2,2,3,0), ...: the pair profile is
-        [(0,0), (m-1,m), (m,m)] (s = 2m) or [(0,0), (m,m), (m,m+1)] (s = 2m+1).
-
-    Every family is matched by its shape alone, without a Betti table: (a)
-    and (f) by `pair_profile`, (b)-(e) by their canonical forms.
-    Returns (family tag, r or s or None), or None outside the families."""
-    if t.is_trivial:
-        return None
-    zero, (a, b), (c, d) = pair_profile(t)
-    if zero == (0, 0) and b == c == 0:
-        return ("a", d)  # [(0,0), (0,0), (0,r)]
-    if zero == (0, 0) and b == c >= 1 and (a, d) in ((b - 1, b), (b, b + 1)):
-        return ("f", c + d)
-    return (tag, None) if (tag := _FIXED_LINEAR_ACM_FAMILIES.get(canonicalize(t))) else None
-
-
 def ascent_candidates(t: TetTuple, required_F_degree: int | None = None) -> set[tuple[TetTuple, int]]:
     """All (parent, G) with apply_reduction(parent, G).child == t and, when
     a degree is given, deg F equal to it.  Facet entries of the parent
@@ -253,22 +216,6 @@ def enumerate_linear_in_class(minimal: TetTuple) -> set[TetTuple]:
         level = next_level
         generator_degree += 1
     return found
-
-
-def gin_betti_prediction(t: TetTuple) -> BettiTable:
-    """Betti table of the reverse-lex generic initial ideal: identical to
-    the curve's table when componentwise linear; otherwise r extra
-    generators and syzygies appear one above the least generator degree,
-    with r taken from the CI-power curve in the reduction chain."""
-    if t.is_trivial:
-        raise TrivialCurveError("gin is undefined for the trivial curve")
-    trace = reduction_trace(t)
-    table = resolution_recipe(trace).assemble()
-    if trace.is_cwl:
-        return table
-    r = trace.first_ci_power[1]
-    p = table.min_generator_degree
-    return table + BettiTable.from_dict({(0, p + 1): r, (1, p + 1): r})
 
 
 def classify(t: TetTuple) -> ClassificationReport:

@@ -475,21 +475,6 @@ def is_cwl(t: TetTuple) -> bool:
     return reduction_trace(t).is_cwl
 
 
-def schwartau_status(t: TetTuple) -> tuple[bool, bool]:
-    """(is_schwartau, componentwise_linear).
-
-    A Schwartau curve has a_2 = a_5 = 0; it fails componentwise linearity
-    exactly when a_1, a_3, a_4, a_6 are all positive and a_1+a_6 = a_3+a_4.
-    The trivial curve raises TrivialCurveError, as in `is_cwl`.
-    """
-    a1, a2, a3, a4, a5, a6 = t
-    is_schwartau = a2 == 0 and a5 == 0
-    if is_schwartau and not t.is_trivial:
-        fails = a1 > 0 and a3 > 0 and a4 > 0 and a6 > 0 and a1 + a6 == a3 + a4
-        return True, not fails
-    return False, is_cwl(t)  # raises TrivialCurveError on the trivial curve
-
-
 def degree_of_tuple(t: TetTuple) -> int:
     """deg C = sum a_i (a_i + 1) / 2; additive with deg F along reductions."""
     return sum(a * (a + 1) // 2 for a in t)

@@ -11,6 +11,11 @@ Every check is called as check(bound, seeds, primes): most are `Check`
 rows, a stream of cases and a test of one case, and five that build
 their own result are functions.  `SUITES` lists each suite's default
 bound and checks.
+
+What only checks read lives here, beside them: basic double links,
+components (I_d), truncations I_{>=d}, the walk over every tie-break, and
+the published claims (numerical minimality, Schwartau's criterion, the six
+ACM families with linear resolution, the gin's Betti table).
 """
 
 from __future__ import annotations
@@ -25,9 +30,9 @@ from math import comb
 
 from . import gin as gin_mod
 from . import groebner, monomials, resolution, tuples
-from .exceptions import TetracurvesError
+from .exceptions import FNotInIdealError, GDividesFError, TetracurvesError, TrivialCurveError, refuse_over_limit
 from .koszul import BettiTable, cached_betti_oracle
-from .monomials import MonomialIdeal, basic_double_link, component_ideal, hilbert_data, ideal_of_tuple, truncate
+from .monomials import Monomial, MonomialIdeal, hilbert_data, ideal_of_tuple
 from .tuples import TetTuple, TerminalKind
 
 
@@ -147,6 +152,17 @@ check_degree_additivity = Check(
     "degree additive along reduction steps", _steps,
     lambda s: tuples.degree_of_tuple(s.parent) != tuples.degree_of_tuple(s.child) + s.weight and s.parent,
 )
+
+
+def basic_double_link(ideal: MonomialIdeal, g: int | str, F: Monomial) -> MonomialIdeal:
+    """Minimal generators of g*I + (F) for a variable g and F in I."""
+    gi = tuples.variable_index(g)
+    if F[gi] > 0:
+        raise GDividesFError(f"{tuples.VARIABLES[gi]} divides {F}; (g, F) is not a regular sequence")
+    if not ideal.contains(F):
+        raise FNotInIdealError(f"{F} is not in {ideal}")
+    xg = Monomial.variable(gi)
+    return MonomialIdeal((*(xg * m for m in ideal), F))
 
 
 @row("G*I(child) + (F) rebuilds the parent ideal",
@@ -286,6 +302,41 @@ check_projective_dimension = Check("projective dimension 1 exactly for ACM ideal
 
 # ---------------------------------------------------------------- cwl
 
+# component_ideal's peak bytes per monomial of the degree (the monomials and
+# their int64 rows; 152 by tracemalloc, 153 as the slope of peak RSS from
+# degree 150 to 300)
+_BYTES_PER_MONOMIAL = 160
+
+
+@functools.lru_cache(maxsize=64)
+def monomials_of_degree(d: int) -> tuple[Monomial, ...]:
+    """All monomials of total degree d in four variables, in `display_key` order."""
+    return tuple(
+        Monomial((d - e3 - e2 - e1, e1, e2, e3))
+        for e3 in range(d + 1)
+        for e2 in range(d - e3 + 1)
+        for e1 in range(d - e3 - e2 + 1)
+    )
+
+
+def component_ideal(ideal: MonomialIdeal, d: int) -> MonomialIdeal:
+    """(I_d): the ideal generated by the degree-d monomials of I.
+
+    Membership is read off `exponent_box` capped at d: a degree-d exponent
+    vector clipped to the box on all four axes keeps its membership.  The
+    members are minimal as they stand, since no monomial divides another of
+    the same degree."""
+    import numpy as np
+    if d < 0:
+        raise ValueError("degree must be non-negative")
+    refuse_over_limit(comb(d + 3, 3) * _BYTES_PER_MONOMIAL, f"the monomials of degree {d} need")
+    least, top = monomials.exponent_box(ideal, bound=d)
+    basis = monomials_of_degree(d)
+    e = np.minimum(monomials._exponent_rows(basis), top)
+    member = e[:, 3] >= least[e[:, 0], e[:, 1], e[:, 2]]
+    return MonomialIdeal._from_minimal(itertools.compress(basis, member.tolist()))
+
+
 @row("is_cwl equals the componentwise oracle", _tuples)
 def check_cwl_oracle(t):
     ideal = ideal_of_tuple(t)
@@ -294,11 +345,11 @@ def check_cwl_oracle(t):
     return tuples.is_cwl(t) != all(p.is_zero or cached_betti_oracle(p).is_linear for p in pieces)
 
 
-# on Schwartau tuples (a_2 = a_5 = 0) the criterion's verdict equals is_cwl;
-# elsewhere `schwartau_status` returns is_cwl itself
+# Schwartau's criterion: a curve with a_2 = a_5 = 0 fails componentwise
+# linearity exactly when a_1, a_3, a_4, a_6 are all positive and a_1 + a_6 = a_3 + a_4
 check_schwartau = Check("Schwartau criterion agrees with is_cwl",
                         lambda b, *_: (t for t in iter_tuples(b) if t[1] == 0 and t[4] == 0),
-                        lambda t: tuples.schwartau_status(t) != (True, tuples.is_cwl(t)))
+                        lambda t: (min(t[0], t[2], t[3], t[5]) > 0 and t[0] + t[5] == t[2] + t[3]) == tuples.is_cwl(t))
 
 _HOPE_WITNESS = TetTuple((10, 1, 2, 3, 10, 1))
 
@@ -332,18 +383,35 @@ check_gin_acm_examples = Check(
         TetTuple((1, 2, 2, 2, 1, 2)): ("a^4", "a^3*b", "a^2*b^3", "a*b^4", "b^6"),
         TetTuple((2, 1, 4, 1, 1, 3)): ("a^5", "a^4*b", "a^3*b^3", "a^2*b^4", "a*b^6", "b^8"),
     }.items(),
-    lambda case: gin_mod.gin_acm(case[0]) != MonomialIdeal.of(*case[1]) and f"gin({case[0]})",
+    lambda case: gin_mod.gin_of_curve(case[0]) != MonomialIdeal.of(*case[1]) and f"gin({case[0]})",
 )
 
+
+def gin_betti_prediction(t: TetTuple) -> BettiTable:
+    """Betti table of the reverse-lex generic initial ideal: identical to
+    the curve's table when componentwise linear; otherwise r extra
+    generators and syzygies appear one above the least generator degree,
+    with r taken from the CI-power curve in the reduction chain."""
+    if t.is_trivial:
+        raise TrivialCurveError("gin is undefined for the trivial curve")
+    trace = tuples.reduction_trace(t)
+    table = resolution.resolution_recipe(trace).assemble()
+    if trace.is_cwl:
+        return table
+    r = trace.first_ci_power[1]
+    p = table.min_generator_degree
+    return table + BettiTable.from_dict({(0, p + 1): r, (1, p + 1): r})
+
+
 check_ek_vs_prediction = Check("Eliahou-Kervaire table equals gin Betti prediction", _acm_tuples,
-                               lambda t: gin_mod.ek_betti(gin_mod.gin_acm(t)) != resolution.gin_betti_prediction(t))
+                               lambda t: gin_mod.ek_betti(gin_mod.gin_of_curve(t)) != gin_betti_prediction(t))
 
 
 @row("gin_acm stable, in a and b, Hilbert-preserving", _acm_tuples, cap=6)
 def check_gin_acm_wellformed(t):
-    # gin_acm reads no Hilbert function or Betti table, so comparing Hilbert
-    # functions here checks it against the counter on the curve's ideal
-    g = gin_mod.gin_acm(t)
+    # gin_of_curve reads no Hilbert function or Betti table, so comparing
+    # Hilbert functions here checks it against the counter on the curve's ideal
+    g = gin_mod.gin_of_curve(t)
     ideal = ideal_of_tuple(t)
     in_two_vars = all(m[2] == 0 and m[3] == 0 for m in g)
     upto = cached_betti_oracle(ideal).regularity + 3
@@ -385,8 +453,8 @@ def check_gin_regularity(case):
 ))
 def check_gin_transfer(case):
     trace, seeds, primes = case
-    base = (monomials.Monomial((trace.step_count, 0, 0, 0)) * g for g in _oracle_gin(trace.terminal, seeds, primes))
-    links = (monomials.Monomial((j, e, 0, 0)) for j, e in enumerate(trace.weights))
+    base = (Monomial((trace.step_count, 0, 0, 0)) * g for g in _oracle_gin(trace.terminal, seeds, primes))
+    links = (Monomial((j, e, 0, 0)) for j, e in enumerate(trace.weights))
     return MonomialIdeal((*base, *links)) != _oracle_gin(trace.start, seeds, primes) and trace.start
 
 
@@ -485,6 +553,46 @@ def check_two_skew_vs_published(bound=None, seeds=None, primes=None) -> CheckRes
     return CheckResult(name, False, f"extra {extra}, missing {missing}{refuted_note}")
 
 
+# the canonical form of each fixed family's model; the profile cannot stand
+# in, as two pairs of (1,1,0,1,0,0) have unequal weights
+_FIXED_LINEAR_ACM_FAMILIES = {
+    tuples.canonicalize(model): tag
+    for tag, model in (
+        ("b", (1, 1, 0, 1, 0, 0)),
+        ("c", (1, 1, 1, 1, 1, 1)),
+        ("d", (2, 1, 0, 1, 0, 1)),
+        ("e", (2, 1, 1, 1, 1, 2)),
+    )
+}
+
+
+def acm_linear_family(t: TetTuple) -> tuple[str, int | None] | None:
+    """Match t against the six families of ACM curves with linear
+    resolution, all up to symmetry:
+
+    (a) fat lines (r,0,0,0,0,0), returned as ("a", r);
+    (b) three concurrent non-coplanar lines (1,1,0,1,0,0);
+    (c) (1,1,1,1,1,1);
+    (d) (2,1,0,1,0,1);
+    (e) (2,1,1,1,1,2);
+    (f) one orbit per generator degree s >= 2, returned as ("f", s):
+        (0,0,1,1,0,1), a chain of three lines, then (0,1,1,1,2,0),
+        (0,1,2,2,2,0), (0,2,2,2,3,0), ...: the pair profile is
+        [(0,0), (m-1,m), (m,m)] (s = 2m) or [(0,0), (m,m), (m,m+1)] (s = 2m+1).
+
+    Every family is matched by its shape alone, without a Betti table: (a)
+    and (f) by `pair_profile`, (b)-(e) by their canonical forms.
+    Returns (family tag, r or s or None), or None outside the families."""
+    if t.is_trivial:
+        return None
+    zero, (a, b), (c, d) = tuples.pair_profile(t)
+    if zero == (0, 0) and b == c == 0:
+        return ("a", d)  # [(0,0), (0,0), (0,r)]
+    if zero == (0, 0) and b == c >= 1 and (a, d) in ((b - 1, b), (b, b + 1)):
+        return ("f", c + d)
+    return (tag, None) if (tag := _FIXED_LINEAR_ACM_FAMILIES.get(tuples.canonicalize(t))) else None
+
+
 def check_acm_linear_families(bound: int, seeds=None, primes=None) -> CheckResult:
     """The shape classifier accepts exactly the ACM curves whose closed-form
     table is linear, and the oracle confirms one tuple of every accepted
@@ -492,7 +600,7 @@ def check_acm_linear_families(bound: int, seeds=None, primes=None) -> CheckResul
     oracle_checked = set()
 
     def fails(t):
-        is_family = resolution.acm_linear_family(t) is not None
+        is_family = acm_linear_family(t) is not None
         bad = [t] if is_family != (tuples.is_acm(t) and resolution.betti_table(t).is_linear) else []
         if is_family and (canon := tuples.canonicalize(t)) not in oracle_checked:
             oracle_checked.add(canon)
@@ -517,11 +625,11 @@ check_no_nonmin = Check(
 # ---------------------------------------------------------------- liaison addition
 
 def check_liaison_addition(bound: int, seeds=None, primes=None) -> CheckResult:
-    ac = monomials.Monomial.parse("a*c")
+    ac = Monomial.parse("a*c")
     base = ideal_of_tuple((1, 0, 0, 0, 0, 1))
 
     def fails(r):
-        bd_r = monomials.Monomial((0, r, 0, r))
+        bd_r = Monomial((0, r, 0, r))
         combined = ideal_of_tuple((r, 0, r - 1, r - 1, 0, r)).scaled(ac) + base.scaled(bd_r)
         return combined != ideal_of_tuple((r + 1, 0, r, r, 0, r + 1))
 
@@ -529,6 +637,15 @@ def check_liaison_addition(bound: int, seeds=None, primes=None) -> CheckResult:
 
 
 # ---------------------------------------------------------------- truncation
+
+def truncate(ideal: MonomialIdeal, d: int) -> MonomialIdeal:
+    """I_{>=d}: the ideal generated by all elements of I of degree at least d.
+
+    No element of I_d divides a minimal generator of higher degree, so the
+    union is minimal."""
+    high = (g for g in ideal if g.degree > d)
+    return MonomialIdeal._from_minimal((*component_ideal(ideal, d), *high))
+
 
 @row("truncation preserves Betti numbers above the cut", lambda b, *_: (
     (t, ideal, oracle, d)

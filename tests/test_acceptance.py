@@ -12,9 +12,9 @@ import json
 import time
 
 from tetracurves.cli import main as cli_main
-from tetracurves.gin import ek_betti, gin_acm
+from tetracurves.gin import ek_betti, gin_of_curve
 from tetracurves.koszul import BettiTable
-from tetracurves.resolution import betti_table, gin_betti_prediction
+from tetracurves.resolution import betti_table
 from tetracurves.tuples import TetTuple, is_cwl, reduction_trace
 from tetracurves.verify import (
     PUBLISHED_TWO_SKEW_ORBITS,
@@ -31,6 +31,7 @@ from tetracurves.verify import (
     check_regularity,
     check_truncation,
     check_two_skew_vs_published,
+    gin_betti_prediction,
     iter_tuples,
 )
 
@@ -153,15 +154,15 @@ def test_criterion_07_gin_examples(capsys):
 
     start = time.perf_counter()
     displays = (
-        gin_acm(TetTuple((1, 2, 2, 2, 1, 2)))
+        gin_of_curve(TetTuple((1, 2, 2, 2, 1, 2)))
         == MonomialIdeal.of("a^4", "a^3*b", "a^2*b^3", "a*b^4", "b^6")
-        and gin_acm(TetTuple((2, 1, 4, 1, 1, 3)))
+        and gin_of_curve(TetTuple((2, 1, 4, 1, 1, 3)))
         == MonomialIdeal.of("a^5", "a^4*b", "a^3*b^3", "a^2*b^4", "a*b^6", "b^8")
     )
     gin_resolution = gin_betti_prediction(TetTuple((2, 5, 5, 5, 5, 0))) == BettiTable.from_dict(
         {(0, 10): 5, (0, 11): 4, (0, 12): 2, (1, 11): 4, (1, 12): 4, (1, 13): 2}
     )
-    ek_match = ek_betti(gin_acm(TetTuple((2, 5, 5, 5, 5, 0)))) == gin_betti_prediction(
+    ek_match = ek_betti(gin_of_curve(TetTuple((2, 5, 5, 5, 5, 0)))) == gin_betti_prediction(
         TetTuple((2, 5, 5, 5, 5, 0))
     )
     sweep = check_ek_vs_prediction(7)

@@ -1,4 +1,5 @@
 import contextlib
+import importlib
 import io
 import json
 import os
@@ -13,7 +14,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import tetracurves
-from tetracurves import cli, gin, resolution
+from tetracurves import cli, gin, resolution, verify
 from tetracurves.cli import main
 from tetracurves.verify import SUITE_NAMES
 
@@ -191,14 +192,35 @@ class TestPublicApi:
         assert tetracurves.__all__ == [
             "BettiTable", "ClassificationReport", "HilbertData", "Monomial", "MonomialIdeal",
             "ReductionStep", "ReductionTrace", "StableIdeal", "TetTuple",
-            "acm_linear_family", "apply_reduction", "ascent_candidates", "basic_double_link",
-            "betti_table", "betti_table_oracle", "canonicalize", "ci_power_betti", "ci_power_form",
-            "classify", "component_ideal", "degree_of_tuple", "ek_betti", "enumerate_linear_in_class",
-            "facet_weights", "gin_acm", "gin_betti_prediction", "gin_buchsbaum_minimal", "gin_of_curve",
+            "apply_reduction", "ascent_candidates", "betti_table", "betti_table_oracle", "canonicalize",
+            "ci_power_betti", "ci_power_form", "classify", "degree_of_tuple", "ek_betti",
+            "enumerate_linear_in_class", "facet_weights", "gin_buchsbaum_minimal", "gin_of_curve",
             "gin_oracle", "hilbert_data", "ideal_of_tuple", "is_cwl", "is_minimal", "is_strongly_stable",
             "minimal_curve_betti", "reduced_homology_ranks", "reduction_applicable", "reduction_trace",
-            "regularity_closed_form", "schwartau_status", "truncate",
+            "regularity_closed_form",
         ]
+        assert len(tetracurves.__all__) == 34
+
+    @pytest.mark.parametrize(
+        "name, home",
+        [
+            ("acm_linear_family", "resolution"),
+            ("gin_betti_prediction", "resolution"),
+            ("basic_double_link", "monomials"),
+            ("component_ideal", "monomials"),
+            ("truncate", "monomials"),
+            ("gin_acm", "gin"),
+            ("schwartau_status", "tuples"),
+            ("NotACMError", "exceptions"),
+        ],
+    )
+    def test_check_only_names_left_the_package(self, name, home):
+        # the five references that only checks read live in verify; gin_acm,
+        # schwartau_status and NotACMError are gone
+        with pytest.raises(AttributeError):
+            getattr(tetracurves, name)
+        assert not hasattr(importlib.import_module(f"tetracurves.{home}"), name)
+        assert hasattr(verify, name) is (home in ("resolution", "monomials"))
 
 
 class TestReduceCommand:
@@ -554,7 +576,7 @@ class TestVerifyCommand:
         def broken(t):
             raise ValueError("max() arg is an empty sequence")
 
-        monkeypatch.setattr(gin, "gin_acm", broken)
+        monkeypatch.setattr(gin, "gin_of_curve", broken)
         code, report = run_json(capsys, "verify", "--suite", "gin", "--bound", "2")
         assert code == 1
         assert report["result"]["suites"][0]["checks"] == [

@@ -6,12 +6,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from tetracurves import gin as gin_module, monomials
-from tetracurves.exceptions import NotACMError, NotStableError, TrivialCurveError
+from tetracurves.exceptions import NotStableError, TrivialCurveError
 from tetracurves.gin import (
     StableIdeal,
     _buchsbaum_generators,
     ek_betti,
-    gin_acm,
     gin_buchsbaum_minimal,
     gin_of_curve,
     is_strongly_stable,
@@ -20,9 +19,9 @@ from tetracurves.gin import (
 from tetracurves.groebner import gin_oracle
 from tetracurves.koszul import BettiTable
 from tetracurves.monomials import Monomial, MonomialIdeal, hilbert_data, ideal_of_tuple
-from tetracurves.resolution import betti_table, gin_betti_prediction
+from tetracurves.resolution import betti_table
 from tetracurves.tuples import TetTuple, buchsbaum_minimal_r, is_acm, reduction_trace, regularity_closed_form
-from tetracurves.verify import iter_tuples
+from tetracurves.verify import gin_betti_prediction, iter_tuples
 
 small_tuples = st.tuples(*[st.integers(0, 2)] * 6).map(TetTuple)
 
@@ -155,7 +154,7 @@ class TestStability:
             MonomialIdeal.of("a^2", "b^2"),
             MonomialIdeal.of("a^2", "a*b", "b^3", "a*c^2"),
             *(gin_buchsbaum_minimal(r) for r in (1, 2, 5)),
-            gin_acm(TetTuple.parse("1,2,2,2,1,2")),
+            gin_of_curve(TetTuple.parse("1,2,2,2,1,2")),
         ],
         ids=str,
     )
@@ -217,30 +216,24 @@ class TestStability:
 
 class TestGinAcm:
     def test_worked_example_one(self):
-        assert gin_acm(T("1,2,2,2,1,2")) == MonomialIdeal.of(
+        assert gin_of_curve(T("1,2,2,2,1,2")) == MonomialIdeal.of(
             "a^4", "a^3*b", "a^2*b^3", "a*b^4", "b^6"
         )
 
     def test_worked_example_two(self):
-        assert gin_acm(T("2,1,4,1,1,3")) == MonomialIdeal.of(
+        assert gin_of_curve(T("2,1,4,1,1,3")) == MonomialIdeal.of(
             "a^5", "a^4*b", "a^3*b^3", "a^2*b^4", "a*b^6", "b^8"
         )
 
     def test_single_line_fixed(self):
-        assert gin_acm(T("1,0,0,0,0,0")) == MonomialIdeal.of("a", "b")
-
-    def test_rejects_non_acm(self):
-        with pytest.raises(NotACMError):
-            gin_acm(T("1,0,0,0,0,1"))
-        with pytest.raises(TrivialCurveError):
-            gin_acm(T("0,0,0,0,0,0"))
+        assert gin_of_curve(T("1,0,0,0,0,0")) == MonomialIdeal.of("a", "b")
 
     @given(small_tuples)
     @settings(max_examples=25)
     def test_stable_two_variable_hilbert_preserving(self, t):
         if t.is_trivial or not is_acm(t):
             return
-        g = gin_acm(t)
+        g = gin_of_curve(t)
         assert is_strongly_stable(g)
         assert all(m.exps[2] == 0 and m.exps[3] == 0 for m in g.generators)
         upto = regularity_closed_form(t) + 3
@@ -251,12 +244,12 @@ class TestClosedFormReferences:
     def test_gin_acm_matches_hilbert_construction_up_to_weight_9(self):
         for t in iter_tuples(9):
             if is_acm(t):
-                assert gin_acm(t) == hilbert_gin_acm(t), t
+                assert gin_of_curve(t) == hilbert_gin_acm(t), t
 
     @pytest.mark.parametrize("weight", [20, 60])
     def test_gin_acm_matches_hilbert_construction_on_thick_curves(self, weight):
         t = TetTuple((weight,) * 6)
-        assert gin_acm(t) == hilbert_gin_acm(t)
+        assert gin_of_curve(t) == hilbert_gin_acm(t)
 
     def test_ci_power_gin_matches_betti_construction(self):
         for r in range(1, 41):
@@ -270,7 +263,7 @@ class TestClosedFormReferences:
         tuples = seeded_acm_tuples(300, 60, seed=25)
         assert sum(reduction_trace(t).first_ci_power is not None for t in tuples) >= 20
         for t in tuples:
-            assert gin_acm(t) == betti_lex_gin(t), t
+            assert gin_of_curve(t) == betti_lex_gin(t), t
 
     @pytest.mark.parametrize(
         "t", [TetTuple((0, r, r, r, r, 0)) for r in range(1, 5)] + [T("2,5,5,5,5,0"), T("3,4,4,4,4,1")], ids=str
@@ -313,9 +306,13 @@ class TestEkBetti:
         got = ek_betti(StableIdeal(MonomialIdeal.of("a", "b").generators))
         assert got.as_dict() == {(0, 1): 2, (1, 2): 1}
 
+    def test_unit_ideal_is_the_trivial_table(self):
+        assert max_variable_index(Monomial.parse("1")) == 1
+        assert ek_betti(StableIdeal.of("1")) == BettiTable(((0, 0, 1),))
+
     def test_matches_prediction_for_ginprocess_curve(self):
         t = T("2,5,5,5,5,0")
-        assert ek_betti(gin_acm(t)) == gin_betti_prediction(t)
+        assert ek_betti(gin_of_curve(t)) == gin_betti_prediction(t)
 
 
 class TestBuchsbaumGin:
@@ -373,7 +370,7 @@ class TestGinOfCurve:
         )
 
     def test_acm_routes_through_hilbert(self):
-        assert gin_of_curve(T("1,2,2,2,1,2")) == gin_acm(T("1,2,2,2,1,2"))
+        assert gin_of_curve(T("1,2,2,2,1,2")) == hilbert_gin_acm(T("1,2,2,2,1,2"))
 
     def test_unsupported_minimal_curve(self):
         assert gin_of_curve(T("4,1,2,1,1,5")) is None

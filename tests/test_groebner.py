@@ -9,7 +9,7 @@ from hypothesis import assume, given, strategies as st
 
 from tetracurves import groebner
 from tetracurves.exceptions import DisagreementError, NotBorelFixedError, OracleTooLargeError
-from tetracurves.gin import gin_acm, gin_buchsbaum_minimal, gin_of_curve, is_strongly_stable
+from tetracurves.gin import gin_buchsbaum_minimal, gin_of_curve, is_strongly_stable
 from tetracurves.groebner import (
     DEFAULT_PRIMES,
     _degree,
@@ -22,16 +22,9 @@ from tetracurves.groebner import (
     random_invertible_matrix,
 )
 from tetracurves.koszul import betti_table_oracle
-from tetracurves.monomials import (
-    Monomial,
-    MonomialIdeal,
-    exponent_box,
-    ideal_of_tuple,
-    monomials_of_degree,
-    truncate,
-)
+from tetracurves.monomials import Monomial, MonomialIdeal, exponent_box, ideal_of_tuple
 from tetracurves.tuples import TetTuple
-from tetracurves.verify import iter_tuples
+from tetracurves.verify import iter_tuples, monomials_of_degree, truncate
 
 P = DEFAULT_PRIMES[0]
 IDENTITY = [[1 if i == j else 0 for j in range(4)] for i in range(4)]
@@ -428,7 +421,7 @@ class TestGinOracle:
     def test_acm_worked_example(self):
         got = gin_oracle(ideal_of_tuple((1, 2, 2, 2, 1, 2)))
         assert got == MonomialIdeal.of("a^4", "a^3*b", "a^2*b^3", "a*b^4", "b^6")
-        assert got == gin_acm(TetTuple((1, 2, 2, 2, 1, 2)))
+        assert got == gin_of_curve(TetTuple((1, 2, 2, 2, 1, 2)))
 
     @pytest.mark.parametrize("r", [1, 2, 3, 4])
     def test_buchsbaum_recursion(self, r):

@@ -1,7 +1,9 @@
+import copy
 import functools
 import itertools
 import math
 import operator
+import pickle
 import random
 import tracemalloc
 
@@ -17,24 +19,20 @@ from tetracurves.exceptions import (
 )
 from tetracurves import monomials as monomials_module
 from tetracurves.gin import _buchsbaum_generators, gin_of_curve
-from tetracurves.koszul import cached_betti_oracle
+from tetracurves.koszul import betti_table_oracle, cached_betti_oracle
 from tetracurves.monomials import (
     HilbertData,
     Monomial,
     MonomialIdeal,
-    basic_double_link,
-    component_ideal,
     display_key,
     exponent_box,
     hilbert_data,
     ideal_of_tuple,
     minimalize,
-    monomials_of_degree,
-    truncate,
     variable_index,
 )
 from tetracurves.tuples import EDGES, TetTuple, degree_of_tuple, regularity_closed_form
-from tetracurves.verify import iter_tuples
+from tetracurves.verify import basic_double_link, component_ideal, iter_tuples, monomials_of_degree, truncate
 
 monomials = st.tuples(*[st.integers(0, 4)] * 4).map(Monomial)
 
@@ -351,6 +349,17 @@ class TestExponentBox:
             least[0, 0, 0] = 0
         with pytest.raises(ValueError):
             top[3] = 0
+
+    @pytest.mark.parametrize("copier", [lambda I: pickle.loads(pickle.dumps(I)), copy.copy, copy.deepcopy],
+                             ids=["pickle", "copy", "deepcopy"])
+    def test_copies_hold_only_the_generators(self, copier):
+        # a copy that carried the box carried a writable one: zeros written
+        # into it changed the Koszul oracle's table of the copy
+        ideal = ideal_of_tuple((2, 1, 0, 0, 0, 1))
+        copied = copier(ideal)
+        assert type(copied) is MonomialIdeal and copied == ideal
+        exponent_box(copied)[0][...] = 0
+        assert betti_table_oracle(copied) == betti_table_oracle(ideal)
 
     def test_huge_box_is_typed_error(self, capped_python):
         # a 7.47 GiB least array ran out of memory before the oracles' guards

@@ -7,16 +7,9 @@ from tetracurves import exceptions
 from tetracurves.exceptions import OracleTooLargeError
 from tetracurves.groebner import gin_oracle
 from tetracurves.koszul import betti_table_oracle, cached_betti_oracle
-from tetracurves.monomials import (
-    MonomialIdeal,
-    basic_double_link,
-    component_ideal,
-    hilbert_data,
-    ideal_of_tuple,
-    truncate,
-)
-from tetracurves.resolution import betti_table, gin_betti_prediction
-from tetracurves.gin import ek_betti, gin_acm, gin_buchsbaum_minimal, gin_of_curve
+from tetracurves.monomials import MonomialIdeal, hilbert_data, ideal_of_tuple
+from tetracurves.resolution import betti_table
+from tetracurves.gin import ek_betti, gin_buchsbaum_minimal, gin_of_curve
 from tetracurves.tuples import (
     TetTuple,
     apply_reduction,
@@ -27,6 +20,7 @@ from tetracurves.tuples import (
     reduction_trace,
     regularity_closed_form,
 )
+from tetracurves.verify import basic_double_link, component_ideal, gin_betti_prediction, truncate
 
 small_tuples = st.tuples(*[st.integers(0, 3)] * 6).map(TetTuple)
 tiny_tuples = st.tuples(*[st.integers(0, 2)] * 6).map(TetTuple)
@@ -97,7 +91,7 @@ def test_cwl_matches_componentwise_oracle(t):
 def test_gin_prediction_matches_eliahou_kervaire(t):
     if t.is_trivial or not is_acm(t):
         return
-    assert ek_betti(gin_acm(t)) == gin_betti_prediction(t)
+    assert ek_betti(gin_of_curve(t)) == gin_betti_prediction(t)
 
 
 @given(small_tuples)

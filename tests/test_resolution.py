@@ -17,13 +17,11 @@ from tetracurves.koszul import BettiTable, cached_betti_oracle
 from tetracurves.monomials import Monomial, MonomialIdeal, ideal_of_tuple
 from tetracurves.resolution import (
     ResolutionRecipe,
-    acm_linear_family,
     ascent_candidates,
     betti_table,
     ci_power_betti,
     classify,
     enumerate_linear_in_class,
-    gin_betti_prediction,
     minimal_curve_betti,
     recipe_from_chain,
     resolution_recipe,
@@ -41,7 +39,9 @@ from tetracurves.tuples import (
 from tetracurves.verify import (
     PUBLISHED_TWO_SKEW_ORBITS,
     TWO_SKEW_ERRATA,
+    acm_linear_family,
     check_two_skew_vs_published,
+    gin_betti_prediction,
     iter_tuples,
 )
 
@@ -204,7 +204,7 @@ class TestLinearAssembly:
             r, p = ci_power_form(ci), table.min_generator_degree
             prediction = table + BettiTable.from_dict({(0, p + 1): r, (1, p + 1): r})
         assert gin_betti_prediction(t) == prediction
-        if not chain[-1].is_trivial:  # ACM curves take gin_acm on both sides
+        if not chain[-1].is_trivial:  # ACM gins are compared in test_gin
             r = buchsbaum_minimal_r(chain[-1])
             gin = r and gin_buchsbaum_minimal(r)
             for c in reversed(chain[:-1] if r else ()):  # gin(J) = a * gin(I) + (b^e)

@@ -42,7 +42,7 @@ def _asymmetric_degree(monkeypatch):
 
 
 def _accept_every_family(monkeypatch):
-    monkeypatch.setattr(resolution, "acm_linear_family", lambda t: ("a", 1))
+    monkeypatch.setattr(verify, "acm_linear_family", lambda t: ("a", 1))
 
 
 @pytest.mark.parametrize(
@@ -172,7 +172,7 @@ def test_defect_aborts_its_suite_and_the_next_suite_runs(monkeypatch):
     def broken(t):
         raise ValueError("max() arg is an empty sequence")
 
-    monkeypatch.setattr(gin, "gin_acm", broken)
+    monkeypatch.setattr(gin, "gin_of_curve", broken)
     aborted, after = (verify.run_suite(n, bound=3) for n in ("gin", "liaison-addition"))
     assert [(c.name, c.passed, c.detail) for c in aborted.checks] == [
         ("gin suite aborted", False, "ValueError: max() arg is an empty sequence"),
