@@ -228,6 +228,18 @@ class TestGinAcm:
     def test_single_line_fixed(self):
         assert gin_of_curve(T("1,0,0,0,0,0")) == MonomialIdeal.of("a", "b")
 
+    def test_rejects_non_acm(self):
+        # revlex gin keeps depth, so a gin in a and b alone would make the
+        # curve ACM: a non-ACM curve's gin is unknown (None) or reaches c or d
+        for t in iter_tuples(6):
+            if t.is_trivial or is_acm(t):
+                continue
+            g = gin_of_curve(t)
+            assert g is None or any(m.exps[2] or m.exps[3] for m in g.generators), t
+        assert gin_of_curve(T("1,0,0,0,0,1")) == MonomialIdeal.of("a^2", "a*b", "b^2", "a*c")
+        with pytest.raises(TrivialCurveError):
+            gin_of_curve(T("0,0,0,0,0,0"))
+
     @given(small_tuples)
     @settings(max_examples=25)
     def test_stable_two_variable_hilbert_preserving(self, t):
