@@ -43,8 +43,8 @@ from .tuples import (
     pair_profile,
     reduction_applicable,
     reduction_trace,
-    regularity_closed_form,
     FACET_POSITIONS,
+    _regularity,
 )
 
 _BYTES_PER_ENTRY = 610  # peak RSS of `betti --format json` per entry (slope over two sizes: 606-607)
@@ -61,6 +61,11 @@ def minimal_curve_betti(t: TetTuple) -> BettiTable:
     a1+a6, a1+a6+1, a1+a6+2."""
     if not is_minimal(t):
         raise NotMinimalError(f"({t}) is not a minimal curve")
+    return _minimal_table(t)
+
+
+def _minimal_table(t: TetTuple) -> BettiTable:
+    """`minimal_curve_betti` of a curve known to be minimal."""
     *rest, (a1, a6) = pair_profile(t)
     s = sum(a * (a + 1) // 2 for pair in rest for a in pair)
     d = a1 + a6
@@ -133,10 +138,10 @@ class ResolutionRecipe:
 
 def _recipe(runs: tuple[Run, ...], terminal: TetTuple, ci: tuple[int, int] | None) -> ResolutionRecipe:
     """The plan for a chain with these runs of step weights (top first) and
-    this terminal; ci is the CI-power base as (chain index, r), where a run
-    starts, and the plan then keeps the runs above it on ci_power_betti(r)."""
+    this trivial or minimal terminal; ci is the CI-power base as (chain index,
+    r), where a run starts, and the plan keeps the runs above it on ci_power_betti(r)."""
     if not terminal.is_trivial:
-        return ResolutionRecipe(minimal_curve_betti(terminal), runs)
+        return ResolutionRecipe(_minimal_table(terminal), runs)
     if ci is None:
         return ResolutionRecipe(BettiTable(((0, 0, 1),)), runs)
     index, r = ci
@@ -235,7 +240,7 @@ def classify(t: TetTuple) -> ClassificationReport:
             regularity=None,
         )
     trace = reduction_trace(t)
-    minimal = not trace.runs  # t is its own terminal
+    minimal, r = not trace.runs, ci_power_form(t)  # a minimal t is its own terminal
     return ClassificationReport(
         trivial=False,
         acm=trace.is_acm,
@@ -244,8 +249,8 @@ def classify(t: TetTuple) -> ClassificationReport:
         schwartau=t[1] == 0 and t[4] == 0,
         componentwise_linear=trace.is_cwl,
         linear_resolution=resolution_recipe(trace).is_linear,
-        ci_power_r=ci_power_form(t),
+        ci_power_r=r,
         degree=degree_of_tuple(t),
-        regularity=regularity_closed_form(t),
+        regularity=_regularity(t, r, minimal),
     )
 

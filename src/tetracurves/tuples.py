@@ -23,18 +23,18 @@ one, and the shape of that chain decides ACM-ness, componentwise
 linearity, and regularity.
 
 `reduction_trace` works on the six integers and jumps over periods.  Each
-step's vertex comes from `_max_weight_vertex`, which forms the four facet
-weights once.  Two cheap tests are exact: `ci_power_form` runs only beside a
-zero opposite-pair sum, which every CI-power shape has, and a period p is
-compared in full only when the newest vertex equals the one p steps back, a
-pair the full comparison reads.  When
-the last 2p reduced vertices repeat with period p, every quantity a step's
-decision reads is affine in the number k of further periods: the reduced
-vertex's triangle slacks, its facet-weight gaps to the other facets (and,
-for an earlier vertex that ties and is skipped, one violated slack), every
-lowered edge, and, until a CI-power curve is seen, each opposite-pair sum
-and, beside a zero pair, one nonzero difference of the other four.  The
-decisions repeat while each of these keeps its sign at k = 0 (zero
+step picks its vertex inside the loop, on facet weights formed once.  Two
+cheap tests are exact: `ci_power_form` runs only beside a zero opposite-pair
+sum, which every CI-power shape has, and a period p is compared in full
+only when the newest vertex equals the one p steps back.  When the last 2p
+reduced vertices repeat with period p, every quantity a step's decision
+reads is affine in the number k of further periods, a form x[i] + x[j] -
+x[k] - x[l] on the state with a 0 appended: the reduced vertex's triangle
+slacks, facet-weight gaps and lowered edges (one table per vertex, built at
+import), and per state, for an earlier vertex that ties and is skipped,
+one violated slack and, until a CI-power curve is seen, each opposite-pair
+sum and, beside a zero pair, one nonzero difference of the other four.
+The decisions repeat while each form keeps its sign at k = 0 (zero
 counting as non-negative); the least k where one would lose it is solved
 by floor division and jumped at once.  A jump is recorded as one `Run`:
 the period's vertices, its first step weights, their drift per repetition
@@ -169,17 +169,8 @@ def _facet_positions(v: int) -> tuple[int, ...]:
 
 def _triangle_rows(v: int) -> tuple[tuple[int, int, int], ...]:
     """Inequality rows for vertex v: edges (v,x), (v,y) against edge (x,y)."""
-    others = [u for u in range(4) if u != v]
-    rows = []
-    for x, y in itertools.combinations(others, 2):
-        rows.append(
-            (
-                _EDGE_INDEX[frozenset((v, x))],
-                _EDGE_INDEX[frozenset((v, y))],
-                _EDGE_INDEX[frozenset((x, y))],
-            )
-        )
-    return tuple(rows)
+    pairs = itertools.combinations([u for u in range(4) if u != v], 2)
+    return tuple(tuple(_EDGE_INDEX[frozenset(e)] for e in ((v, x), (v, y), (x, y))) for x, y in pairs)
 
 
 FACET_POSITIONS = tuple(_facet_positions(v) for v in range(4))
@@ -191,13 +182,8 @@ def facet_weights(t: Sequence[int]) -> tuple[int, int, int, int]:
     return tuple(t[i] + t[j] + t[k] for i, j, k in FACET_POSITIONS)
 
 
-def _slack(e, row: tuple[int, int, int]) -> int:
-    i, j, k = row
-    return e[i] + e[j] - e[k]
-
-
 def _applicable(t: Sequence[int], v: int) -> bool:
-    return all(_slack(t, row) >= 0 for row in TRIANGLE_ROWS[v]) and any(t)
+    return all(t[i] + t[j] >= t[k] for i, j, k in TRIANGLE_ROWS[v]) and any(t)
 
 
 def reduction_applicable(t: Sequence[int], G: int | str) -> bool:
@@ -239,38 +225,18 @@ def apply_reduction(t: TetTuple, G: int | str) -> ReductionStep:
 
 
 def _reduce(t: TetTuple, v: int) -> ReductionStep:
+    """The step at v, with the child of a valid t made without validating it again."""
     if not _applicable(t, v):
         raise NotApplicableError(f"reduction {VARIABLES[v].upper()} not applicable to ({t})")
     child = list(t)
     for i in FACET_POSITIONS[v]:
         child[i] = max(0, child[i] - 1)
-    return ReductionStep(v, t, TetTuple(child))
+    return ReductionStep(v, t, tuple.__new__(TetTuple, child))
 
 
 def is_minimal(t: Sequence[int]) -> bool:
     """True when t is non-trivial and admits none of the four reductions."""
     return any(t) and not any(_applicable(t, v) for v in range(NVARS))
-
-
-def _max_weight_vertex(e: Sequence[int]) -> tuple[int | None, tuple[int, int, int, int]]:
-    """The vertex of an applicable reduction of maximal facet weight at e,
-    ties broken A < B < C < D (None when e is trivial or minimal), and the
-    four facet weights."""
-    e0, e1, e2, e3, e4, e5 = e
-    fw = (e0 + e1 + e2, e0 + e3 + e4, e1 + e3 + e5, e2 + e4 + e5)
-    top = max(fw)
-    if top:
-        for v, rows in enumerate(TRIANGLE_ROWS):
-            if fw[v] == top:
-                for i, j, k in rows:
-                    if e[i] + e[j] < e[k]:
-                        break
-                else:
-                    return v, fw
-        # a non-minimal curve can always be reduced along a maximal-weight facet
-        if not is_minimal(e):
-            raise AssertionError(f"no maximal-weight reduction found for {tuple(e)}")
-    return None, fw
 
 
 class TerminalKind(Enum):
@@ -300,8 +266,8 @@ class Run(NamedTuple):
 
 
 # peak RSS per step of `reduce --trace --format json` (slope over two sizes:
-# 2,022-2,027) and per weight of `ReductionTrace.weights` (40.0-40.1)
-_BYTES_PER_STEP = 2030
+# 2,086-2,091) and per weight of `ReductionTrace.weights` (40.0-40.1)
+_BYTES_PER_STEP = 2100
 _BYTES_PER_WEIGHT = 41
 
 
@@ -375,37 +341,46 @@ class ReductionTrace:
         return not self.is_acm or self.first_ci_power is None
 
 
+def _decision_forms(v: int) -> tuple[tuple[int, int, int, int], ...]:
+    """The forms x[i] + x[j] - x[k] - x[l] (index 6 reads a 0 appended to x)
+    whose signs decide a step at vertex v: its three triangle slacks, the gap
+    from its facet weight to each other vertex u's, in order of u (the edge
+    uv cancels), and its three lowered edges."""
+    at = [set(positions) for positions in FACET_POSITIONS]
+    gaps = ((*sorted(at[v] - at[u]), *sorted(at[u] - at[v])) for u in range(4) if u != v)
+    return (*((i, j, k, 6) for i, j, k in TRIANGLE_ROWS[v]), *gaps, *((i, 6, 6, 6) for i in FACET_POSITIONS[v]))
+
+
+_DECISION_FORMS = tuple(_decision_forms(v) for v in range(4))
+_PAIR_FORMS = tuple((i, j, 6, 6) for i, j in OPPOSITE_PAIRS)  # the opposite-pair sums
+
+
 def _periods_ahead(states, drift, period, watch_ci: bool) -> int:
     """How many more times the period just run repeats exactly: the largest K
     such that every decision of the period, made at states[j] + k * drift,
     is the same for k = 1..K (see the module docstring)."""
-    bounds = []
-
-    def keep(value: int, slope: int) -> None:  # the sign of value; zero stays >= 0
-        if value < 0:
-            value, slope = -value, -slope
-        if slope < 0:
-            bounds.append((value - (value > 0)) // -slope)
-
-    fd = facet_weights(drift)
+    d, least = (*drift, 0), None
     for x, v in zip(states, period):
-        fx = facet_weights(x)
-        for row in TRIANGLE_ROWS[v]:
-            keep(_slack(x, row), _slack(drift, row))
-        for u in range(4):
-            keep(fx[v] - fx[u], fd[v] - fd[u])
-            if u < v and fx[u] == fx[v]:  # a tied earlier vertex stays inapplicable
-                row = next(r for r in TRIANGLE_ROWS[u] if _slack(x, r) < 0)
-                keep(_slack(x, row), _slack(drift, row))
-        for i in FACET_POSITIONS[v]:
-            keep(x[i], drift[i])
-        for i, j in OPPOSITE_PAIRS if watch_ci else ():
-            keep(x[i] + x[j], drift[i] + drift[j])
+        x, forms = (*x, 0), _DECISION_FORMS[v] + _PAIR_FORMS if watch_ci else _DECISION_FORMS[v]
+        for u in range(v):
+            i, j, k, l = forms[3 + u]
+            if x[i] + x[j] == x[k] + x[l]:  # a tied earlier vertex stays inapplicable
+                forms += (next((i, j, k, 6) for i, j, k in TRIANGLE_ROWS[u] if x[i] + x[j] < x[k]),)
+        for i, j in OPPOSITE_PAIRS if watch_ci and not (x[0] + x[5] and x[1] + x[4] and x[2] + x[3]) else ():
             if not x[i] + x[j]:  # a zero pair: keep two of the other four apart
                 a, *rest = (k for k in range(6) if k not in (i, j))
-                b = next(k for k in rest if x[k] != x[a])
-                keep(x[b] - x[a], drift[b] - drift[a])
-    return min(bounds, default=0)
+                forms += ((next(k for k in rest if x[k] != x[a]), 6, a, 6),)
+        for i, j, k, l in forms:  # each keeps its sign; zero stays >= 0
+            value, slope = x[i] + x[j] - x[k] - x[l], d[i] + d[j] - d[k] - d[l]
+            if value < 0:
+                value, slope = -value, -slope
+            if slope < 0:
+                bound = (value - (value > 0)) // -slope
+                if not bound:
+                    return 0
+                if least is None or bound < least:
+                    least = bound
+    return least or 0
 
 
 def _stretch(vertices: list[int], weights: list[int]) -> list[Run]:
@@ -424,10 +399,27 @@ def reduction_trace(t: TetTuple) -> ReductionTrace:
     weights: list[int] = []
     states: list[tuple[int, ...]] = []
     ci = None  # (chain index, r) of the first CI-power element
-    v, fw = _max_weight_vertex(e)
-    while v is not None:
+    while True:
+        e0, e1, e2, e3, e4, e5 = e
+        fw = (e0 + e1 + e2, e0 + e3 + e4, e1 + e3 + e5, e2 + e4 + e5)
+        top = max(fw)
+        if not top:
+            break
+        # the first vertex of maximal facet weight whose TRIANGLE_ROWS hold
+        if fw[0] == top and e0 + e1 >= e3 and e0 + e2 >= e4 and e1 + e2 >= e5:
+            v = 0
+        elif fw[1] == top and e0 + e3 >= e1 and e0 + e4 >= e2 and e3 + e4 >= e5:
+            v = 1
+        elif fw[2] == top and e1 + e3 >= e0 and e1 + e5 >= e2 and e3 + e5 >= e4:
+            v = 2
+        elif fw[3] == top and e2 + e4 >= e0 and e2 + e5 >= e1 and e4 + e5 >= e3:
+            v = 3
+        else:  # a non-minimal curve can always be reduced along a maximal-weight facet
+            if not is_minimal(e):
+                raise AssertionError(f"no maximal-weight reduction found for {tuple(e)}")
+            break
         # every CI-power shape has a zero opposite pair
-        if ci is None and not (e[0] + e[5] and e[1] + e[4] and e[2] + e[3]) and (r := ci_power_form(e)):
+        if ci is None and not (e0 + e5 and e1 + e4 and e2 + e3) and (r := ci_power_form(e)):
             ci = done + len(vertices), r
             runs += _stretch(vertices, weights)  # a run starts at the CI-power element
             done, vertices, weights, states = done + len(vertices), [], [], []
@@ -450,7 +442,6 @@ def reduction_trace(t: TetTuple) -> ReductionTrace:
                 e = [a + ahead * s for a, s in zip(e, drift)]
                 vertices, weights, states = [], [], []
             break
-        v, fw = _max_weight_vertex(e)
     return ReductionTrace(
         start=t,
         runs=tuple(runs + _stretch(vertices, weights)),
@@ -493,12 +484,14 @@ def regularity_closed_form(t: TetTuple) -> int:
     minimal curves, and the maximal facet weight otherwise."""
     if t.is_trivial:
         raise TrivialCurveError("regularity is undefined for the trivial curve")
-    r = ci_power_form(t)
+    return _regularity(t, ci_power_form(t), is_minimal(t))
+
+
+def _regularity(t: Sequence[int], r: int | None, minimal: bool) -> int:
+    """`regularity_closed_form` of t, given ci_power_form(t) and is_minimal(t)."""
     if r is not None:
         return 2 * r + 1
-    if is_minimal(t):
-        return sum(pair_profile(t)[-1])
-    return max(facet_weights(t))
+    return sum(pair_profile(t)[-1]) if minimal else max(facet_weights(t))
 
 
 @dataclass(frozen=True)

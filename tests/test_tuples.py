@@ -283,6 +283,28 @@ def trace_record(t):
     )
 
 
+def latin_hypercube(seed, count, top=300):
+    """Tuples whose every entry takes one value from each of count equal
+    strata of [0, top]: the draw of perfbench's deep workload."""
+    rng, columns = random.Random(seed), []
+    for _ in range(6):
+        column = [int((i + rng.random()) * (top + 1) / count) for i in range(count)]
+        rng.shuffle(column)
+        columns.append(column)
+    return [TetTuple(e) for e in zip(*columns) if any(e)]
+
+
+def zero_pair_draws(rng, count):
+    """Pairs of tuples with one opposite pair zeroed: the other four near one r
+    (CI powers nearby), then uniform in [0, 300]."""
+    for _ in range(count):
+        i, j = rng.choice(tuples.OPPOSITE_PAIRS)
+        r = rng.randint(1, 200)
+        for e in ([max(0, r + rng.randint(-2, 2)) for _ in range(6)], [rng.randint(0, 300) for _ in range(6)]):
+            e[i] = e[j] = 0
+            yield TetTuple(e)
+
+
 class TestCompressedTrace:
     def test_matches_stepwise_up_to_weight_12(self):
         for t in iter_tuples(12):
@@ -297,17 +319,16 @@ class TestCompressedTrace:
     def test_matches_stepwise_beside_a_zero_opposite_pair(self):
         # the trace tests for a CI power only beside a zero opposite pair,
         # which uniform draws almost never have
-        rng = random.Random(20261020)
         ci_powers = 0
-        for _ in range(150):
-            i, j = rng.choice(tuples.OPPOSITE_PAIRS)
-            r = rng.randint(1, 200)
-            for e in ([max(0, r + rng.randint(-2, 2)) for _ in range(6)], [rng.randint(0, 300) for _ in range(6)]):
-                e[i] = e[j] = 0
-                t = TetTuple(e)
-                assert trace_record(t) == stepwise_trace(t), t
-                ci_powers += reduction_trace(t).first_ci_power is not None
+        for t in zero_pair_draws(random.Random(20261020), 150):
+            assert trace_record(t) == stepwise_trace(t), t
+            ci_powers += reduction_trace(t).first_ci_power is not None
         assert ci_powers >= 10
+
+    def test_matches_stepwise_on_the_deep_draw(self):
+        # entries in [0, 300] tie far more often than uniform draws in [0, 10^4]
+        for t in latin_hypercube(20261022, 300):
+            assert trace_record(t) == stepwise_trace(t), t
 
     def test_steps_and_chain_match_stepwise(self):
         for t in iter_tuples(6):
@@ -326,6 +347,36 @@ class TestCompressedTrace:
         monkeypatch.setattr(tuples, "apply_reduction", refuse)
         assert len(reduction_trace(T("7,5,5,2,1,6")).steps) == 4
         assert len(reduction_trace(TetTuple((200000,) * 6)).steps) == 400000
+
+
+class TestPeriodSolver:
+    """Every bound K that `_periods_ahead` returns holds stepwise: the period
+    repeats exactly at states[j] + k * drift for k = 1..K."""
+
+    def test_bounds_hold_stepwise(self, monkeypatch):
+        solves, solve = [], tuples._periods_ahead
+
+        def checked(states, drift, period, watch_ci):
+            K, p = solve(states, drift, period, watch_ci), len(period)
+
+            def at(j, k):  # the j-th parent of the period, k periods on
+                return TetTuple(a + k * s for a, s in zip(states[j % p], drift))
+
+            for k in range(1, K + 1):
+                for j, v in enumerate(period):
+                    step = max_weight_reduction(at(j, k))
+                    assert step is not None and step.G == v, (states, drift, period, K, k)
+                    assert step.child == at(j + 1, k + (j + 1) // p), (states, drift, period, K, k)
+                    assert not (watch_ci and ci_power_form(step.parent)), (states, drift, period, K, k)
+            solves.append((p, K))
+            return K
+
+        monkeypatch.setattr(tuples, "_periods_ahead", checked)
+        ladder = [TetTuple((r, 0, r - 1, r - 1, 0, r)) for r in range(1, 5)]  # with weight <= 5, gin-check's inputs
+        for t in (*latin_hypercube(20261023, 300), *iter_tuples(5), *ladder, *zero_pair_draws(random.Random(7), 50)):
+            reduction_trace(t)
+        assert {p for p, _ in solves} >= {1, 2, 3, 4, 5}
+        assert any(K == 0 for _, K in solves)
 
 
 class TestMinimality:
