@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import re
 import sys
 import time
 
@@ -253,7 +254,7 @@ def _is_scalar_list(value) -> bool:
 def _fmt_scalar(value) -> str:
     if isinstance(value, list):
         return "[" + ", ".join(_fmt_scalar(v) for v in value) + "]"
-    if isinstance(value, str) and "," in value:
+    if isinstance(value, str) and re.fullmatch(r"[0-9]+(,[0-9]+){5}", value):  # a tuple
         return f"({value})"
     return str(value)
 

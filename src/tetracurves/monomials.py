@@ -331,7 +331,11 @@ def hilbert_data(ideal: MonomialIdeal, upto: int) -> HilbertData:
     first = [b - a for a, b in zip([0] + values, values)]
     h = [b - a for a, b in zip([0] + first, first)]
     if upto < 1 or any(h[upto:]):
-        raise BoundTooSmallError(f"Hilbert function of {ideal} not stabilized by degree {upto}")
+        top_degree = max((g.degree for g in ideal), default=0)
+        raise BoundTooSmallError(
+            f"Hilbert function of an ideal of {len(ideal)} generators, the largest of degree {top_degree},"
+            f" not stabilized by degree {upto}"
+        )
     while h and h[-1] == 0:
         h.pop()
     return HilbertData(values=tuple(values[: upto + 1]), h_vector=tuple(h), degree=first[upto])

@@ -50,6 +50,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import sys
 from collections.abc import Sequence
 from dataclasses import dataclass
 from enum import Enum
@@ -99,10 +100,12 @@ class TetTuple(tuple):
         parts = [p.strip() for p in text.split(",")]
         if len(parts) != 6:
             raise ValueError(f"need six comma-separated weights, got {text!r}")
+        if not all(p.isascii() and p.isdigit() for p in parts):
+            raise ValueError(f"need non-negative decimal weights, got {text!r}")
         try:
             entries = tuple(int(p) for p in parts)
-        except ValueError:
-            raise ValueError(f"non-integer weight in {text!r}") from None
+        except ValueError:  # only ASCII digits are left, so only the digit limit refuses them
+            raise ValueError(f"a weight over Python's limit of {sys.get_int_max_str_digits()} digits") from None
         return cls(entries)
 
     @property

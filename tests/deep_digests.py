@@ -3,23 +3,21 @@
 200 tuples drawn from a fixed seed, with entries in [0, 300]; each gets one
 digest of its classification report, Betti entries, gin generators (or
 None), Eliahou-Kervaire table of the gin (or None), regularity and degree.
-`tests/data/deep_digests.txt` holds the recorded digests; recompute them
-with
+`tests/data/deep_digests.txt` holds the recorded digests, the
+`deep_digests` entry of `snapshots.py`; record them afresh with
 
-    PYTHONPATH=src python tests/deep_digests.py > tests/data/deep_digests.txt
+    PYTHONPATH=src python tests/snapshots.py --print deep_digests > tests/data/deep_digests.txt
 """
 
 import dataclasses
 import hashlib
 import json
 import random
-from pathlib import Path
 
 from tetracurves.gin import ek_betti, gin_of_curve
 from tetracurves.resolution import betti_table, classify
 from tetracurves.tuples import TetTuple, degree_of_tuple, regularity_closed_form
 
-RECORDED = Path(__file__).resolve().parent / "data" / "deep_digests.txt"
 SEED, COUNT, TOP = 20261019, 200, 300
 
 
@@ -45,15 +43,3 @@ def digest(t: TetTuple) -> str:
     ]
     return hashlib.sha256(json.dumps(payload).encode()).hexdigest()[:20]
 
-
-def recorded() -> dict[TetTuple, str]:
-    out = {}
-    for line in RECORDED.read_text().splitlines():
-        key, value = line.split()
-        out[TetTuple.parse(key)] = value
-    return out
-
-
-if __name__ == "__main__":
-    for t in deep_tuples():
-        print(t, digest(t))

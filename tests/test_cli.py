@@ -51,6 +51,21 @@ class TestClassifyCommand:
             main(["classify", "3,3,3"])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize(
+        "text, refusal",
+        [
+            ("1_0,0,0,0,0,1", "need non-negative decimal weights"),
+            ("+1,0,0,0,0,\u0661", "need non-negative decimal weights"),
+            ("9" * 5000 + ",0,0,0,0,1", f"limit of {sys.get_int_max_str_digits()} digits"),
+        ],
+        ids=["underscore", "sign-and-arabic-indic-digit", "5000-digits"],
+    )
+    def test_usage_error_on_a_weight_int_would_misread(self, capsys, text, refusal):
+        with pytest.raises(SystemExit) as exc:
+            main(["classify", text])
+        assert exc.value.code == 2
+        assert refusal in capsys.readouterr().err
+
     def test_defect_is_json_error_with_traceback(self, capsys, monkeypatch):
         # a ValueError from a closed form is a computation error, not a usage error
         def broken(t):
@@ -515,6 +530,13 @@ class TestHilbertCommand:
         code, report = run_json(capsys, "hilbert", "2,0,1,1,0,2", "--upto", "1")
         assert code == 1
         assert report["result"]["error"] == "BoundTooSmallError"
+
+    def test_text_parenthesizes_tuples_only(self, capsys):
+        code, text = run(capsys, "hilbert", "30,0,0,0,0,30", "--upto", "20")
+        assert code == 1
+        assert "message: Hilbert function of an ideal of 961 generators" in text
+        _, text = run(capsys, "reduce", "3,3,3,1,2,4")
+        assert "terminal: (1,0,0,0,0,1)" in text
 
     def test_zero_inside_the_h_vector_is_refused(self, capsys):
         # h = (1, 2, 3, 4, 0, 1): --upto 4 answered degree 10 before

@@ -512,6 +512,13 @@ class TestHilbertData:
         with pytest.raises(BoundTooSmallError):
             hilbert_data(MonomialIdeal.of("a", "b"), 0)
 
+    def test_refusal_names_the_ideal_briefly(self):
+        # the message listed all 961 generators, 18,245 characters
+        with pytest.raises(BoundTooSmallError, match="not stabilized by degree 20") as exc:
+            hilbert_data(ideal_of_tuple((30, 0, 0, 0, 0, 30)), 20)
+        assert "961 generators, the largest of degree 60," in str(exc.value)
+        assert len(str(exc.value)) < 120
+
     def test_huge_bound_is_typed_error(self):
         # the lists of values alone would take about 61 GiB
         with pytest.raises(OracleTooLargeError):

@@ -45,8 +45,6 @@ from tetracurves.verify import (
     iter_tuples,
 )
 
-from deep_digests import deep_tuples, digest, recorded
-
 small_tuples = st.tuples(*[st.integers(0, 3)] * 6).map(TetTuple)
 
 
@@ -298,13 +296,6 @@ class TestRunAssembly:
             done = capped_python("from tetracurves import gin, resolution; from tetracurves.tuples import TetTuple; "
                                  f"{call}(TetTuple((10**8,) * 3 + (1, 1, 1)))")
             assert f"OracleTooLargeError: {refusal}" in done.stderr, call
-
-    def test_deep_digests_match_the_recorded_snapshot(self):
-        # 200 seeded tuples with entries in [0, 300], recorded before the
-        # trace became a run record
-        expected = recorded()
-        assert len(expected) == 200
-        assert [t for t in deep_tuples() if digest(t) != expected[t]] == []
 
 
 class TestLinearResolution:

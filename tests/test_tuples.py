@@ -1,5 +1,6 @@
 import dataclasses
 import random
+import sys
 
 import pytest
 from hypothesis import given, strategies as st
@@ -54,6 +55,18 @@ class TestTetTuple:
     def test_parse_rejects(self, bad):
         with pytest.raises(ValueError):
             TetTuple.parse(bad)
+
+    # int() reads the first three as 10, 1 and 1: underscores, a sign, an Arabic-Indic one
+    @pytest.mark.parametrize("bad", ["1_0,0,0,0,0,1", "+1,0,0,0,0,1", "1,0,0,0,0,\u0661", "1,0,0,0,0,"])
+    def test_parse_takes_only_ascii_digits(self, bad):
+        with pytest.raises(ValueError, match="need non-negative decimal weights"):
+            TetTuple.parse(bad)
+
+    def test_parse_names_the_digit_limit(self):
+        limit = sys.get_int_max_str_digits()
+        assert TetTuple.parse(f"{'9' * limit},0,0,0,0,1")[0] == 10**limit - 1
+        with pytest.raises(ValueError, match=f"limit of {limit} digits"):
+            TetTuple.parse(f"{'9' * (limit + 1)},0,0,0,0,1")
 
     @pytest.mark.parametrize(
         "bad", [(1.5, 0, 0, 0, 0, 1), (True, 0, 0, 0, 0, 1), (1, 0, 0, 0, 0, 2.0), ("1", 0, 0, 0, 0, 1)]
